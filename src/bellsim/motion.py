@@ -171,7 +171,7 @@ def cap_quadrature(func, theta0: float, tol: float = 1e-9,
     estimates differ by less than tol.  Returns (value, error estimate);
     raises QuadratureError when max_order is reached without convergence.
     """
-    previous = None
+    previous, err = None, float("inf")
     order = start_order
     while order <= max_order:
         tn, tw = np.polynomial.legendre.leggauss(order)

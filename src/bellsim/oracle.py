@@ -1,9 +1,24 @@
 """Monte-Carlo cross-checks that avoid every closed-form average.
 
 Each estimator draws photon directions from the dipole pattern and atom
-displacements from the thermal Gaussians, pushes them through the per-sample
-operator pipeline and only then averages.  Agreement with the quadrature and
+displacements from the thermal Gaussians, evaluates the per-sample operator
+pipeline and only then averages.  Agreement with the quadrature and
 closed-form routes (within a few standard errors) validates both sides.
+
+The per-sample Bell operator is (e^{ip1} BRANCH_ATOM1 + e^{ip2} BRANCH_ATOM2)
+/ sqrt(2) with fixed real branches, so every per-sample probability reduces
+exactly (sample by sample, not in the thermal average) to a cosine of the
+drawn phases:
+  mc_probabilities     X^2 + Y^2 + 2 X Y cos(p1 - p2), with the real
+                       X = BRANCH_ATOM1 R / sqrt(2), Y = BRANCH_ATOM2 R / sqrt(2)
+  mc_bell_measurement  BRANCH_ATOMa BRANCH_ATOMb^T is +-I or +-K (K the signed
+                       anti-diagonal), so with dp = p1 - p2, dq = q1 - q2 and
+                       norm = (1 + 2 xi)^2 the diagonal is
+                       (1/2 (1 + cos(dp - dq)) + 4 xi^2) / norm, the
+                       anti-diagonal 1/2 (1 - cos(dp + dq)) / norm and the
+                       other eight entries 2 xi / norm
+  mc_f_squared         |f|^2 = 2 + 2 cos((q - q_miss) . (dr1 - dr2))
+tests/test_oracle.py pins these to the dense per-sample matrix products.
 
 Reproducibility contract: sampling is split into chunks of cfg.chunk_size;
 chunk i uses the substream SeedSequence(cfg.seed, spawn_key=(i,)) and the
@@ -14,15 +29,21 @@ chunks.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import BRANCH_ATOM1, BRANCH_ATOM2, b2_matrix, raman_matrix
+from .gates import BRANCH_ATOM1, BRANCH_ATOM2, raman_matrix
 from .motion import OpticsParams, TrapParams, axis_variance
 
 SQRT2 = np.sqrt(2.0)
+
+# Supports of I and K = BRANCH_ATOM1 BRANCH_ATOM2^T, the only entries the
+# clean/clean bracket reaches; the single-sided double leaks fill the other 8.
+_DIAGONAL = np.eye(4, dtype=bool)
+_ANTI_DIAGONAL = BRANCH_ATOM1 @ BRANCH_ATOM2.T != 0
 
 
 @dataclass(frozen=True)
@@ -78,24 +99,32 @@ def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
         return list(pool.map(lambda t: fn(_chunk_rng(cfg.seed, t[0]), t[1]), tasks))
 
 
+def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None) -> list:
+    """Fold the fields fn returns per chunk, in chunk order, each from 0.
+
+    Fields are added unless ops gives another binary function per field.
+    The order is fixed, so the result is bit-identical for any worker count.
+    """
+    parts = _map_chunks(fn, cfg, workers)
+    ops = ops or (operator.add,) * len(parts[0])
+    totals = [0.0] * len(ops)
+    for part in parts:
+        totals = [op(t, p) for op, t, p in zip(ops, totals, part)]
+    return totals
+
+
+def _moments(total, total_sq, n: int):
+    """Mean and standard error of n samples from their sum and sum of squares."""
+    mean = total / n
+    if n == 1:
+        return mean, np.full_like(mean, np.nan)
+    var = np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return mean, np.sqrt(var / n)
+
+
 def _estimate(total: float, total_sq: float, n: int) -> McEstimate:
-    mean = total / n
-    if n > 1:
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-        se = float(np.sqrt(var / n))
-    else:
-        se = float("nan")
-    return McEstimate(float(mean), se, n)
-
-
-def _matrix_estimate(total, total_sq, n, row_dev=None) -> MatrixEstimate:
-    mean = total / n
-    if n > 1:
-        var = np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1)
-        se = np.sqrt(var / n)
-    else:
-        se = np.full_like(mean, np.nan)
-    return MatrixEstimate(mean, se, n, row_dev)
+    mean, se = _moments(total, total_sq, n)
+    return McEstimate(float(mean), float(se), n)
 
 
 def sample_displacement(trap: TrapParams, rng: np.random.Generator,
@@ -105,14 +134,13 @@ def sample_displacement(trap: TrapParams, rng: np.random.Generator,
     return rng.standard_normal((size, 3)) * stds
 
 
-def sample_photon_direction(optics: OpticsParams, rng: np.random.Generator,
-                            size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (theta, phi) of registered photons inside the cone.
+def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float,
+                           theta_min: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection sampling of the x-dipole pattern 1 - sin^2(theta) cos^2(phi).
 
-    Rejection sampling: uniform on the spherical cap, thinned by the
-    x-dipole pattern 1 - sin^2(theta) cos^2(phi).
+    Proposals are uniform on the cap cos(theta) >= cos_lo; with theta_min set,
+    directions with theta <= theta_min are rejected too.
     """
-    cos_lo = np.cos(optics.theta0)
     thetas = np.empty(size)
     phis = np.empty(size)
     have = 0
@@ -121,11 +149,19 @@ def sample_photon_direction(optics: OpticsParams, rng: np.random.Generator,
         theta = np.arccos(rng.uniform(cos_lo, 1.0, batch))
         phi = rng.uniform(0.0, 2.0 * np.pi, batch)
         keep = rng.uniform(0.0, 1.0, batch) < 1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2
+        if theta_min is not None:
+            keep &= theta > theta_min
         take = min(int(keep.sum()), size - have)
         thetas[have:have + take] = theta[keep][:take]
         phis[have:have + take] = phi[keep][:take]
         have += take
     return thetas, phis
+
+
+def sample_photon_direction(optics: OpticsParams, rng: np.random.Generator,
+                            size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions (theta, phi) of registered photons inside the cone."""
+    return _sample_dipole_pattern(rng, size, np.cos(optics.theta0))
 
 
 def sample_dipole_direction(rng: np.random.Generator, size: int,
@@ -136,21 +172,7 @@ def sample_dipole_direction(rng: np.random.Generator, size: int,
     With exclude_theta0 set, directions inside that cone are rejected too,
     restricting the missed photon to the complement of the collection cone.
     """
-    thetas = np.empty(size)
-    phis = np.empty(size)
-    have = 0
-    while have < size:
-        batch = max(2 * (size - have), 64)
-        theta = np.arccos(rng.uniform(-1.0, 1.0, batch))
-        phi = rng.uniform(0.0, 2.0 * np.pi, batch)
-        keep = rng.uniform(0.0, 1.0, batch) < 1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2
-        if exclude_theta0 is not None:
-            keep &= theta > exclude_theta0
-        take = min(int(keep.sum()), size - have)
-        thetas[have:have + take] = theta[keep][:take]
-        phis[have:have + take] = phi[keep][:take]
-        have += take
-    return thetas, phis
+    return _sample_dipole_pattern(rng, size, -1.0, exclude_theta0)
 
 
 def momentum_kick(theta, phi) -> np.ndarray:
@@ -158,12 +180,6 @@ def momentum_kick(theta, phi) -> np.ndarray:
     st = np.sin(theta)
     return np.stack(
         [1.0 - st * np.cos(phi), -st * np.sin(phi), -np.cos(theta)], axis=-1)
-
-
-def _bell_batch(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) Bell operators for per-sample motional phases."""
-    return (np.exp(1j * p1)[:, None, None] * BRANCH_ATOM1
-            + np.exp(1j * p2)[:, None, None] * BRANCH_ATOM2) / SQRT2
 
 
 def _motion_phases(trap, optics, rng, count, mode):
@@ -179,27 +195,22 @@ def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
                    mode: str = "classical", workers: int = 1) -> DecoherenceEstimate:
     """Estimate D = 1 - <cos(q.(dr1 - dr2))> by direct sampling.
 
-    The sine average is returned as a diagnostic; it vanishes by symmetry,
-    so the cosine alone carries the dephasing.
+    Each sample contributes 2 sin^2(delta / 2), equal to 1 - cos(delta) but
+    without its cancellation, so D and its standard error keep their digits
+    far below T_cr.  The sine average is returned as a diagnostic; it
+    vanishes by symmetry, so the cosine alone carries the dephasing.
     """
 
     def chunk(rng, count):
         p1, p2 = _motion_phases(trap, optics, rng, count, mode)
         delta = p1 - p2
-        c, s = np.cos(delta), np.sin(delta)
-        return (c.sum(), (c * c).sum(), s.sum(), (s * s).sum())
+        d, s = 2.0 * np.sin(0.5 * delta) ** 2, np.sin(delta)
+        return (d.sum(), (d * d).sum(), s.sum(), (s * s).sum())
 
-    c1 = c2 = s1 = s2 = 0.0
-    for pc1, pc2, ps1, ps2 in _map_chunks(chunk, cfg, workers):
-        c1 += pc1
-        c2 += pc2
-        s1 += ps1
-        s2 += ps2
+    d1, d2, s1, s2 = _reduce_chunks(chunk, cfg, workers)
     n = cfg.n_samples
-    cos_est = _estimate(c1, c2, n)
-    return DecoherenceEstimate(
-        estimate=McEstimate(1.0 - cos_est.mean, cos_est.std_error, n),
-        imaginary_part=_estimate(s1, s2, n))
+    return DecoherenceEstimate(estimate=_estimate(d1, d2, n),
+                               imaginary_part=_estimate(s1, s2, n))
 
 
 def mc_probabilities(trap: TrapParams, optics: OpticsParams,
@@ -207,28 +218,25 @@ def mc_probabilities(trap: TrapParams, optics: OpticsParams,
                      mode: str = "classical", workers: int = 1) -> MatrixEstimate:
     """Outcome probability matrix estimated sample by sample.
 
-    Each sample builds the Bell operator at its drawn motional phases,
-    composes it with the analysis rotation and squares entry moduli.  Rows
-    sum to 1 per sample (the composition preserves row norms); the largest
-    per-sample deviation is reported in row_sum_max_dev.
+    Each sample's Bell operator is composed with the analysis rotation and
+    its entry moduli squared (the cosine identity above).  Rows sum to 1 per
+    sample (the composition preserves row norms); the largest per-sample
+    deviation is reported in row_sum_max_dev.
     """
-    r = raman_matrix(theta1, theta2)
+    r = raman_matrix(theta1, theta2).real
+    x = BRANCH_ATOM1 @ r / SQRT2
+    y = BRANCH_ATOM2 @ r / SQRT2
+    constant, cross = x * x + y * y, 2.0 * x * y
 
     def chunk(rng, count):
         p1, p2 = _motion_phases(trap, optics, rng, count, mode)
-        composed = _bell_batch(p1, p2) @ r
-        probs = composed.real**2 + composed.imag**2
+        probs = constant + cross * np.cos(p1 - p2)[:, None, None]
         dev = float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
         return probs.sum(axis=0), (probs**2).sum(axis=0), dev
 
-    total = np.zeros((4, 4))
-    total_sq = np.zeros((4, 4))
-    worst = 0.0
-    for p_sum, p_sq, dev in _map_chunks(chunk, cfg, workers):
-        total += p_sum
-        total_sq += p_sq
-        worst = max(worst, dev)
-    return _matrix_estimate(total, total_sq, cfg.n_samples, worst)
+    total, total_sq, worst = _reduce_chunks(chunk, cfg, workers,
+                                            (operator.add, operator.add, max))
+    return MatrixEstimate(*_moments(total, total_sq, cfg.n_samples), cfg.n_samples, worst)
 
 
 def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
@@ -236,11 +244,12 @@ def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
                  workers: int = 1) -> McEstimate:
     """Mean squared modulus of the double-emission interference factor.
 
-    f adds the two assignments of (registered, missed) photons to the two
-    atoms.  It is 4 for frozen atoms and decays to 2 once motion scrambles
-    the relative phase.  The missed photon is drawn from the full-sphere
-    dipole pattern by default (it is unobserved); missed_outside_cone
-    restricts it to the complement of the collection cone instead.
+    f = e^{i(q.dr1 + q_miss.dr2)} + e^{i(q.dr2 + q_miss.dr1)} adds the two
+    assignments of (registered, missed) photons to the two atoms.  |f|^2 is
+    4 for frozen atoms and decays to 2 once motion scrambles the relative
+    phase.  The missed photon is drawn from the full-sphere dipole pattern
+    by default (it is unobserved); missed_outside_cone restricts it to the
+    complement of the collection cone instead.
     """
     exclude = optics.theta0 if missed_outside_cone else None
 
@@ -251,16 +260,10 @@ def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
         q_miss = momentum_kick(theta_m, phi_m)
         dr1 = sample_displacement(trap, rng, count, mode)
         dr2 = sample_displacement(trap, rng, count, mode)
-        f = (np.exp(1j * (np.einsum("ij,ij->i", q, dr1) + np.einsum("ij,ij->i", q_miss, dr2)))
-             + np.exp(1j * (np.einsum("ij,ij->i", q, dr2) + np.einsum("ij,ij->i", q_miss, dr1))))
-        v = f.real**2 + f.imag**2
+        v = 2.0 + 2.0 * np.cos(np.einsum("ij,ij->i", q - q_miss, dr1 - dr2))
         return (v.sum(), (v * v).sum())
 
-    s1 = s2 = 0.0
-    for p1, p2 in _map_chunks(chunk, cfg, workers):
-        s1 += p1
-        s2 += p2
-    return _estimate(s1, s2, cfg.n_samples)
+    return _estimate(*_reduce_chunks(chunk, cfg, workers), cfg.n_samples)
 
 
 def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
@@ -275,35 +278,27 @@ def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
     clean/double, double/double - are orthogonal, so their branch
     probabilities add; the double-excitation brackets carry the mean branch
     weight sqrt(2 xi) and the whole table is normalized by (1 + 2 xi)^2.
+    Per sample, clean/clean is 1/2 ((e^{i(p1-q1)} + e^{i(p2-q2)}) I +
+    (e^{i(p1-q2)} - e^{i(p2-q1)}) K) with K = BRANCH_ATOM1 BRANCH_ATOM2^T.
 
     Row sums equal 1 on average (exactly 1 at T = 0); per sample they
     fluctuate with the overlap of the two stages' decorated bases.
     """
     if xi < 0:
         raise ValueError("scattering ratio must be >= 0")
-    double = b2_matrix(xi)
     norm = (1.0 + 2.0 * xi) ** 2
 
     def chunk(rng, count):
         p1, p2 = _motion_phases(trap, optics, rng, count, mode)
         q1, q2 = _motion_phases(trap, optics, rng, count, mode)
-        prep = _bell_batch(p1, p2)
-        meas = _bell_batch(q1, q2).conj().transpose(0, 2, 1)
-        branches = (
-            prep @ meas,
-            double[None, :, :] @ meas,
-            prep @ double[None, :, :],
-            np.broadcast_to(double @ double, (count, 4, 4)),
-        )
-        probs = sum(b.real**2 + b.imag**2 for b in branches) / norm
+        dp, dq = p1 - p2, q1 - q2
+        probs = np.full((count, 4, 4), 2.0 * xi / norm)
+        probs[:, _DIAGONAL] = ((0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm)[:, None]
+        probs[:, _ANTI_DIAGONAL] = (0.5 * (1.0 - np.cos(dp + dq)) / norm)[:, None]
         return probs.sum(axis=0), (probs**2).sum(axis=0)
 
-    total = np.zeros((4, 4))
-    total_sq = np.zeros((4, 4))
-    for p_sum, p_sq in _map_chunks(chunk, cfg, workers):
-        total += p_sum
-        total_sq += p_sq
-    return _matrix_estimate(total, total_sq, cfg.n_samples)
+    total, total_sq = _reduce_chunks(chunk, cfg, workers)
+    return MatrixEstimate(*_moments(total, total_sq, cfg.n_samples), cfg.n_samples)
 
 
 __all__ = [

@@ -244,3 +244,12 @@ def test_cap_quadrature_reports_nonconvergence():
         motion.cap_quadrature(rough, np.pi / 2, tol=1e-14, start_order=8, max_order=32)
     assert err.value.estimate is not None
     assert err.value.error > 1e-14
+
+
+def test_cap_quadrature_single_order_has_no_error_estimate():
+    # one order gives no pair of estimates to compare, so it cannot converge
+    with pytest.raises(QuadratureError) as err:
+        motion.cap_quadrature(lambda th, ph: np.ones_like(th), np.pi / 4,
+                              start_order=16, max_order=16)
+    assert err.value.estimate == pytest.approx(2 * np.pi * (1 - np.cos(np.pi / 4)))
+    assert err.value.error == float("inf")

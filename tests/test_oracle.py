@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellsim import chsh, motion, oracle, protocol
+from bellsim import chsh, gates, motion, oracle, protocol
 from bellsim.motion import DEFAULT_OPTICS, DEFAULT_TRAP
 
 TCR = motion.t_crit(DEFAULT_TRAP, DEFAULT_OPTICS)
@@ -87,6 +87,16 @@ def test_mc_decoherence_matches_quadrature(ratio):
     closed = motion.d_exact(trap, DEFAULT_OPTICS)
     assert abs(est.estimate.mean - closed) <= 3 * est.estimate.std_error
     assert abs(est.imaginary_part.mean) <= 3 * est.imaginary_part.std_error
+
+
+@pytest.mark.parametrize("ratio", [1e-10, 1e-12])
+def test_mc_decoherence_resolves_tiny_dephasing(ratio):
+    # D ~ ratio: forming it as 1 - <cos> cancelled every digit of the spread
+    trap = DEFAULT_TRAP.with_temperature(ratio * TCR)
+    est = oracle.mc_decoherence(trap, DEFAULT_OPTICS, oracle.McConfig(200_000, 41, 50_000))
+    closed = motion.d_exact(trap, DEFAULT_OPTICS)
+    assert 0.0 < est.estimate.std_error < 0.01 * closed
+    assert abs(est.estimate.mean - closed) <= 3 * est.estimate.std_error
 
 
 def test_mc_decoherence_chunk_size_consistency():
@@ -196,6 +206,53 @@ def test_mc_bell_measurement_matches_closed_form(xi):
 def test_mc_bell_measurement_rejects_negative_xi():
     with pytest.raises(ValueError):
         oracle.mc_bell_measurement(TRAP_HALF, DEFAULT_OPTICS, -0.2, CFG)
+
+
+def _chunk0_rng(seed):
+    # substream of chunk 0 in the oracle's reproducibility contract
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+
+
+def _dense_phases(rng, n):
+    theta, phi = oracle.sample_photon_direction(DEFAULT_OPTICS, rng, n)
+    q = oracle.momentum_kick(theta, phi)
+    dr1 = oracle.sample_displacement(TRAP_HALF, rng, n)
+    dr2 = oracle.sample_displacement(TRAP_HALF, rng, n)
+    return np.einsum("ij,ij->i", q, dr1), np.einsum("ij,ij->i", q, dr2)
+
+
+def test_collapsed_estimators_match_dense_per_sample_products():
+    # same draws pushed through the per-sample 4x4 complex products
+    n, seed, xi, angles = 300, 17, 0.05, (0.3, 1.1)
+    cfg = oracle.McConfig(n, seed, n)
+
+    rng = _chunk0_rng(seed)
+    r = gates.raman_matrix(*angles)
+    dense = [np.abs(gates.bell_matrix(a, b) @ r) ** 2 for a, b in zip(*_dense_phases(rng, n))]
+    est = oracle.mc_probabilities(TRAP_HALF, DEFAULT_OPTICS, *angles, cfg)
+    np.testing.assert_allclose(est.mean, np.mean(dense, axis=0), rtol=0, atol=1e-12)
+
+    rng = _chunk0_rng(seed)
+    p1, p2 = _dense_phases(rng, n)
+    q1, q2 = _dense_phases(rng, n)
+    double = gates.b2_matrix(xi)
+    dense = []
+    for a, b, c, d in zip(p1, p2, q1, q2):
+        prep, meas = gates.bell_matrix(a, b), gates.bell_matrix(c, d).conj().T
+        branches = (prep @ meas, double @ meas, prep @ double, double @ double)
+        dense.append(sum(np.abs(m) ** 2 for m in branches) / (1 + 2 * xi) ** 2)
+    est = oracle.mc_bell_measurement(TRAP_HALF, DEFAULT_OPTICS, xi, cfg)
+    np.testing.assert_allclose(est.mean, np.mean(dense, axis=0), rtol=0, atol=1e-12)
+
+    rng = _chunk0_rng(seed)
+    q = oracle.momentum_kick(*oracle.sample_photon_direction(DEFAULT_OPTICS, rng, n))
+    q_miss = oracle.momentum_kick(*oracle.sample_dipole_direction(rng, n))
+    dr1 = oracle.sample_displacement(TRAP_HALF, rng, n)
+    dr2 = oracle.sample_displacement(TRAP_HALF, rng, n)
+    f = (np.exp(1j * (np.einsum("ij,ij->i", q, dr1) + np.einsum("ij,ij->i", q_miss, dr2)))
+         + np.exp(1j * (np.einsum("ij,ij->i", q, dr2) + np.einsum("ij,ij->i", q_miss, dr1))))
+    est = oracle.mc_f_squared(TRAP_HALF, DEFAULT_OPTICS, cfg)
+    assert est.mean == pytest.approx(np.mean(np.abs(f) ** 2), rel=0, abs=1e-12)
 
 
 def test_partial_final_chunk_counted_once():
