@@ -11,14 +11,9 @@ and validates every closed form against quadrature and Monte-Carlo oracles.
 from .linalg import (
     BASIS,
     STATE_INDEX,
-    dagger,
     elementwise_sqmod,
-    matmul,
     matrix4,
-    max_abs_diff,
-    normalized,
     unitarity_defect,
-    vector4,
 )
 from .gates import (
     GeneralBellConfig,
@@ -65,7 +60,6 @@ from .chsh import (
     sweep_s,
 )
 from .protocol import (
-    FidelityReport,
     bell_meas_fidelity,
     bell_meas_matrix,
     cnot_composite,

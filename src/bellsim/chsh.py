@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .gates import BRANCH_ATOM1, BRANCH_ATOM2, raman_matrix
 from .linalg import BASIS, STATE_INDEX
@@ -152,15 +151,94 @@ def sweep_s(x_values, d: float, kind: str = "standard") -> dict[str, np.ndarray]
     return {state: chsh_s_curve(x, state, d, kind) for state in BASIS}
 
 
-def _refine_max(func, xs, values):
-    """Golden-section polish of a grid maximum; grid value if it sits on the edge."""
+def _golden_max(func, xa: float, xb: float, xc: float, xtol: float) -> float:
+    """Golden-section maximum of func on the bracket xa < xb < xc.
+
+    Step for step scipy's _minimize_scalar_golden on -func (same truncated
+    ratio, start rule, stopping test and 5000-step cap), so bit-identical to
+    it; ValueError unless func(xb) exceeds both func(xa) and func(xc).
+    """
+    fa, fb, fc = func(xa), func(xb), func(xc)
+    if not (fb > fa and fb > fc):
+        raise ValueError("bracket does not enclose a maximum")
+    g_r = 0.61803399
+    g_c = 1.0 - g_r
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + g_c * (xc - xb)
+    else:
+        x1, x2 = xb - g_c * (xb - xa), xb
+    f1, f2 = func(x1), func(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1 = x1, x2
+            x2 = g_r * x1 + g_c * x3
+            f1, f2 = f2, func(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = g_r * x2 + g_c * x0
+            f2, f1 = f1, func(x1)
+    return f1 if f1 > f2 else f2
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f in [xa, xb], step for step scipy's brentq.c (rtol 4 eps, 100
+    steps, sign tests, interpolate / extrapolate / bisect rule), so bit-identical
+    to it; ValueError if f(xa), f(xb) share a sign, RuntimeError on the cap.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            # min(b, a) picks b on ties and NaN, like C's MIN(a, b)
+            if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"root search failed to converge after 100 iterations, value is {xcur}")
+
+
+def _grid_max(curve, grid: int) -> float:
+    """Largest |curve(x)| over x in (0, pi/2): grid scan, then golden-section
+    polish unless the grid maximum sits on the edge."""
+    xs = np.linspace(0.0, np.pi / 2, grid + 2)[1:-1]
+    values = np.abs(curve(xs))
     i = int(np.argmax(values))
     if i == 0 or i == len(xs) - 1:
         return float(values[i])
-    res = optimize.minimize_scalar(
-        lambda t: -func(t), bracket=(xs[i - 1], xs[i], xs[i + 1]),
-        method="golden", options={"xtol": 1e-8})
-    return float(max(values[i], -res.fun))
+    best = _golden_max(lambda t: abs(float(curve(t))), xs[i - 1], xs[i], xs[i + 1], xtol=1e-8)
+    return float(max(values[i], best))
 
 
 def s_max(d: float, initial: str = "ge", kind: str = "standard",
@@ -172,9 +250,7 @@ def s_max(d: float, initial: str = "ge", kind: str = "standard",
     pairs coincide), so once the interior peak decays below 2 this maximum
     saturates just under 2 instead of dropping further.
     """
-    xs = np.linspace(0.0, np.pi / 2, grid + 2)[1:-1]
-    values = np.abs(chsh_s_curve(xs, initial, d, kind))
-    return _refine_max(lambda t: abs(float(chsh_s_curve(t, initial, d, kind))), xs, values)
+    return _grid_max(lambda x: chsh_s_curve(x, initial, d, kind), grid)
 
 
 def s_at_standard_angle(d: float) -> float:
@@ -223,10 +299,7 @@ def s_gg_scatter_curve(x, d: float, xi: float, form: str = "closed_form") -> np.
 def s_gg_scatter_max(d: float, xi: float, form: str = "closed_form",
                      grid: int = 2000) -> float:
     """Maximum of |S_gg(x)| with scattering over x in (0, pi/2)."""
-    xs = np.linspace(0.0, np.pi / 2, grid + 2)[1:-1]
-    values = np.abs(s_gg_scatter_curve(xs, d, xi, form))
-    return _refine_max(
-        lambda t: abs(float(s_gg_scatter_curve(t, d, xi, form))), xs, values)
+    return _grid_max(lambda x: s_gg_scatter_curve(x, d, xi, form), grid)
 
 
 def scatter_threshold(d: float, fixed_x: float | None = None,
@@ -235,7 +308,7 @@ def scatter_threshold(d: float, fixed_x: float | None = None,
 
     With fixed_x given, the compact-form S at that angle is inverted in
     closed form; otherwise |S| is maximized over x and the threshold is
-    located by bisection.
+    located by Brent's method on [0, xi_hi].
     """
     _check_d(d)
     if fixed_x is not None:
@@ -250,8 +323,7 @@ def scatter_threshold(d: float, fixed_x: float | None = None,
         return float(0.5 * (ratio - 1.0))
     if s_gg_scatter_max(d, 0.0) <= 2.0:
         return 0.0
-    return float(optimize.brentq(
-        lambda xi: s_gg_scatter_max(d, xi) - 2.0, 0.0, xi_hi, xtol=1e-10))
+    return float(_brentq(lambda xi: s_gg_scatter_max(d, xi) - 2.0, 0.0, xi_hi, xtol=1e-10))
 
 
 __all__ = [

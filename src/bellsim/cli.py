@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -61,19 +62,40 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
 
 
+def _section(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config {key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, name: str, lo: float | None = None, integer: bool = False):
+    """Typed parse of every numeric setting: a finite number, >= lo when given,
+    integral when asked; anything else raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    number = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if (not np.isfinite(number) or (lo is not None and number < lo)
+            or (integer and not number.is_integer())):
+        kind = "an integer" if integer else "a finite number"
+        bound = f" >= {lo:g}" if lo is not None else ""
+        raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
+    return int(value) if integer else number
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     doc = _load_json(args.config) if args.config else {}
-    trap_doc = doc.get("trap", {})
-    optics_doc = doc.get("optics", {})
-    pattern_doc = doc.get("pattern", {})
-    mc_doc = doc.get("mc", {})
+    trap_doc = _section(doc, "trap")
+    optics_doc = _section(doc, "optics")
+    pattern_doc = _section(doc, "pattern")
+    mc_doc = _section(doc, "mc")
 
     def pick(flag_value, doc_value, default):
         if flag_value is not None:
@@ -82,10 +104,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             return doc_value
         return default
 
-    nu_perp = pick(args.nu_perp, trap_doc.get("nu_perp_hz"), motion.DEFAULT_TRAP.nu_perp)
-    nu_par = pick(args.nu_par, trap_doc.get("nu_par_hz"), motion.DEFAULT_TRAP.nu_par)
-    nu_recoil = pick(args.nu_recoil, trap_doc.get("nu_recoil_hz"), motion.DEFAULT_TRAP.nu_recoil)
-    theta0 = pick(args.theta0, optics_doc.get("theta0_rad"), motion.DEFAULT_OPTICS.theta0)
+    def number(flag_value, section, key, default, lo=None, integer=False):
+        return _number(pick(flag_value, section.get(key), default), key, lo, integer)
+
+    nu_perp = number(args.nu_perp, trap_doc, "nu_perp_hz", motion.DEFAULT_TRAP.nu_perp)
+    nu_par = number(args.nu_par, trap_doc, "nu_par_hz", motion.DEFAULT_TRAP.nu_par)
+    nu_recoil = number(args.nu_recoil, trap_doc, "nu_recoil_hz", motion.DEFAULT_TRAP.nu_recoil)
+    theta0 = number(args.theta0, optics_doc, "theta0_rad", motion.DEFAULT_OPTICS.theta0)
 
     temp_flag = args.temperature_k
     ratio_flag = args.t_over_tcr
@@ -96,56 +121,38 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if temp_doc is not None and ratio_doc is not None:
         raise ConfigError("config trap.temperature_k and trap.t_over_tcr are mutually exclusive")
 
+    # either flag overrides both file keys; the file keys fill in otherwise
+    from_flags = temp_flag is not None or ratio_flag is not None
+    temperature, ratio = (temp_flag, ratio_flag) if from_flags else (temp_doc, ratio_doc)
     try:
         trap = motion.TrapParams(nu_perp, nu_par, nu_recoil, 0.0)
         optics = motion.OpticsParams(theta0)
-    except (TypeError, ValueError) as exc:
+        if temperature is not None:
+            ratio = _number(temperature, "temperature_k", lo=0.0) / motion.t_crit(trap, optics)
+        ratio = _number(0.5 if ratio is None else ratio, "t_over_tcr", lo=0.0)
+        trap = trap.with_temperature(ratio * motion.t_crit(trap, optics))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    # either flag overrides both file keys; the file keys fill in otherwise
-    if temp_flag is not None:
-        temperature, ratio = temp_flag, None
-    elif ratio_flag is not None:
-        temperature, ratio = None, ratio_flag
-    else:
-        temperature, ratio = temp_doc, ratio_doc
-    if temperature is not None:
-        if temperature < 0:
-            raise ConfigError("temperature must be >= 0")
-        ratio = temperature / motion.t_crit(trap, optics)
-    if ratio is None:
-        ratio = 0.5
-    if ratio < 0:
-        raise ConfigError("t_over_tcr must be >= 0")
-    trap = trap.with_temperature(ratio * motion.t_crit(trap, optics))
 
     kind = pick(args.pattern, pattern_doc.get("kind"), "standard")
     if kind not in chsh.PATTERN_KINDS:
         raise ConfigError(f"pattern kind must be one of {chsh.PATTERN_KINDS}")
-    x_min = pick(args.x_min, pattern_doc.get("x_min"), 0.0)
-    x_max = pick(args.x_max, pattern_doc.get("x_max"), np.pi / 2)
-    n_points = int(pick(args.grid_n, pattern_doc.get("n"), 201))
-    if not (x_min < x_max and n_points >= 2):
-        raise ConfigError("pattern grid needs x_min < x_max and n >= 2")
+    x_min = number(args.x_min, pattern_doc, "x_min", 0.0)
+    x_max = number(args.x_max, pattern_doc, "x_max", np.pi / 2)
+    n_points = number(args.grid_n, pattern_doc, "n", 201, lo=2, integer=True)
+    if not x_min < x_max:
+        raise ConfigError("pattern grid needs x_min < x_max")
 
-    xi = pick(args.xi, doc.get("xi"), 0.0)
-    if xi < 0:
-        raise ConfigError("xi must be >= 0")
+    xi = number(args.xi, doc, "xi", 0.0, lo=0.0)
 
-    try:
-        mc = oracle.McConfig(
-            n_samples=int(pick(args.samples, mc_doc.get("n_samples"), DEFAULT_SAMPLES)),
-            seed=int(pick(args.seed, mc_doc.get("seed"), DEFAULT_SEED)),
-            chunk_size=int(pick(args.chunk_size, mc_doc.get("chunk_size"), DEFAULT_CHUNK)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    mc = oracle.McConfig(
+        n_samples=number(args.samples, mc_doc, "n_samples", DEFAULT_SAMPLES, lo=1, integer=True),
+        seed=number(args.seed, mc_doc, "seed", DEFAULT_SEED, lo=0, integer=True),
+        chunk_size=number(args.chunk_size, mc_doc, "chunk_size", DEFAULT_CHUNK, lo=1, integer=True))
 
     out = Path(args.out) if args.out else None
-    workers = args.workers if args.workers else 1
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    return RunConfig(trap, optics, float(ratio), float(xi), kind,
-                     float(x_min), float(x_max), n_points, mc, workers, out)
+    workers = _number(args.workers if args.workers else 1, "workers", lo=1, integer=True)
+    return RunConfig(trap, optics, ratio, xi, kind, x_min, x_max, n_points, mc, workers, out)
 
 
 def _fmt(value) -> str:
@@ -178,7 +185,13 @@ def _parse_float_list(text: str, name: str) -> list[float]:
         raise ConfigError(f"{name} must be a comma-separated float list") from exc
     if not values:
         raise ConfigError(f"{name} must not be empty")
-    return values
+    return [_number(v, name, lo=0.0) for v in values]
+
+
+def _grid(stop, count, flag: str) -> np.ndarray:
+    """count evenly spaced points over [0, stop], checked as --<flag>-max and --<flag>-n."""
+    return np.linspace(0.0, _number(stop, f"--{flag}-max", lo=0.0),
+                       _number(count, f"--{flag}-n", lo=1, integer=True))
 
 
 def cmd_tcrit(cfg: RunConfig, args) -> int:
@@ -208,7 +221,7 @@ def cmd_bell_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_bell_max(cfg: RunConfig, args) -> int:
-    ratios = np.linspace(0.0, args.t_max, args.t_n)
+    ratios = _grid(args.t_max, args.t_n, "t")
     violating = "ge" if cfg.pattern_kind == "standard" else "eg"
     other = "eg" if cfg.pattern_kind == "standard" else "ge"
     rows = []
@@ -248,7 +261,7 @@ def cmd_fidelity(cfg: RunConfig, args) -> int:
     path_t = Path(f"{stem}_vs_t{suffix}")
     path_xi = Path(f"{stem}_vs_xi{suffix}")
 
-    ratios = np.linspace(0.0, args.t_max, args.t_n)
+    ratios = _grid(args.t_max, args.t_n, "t")
     header_t = ["T_over_Tcr"]
     for xi in xi_list:
         header_t += [f"F_B_xi_{xi:g}", f"F_xi_{xi:g}"]
@@ -261,7 +274,7 @@ def cmd_fidelity(cfg: RunConfig, args) -> int:
         rows_t.append(row)
     write_csv(path_t, header_t, rows_t)
 
-    xis = np.linspace(0.0, args.xi_max, args.xi_n)
+    xis = _grid(args.xi_max, args.xi_n, "xi")
     header_xi = ["xi"]
     for ratio in t_list:
         header_xi += [f"F_B_t_{ratio:g}", f"F_t_{ratio:g}"]

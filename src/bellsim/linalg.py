@@ -27,33 +27,6 @@ def matrix4(entries) -> np.ndarray:
     return m.copy()
 
 
-def vector4(amplitudes) -> np.ndarray:
-    """Return a validated, not necessarily normalized, 4-amplitude vector."""
-    v = np.asarray(amplitudes, dtype=complex)
-    if v.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("amplitudes must be finite")
-    return v.copy()
-
-
-def normalized(amplitudes) -> np.ndarray:
-    """Return the unit-norm copy of a 4-amplitude vector."""
-    v = vector4(amplitudes)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / norm
-
-
-def matmul(a, b) -> np.ndarray:
-    return matrix4(a) @ matrix4(b)
-
-
-def dagger(a) -> np.ndarray:
-    return matrix4(a).conj().T
-
-
 def unitarity_defect(a) -> float:
     """Max-norm of A @ A^dagger - I; zero exactly when A is unitary."""
     m = matrix4(a)
@@ -65,6 +38,3 @@ def elementwise_sqmod(a) -> np.ndarray:
     m = matrix4(a)
     return (m.real**2 + m.imag**2).astype(float)
 
-
-def max_abs_diff(a, b) -> float:
-    return float(np.max(np.abs(matrix4(a) - matrix4(b))))

@@ -22,7 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import constants as const
+
+#: Planck and Boltzmann constants (J s, J/K); both are exact in the 2019 SI.
+H = 6.62607015e-34
+K_B = 1.380649e-23
 
 VARIANCE_MODES = ("classical", "quantum-exact")
 
@@ -110,10 +113,10 @@ def axis_variance(trap: TrapParams, axis: str, mode: str = "classical") -> float
     _check_mode(mode)
     nu = _axis_frequency(trap, axis)
     if mode == "classical":
-        return 2.0 * trap.nu_recoil * const.k * trap.temperature / (const.h * nu**2)
+        return 2.0 * trap.nu_recoil * K_B * trap.temperature / (H * nu**2)
     if trap.temperature == 0.0:
         return trap.nu_recoil / nu
-    x = const.h * nu / (2.0 * const.k * trap.temperature)
+    x = H * nu / (2.0 * K_B * trap.temperature)
     return (trap.nu_recoil / nu) / np.tanh(x)
 
 
@@ -219,8 +222,8 @@ def t_crit(trap: TrapParams, optics: OpticsParams) -> float:
     k_B T_cr = h nu_eff^2 / (2 nu_R); above it the interference cross terms
     are essentially gone.
     """
-    return float(const.h * nu_eff(trap, optics) ** 2 /
-                 (2.0 * trap.nu_recoil * const.k))
+    return float(H * nu_eff(trap, optics) ** 2 /
+                 (2.0 * trap.nu_recoil * K_B))
 
 
 def d_approx(trap: TrapParams, optics: OpticsParams) -> float:

@@ -8,22 +8,11 @@ sequence therefore dephases through f1 = d - d^2/2 rather than d itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gates
+from .chsh import _check_d, _check_xi
 from .linalg import elementwise_sqmod
-
-
-def _check_d(d: float):
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"decoherence level must lie in [0, 1], got {d}")
-
-
-def _check_xi(xi: float):
-    if xi < 0.0:
-        raise ValueError(f"scattering ratio must be >= 0, got {xi}")
 
 
 def two_stage_dephasing(d: float) -> float:
@@ -105,32 +94,11 @@ def cnot_fidelity(d: float, xi: float) -> float:
     return float((1.0 - d) / (1.0 + 2.0 * xi))
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    """Fidelity together with the probability matrix it was read from."""
-
-    fidelity: float
-    prob_matrix: np.ndarray
-    d: float
-    xi: float
-
-
-def bell_meas_report(d: float, xi: float) -> FidelityReport:
-    return FidelityReport(bell_meas_fidelity(d, xi), bell_meas_matrix(d, xi), d, xi)
-
-
-def cnot_report(d: float, xi: float) -> FidelityReport:
-    return FidelityReport(cnot_fidelity(d, xi), cnot_prob_matrix(d, xi), d, xi)
-
-
 __all__ = [
-    "FidelityReport",
     "bell_meas_fidelity",
     "bell_meas_matrix",
-    "bell_meas_report",
     "cnot_composite",
     "cnot_fidelity",
     "cnot_prob_matrix",
-    "cnot_report",
     "two_stage_dephasing",
 ]

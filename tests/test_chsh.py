@@ -282,3 +282,68 @@ def test_scatter_threshold_optimized_window():
 def test_scatter_curve_no_violation_at_unit_xi():
     xs = np.linspace(0.0, np.pi / 2, 400)
     assert np.max(np.abs(chsh.s_gg_scatter_curve(xs, D_HALF, 1.0))) < 2.0
+
+
+def _grid_brackets():
+    """(func, bracket) pairs exactly as _grid_max forms them for s_max and s_gg_scatter_max."""
+    xs = np.linspace(0.0, np.pi / 2, 2002)[1:-1]
+    curves = [lambda x, d=d, s=s, k=k: chsh.chsh_s_curve(x, s, d, k)
+              for d in np.linspace(0.0, 1.0, 11) for s in BASIS
+              for k in chsh.PATTERN_KINDS]
+    curves += [lambda x, d=d, xi=xi, f=f: chsh.s_gg_scatter_curve(x, d, xi, f)
+               for d in (0.0, D_HALF, 0.8) for xi in (0.0, 0.05, 0.15, 1.0)
+               for f in ("closed_form", "branch")]
+    for curve in curves:
+        i = int(np.argmax(np.abs(curve(xs))))
+        if 0 < i < len(xs) - 1:
+            yield (lambda t, c=curve: abs(float(c(t)))), (xs[i - 1], xs[i], xs[i + 1])
+    # lopsided brackets take each branch of the start rule
+    yield (lambda t: -(t - 0.3) ** 2), (-1.0, 0.2, 0.5)
+    yield (lambda t: -(t - 0.3) ** 2), (0.1, 0.35, 2.0)
+
+
+def test_golden_max_bit_identical_to_scipy():
+    from scipy import optimize
+
+    cases = list(_grid_brackets())
+    assert len(cases) == 45
+    for func, bracket in cases:
+        ref = optimize.minimize_scalar(lambda t: -func(t), bracket=bracket,
+                                       method="golden", options={"xtol": 1e-8})
+        assert chsh._golden_max(func, *bracket, xtol=1e-8) == -ref.fun
+
+
+def test_golden_max_rejects_bad_brackets():
+    with pytest.raises(ValueError):
+        chsh._golden_max(lambda t: -t * t, 0.5, 0.8, 1.0, xtol=1e-8)
+
+
+def test_brentq_bit_identical_to_scipy():
+    from scipy import optimize
+
+    problems = [(lambda xi, d=d: chsh.s_gg_scatter_max(d, xi) - 2.0, 0.0, 4.0)
+                for d in np.linspace(0.0, 0.5, 6)]
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        r, c = rng.uniform(-2, 2), rng.uniform(0, 3)
+        lo, hi = r - rng.uniform(0.1, 5), r + rng.uniform(0.1, 5)
+        problems += [(lambda x, r=r, c=c: (x - r) ** 3 + c * (x - r), lo, hi),
+                     (lambda x, r=r, c=c: np.tanh(c * (x - r)), lo, hi),
+                     (lambda x, r=r: float(np.exp(x) - np.exp(r)), lo, hi)]
+    for f, a, b in problems:
+        assert chsh._brentq(f, a, b, xtol=1e-10) == optimize.brentq(f, a, b, xtol=1e-10)
+
+
+def test_brentq_error_paths_match_scipy():
+    from scipy import optimize
+
+    with pytest.raises(ValueError):
+        chsh._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-10)
+
+    def step(x):
+        return 1.0 if x > 0.1 else -1.0
+
+    with pytest.raises(RuntimeError):
+        optimize.brentq(step, -1e300, 1e300, xtol=1e-300)
+    with pytest.raises(RuntimeError):
+        chsh._brentq(step, -1e300, 1e300, xtol=1e-300)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,34 @@ def test_invalid_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["tcrit", "--config", str(bad), "--out", str(tmp_path / "z.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["tcrit"], {"xi": "0.1"}),
+    (["tcrit"], {"trap": [1]}),
+    (["bell-sweep", "--t-over-tcr", "nan"], None),
+    (["bell-max", "--t-n", "-1"], None),
+    (["bell-max", "--t-n", "0"], None),
+    (["fidelity", "--xi-list", "nan"], None),
+], ids=["xi-string", "trap-list", "t-over-tcr-nan", "t-n-negative", "t-n-zero", "xi-list-nan"])
+def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, doc):
+    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import bellsim.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_temperature_kelvin_accepted(tmp_path):

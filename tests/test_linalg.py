@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from bellsim import gates
-from bellsim.linalg import (
-    BASIS,
-    dagger,
-    elementwise_sqmod,
-    matmul,
-    matrix4,
-    max_abs_diff,
-    normalized,
-    unitarity_defect,
-    vector4,
-)
+from bellsim.linalg import BASIS, elementwise_sqmod, matrix4, unitarity_defect
 
 I4 = np.eye(4, dtype=complex)
 
@@ -42,47 +32,15 @@ def test_matrix4_rejects_nonfinite():
         matrix4(bad)
 
 
-def test_vector4_paths():
-    v = vector4([2, 0, 0, 0])
-    assert np.linalg.norm(v) == 2.0
-    np.testing.assert_allclose(normalized(v), [1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        normalized([0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        vector4([np.inf, 0, 0, 0])
-
-
-def test_matmul_identity():
-    np.testing.assert_array_equal(matmul(I4, I4), I4)
-
-
 def test_matmul_unitary_inverse():
     for m in (gates.h1(), gates.h2(), gates.raman_matrix(0.3, -1.1)):
-        assert max_abs_diff(matmul(m, np.linalg.inv(m)), I4) < 1e-12
-
-
-def test_matmul_associative_on_random_unitaries():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a, b, c = (random_unitary(rng) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert max_abs_diff(left, right) < 1e-14
+        assert np.max(np.abs(m @ np.linalg.inv(m) - I4)) < 1e-12
 
 
 def test_matmul_reproduces_cnot_bracket():
     # frozen by explicit 4x4 hand multiplication of the three factors
-    product = matmul(matmul(gates.h1(), gates.bell_matrix(0, 0)), gates.h2())
-    assert max_abs_diff(product, gates.cnot_target()) < 1e-12
-
-
-def test_dagger():
-    np.testing.assert_array_equal(dagger(I4), I4)
-    rng = np.random.default_rng(9)
-    a = random_unitary(rng)
-    np.testing.assert_array_equal(dagger(dagger(a)), a)
-    d = np.diag([1j, 1, 1j, 1]).astype(complex)
-    np.testing.assert_array_equal(dagger(d), np.diag([-1j, 1, -1j, 1]))
+    product = gates.h1() @ gates.bell_matrix(0, 0) @ gates.h2()
+    assert np.max(np.abs(product - gates.cnot_target())) < 1e-12
 
 
 def test_unitarity_defect_identity():
@@ -109,7 +67,7 @@ def test_unitarity_defect_subadditive_near_unitary():
         a = random_unitary(rng) + 1e-4 * rng.standard_normal((4, 4))
         b = random_unitary(rng) + 1e-4 * rng.standard_normal((4, 4))
         total = unitarity_defect(a) + unitarity_defect(b)
-        assert unitarity_defect(matmul(a, b)) <= total + 3 * total + 1e-12
+        assert unitarity_defect(a @ b) <= total + 3 * total + 1e-12
 
 
 def test_elementwise_sqmod_identity():

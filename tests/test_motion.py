@@ -253,3 +253,8 @@ def test_cap_quadrature_single_order_has_no_error_estimate():
                               start_order=16, max_order=16)
     assert err.value.estimate == pytest.approx(2 * np.pi * (1 - np.cos(np.pi / 4)))
     assert err.value.error == float("inf")
+
+
+def test_planck_and_boltzmann_constants_are_the_si_values():
+    assert motion.H == const.h
+    assert motion.K_B == const.k

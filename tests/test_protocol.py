@@ -133,15 +133,6 @@ def test_cnot_fidelity_values_and_monotonicity():
     assert np.all(np.diff([protocol.cnot_fidelity(0.3, x) for x in xis]) < 0)
 
 
-def test_reports_bundle_matrix_and_params():
-    rep = protocol.bell_meas_report(0.2, 0.05)
-    assert rep.fidelity == protocol.bell_meas_fidelity(0.2, 0.05)
-    assert rep.prob_matrix[0, 0] == pytest.approx(rep.fidelity, abs=1e-14)
-    rep = protocol.cnot_report(0.2, 0.05)
-    assert rep.fidelity == protocol.cnot_fidelity(0.2, 0.05)
-    np.testing.assert_allclose(rep.prob_matrix, block_form(rep.fidelity), atol=1e-12)
-
-
 def test_rejects_out_of_range_parameters():
     with pytest.raises(ValueError):
         protocol.bell_meas_matrix(-0.1, 0.0)
