@@ -157,12 +157,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite result {value}: an input is out of range")
         return f"{value:.12g}"
     return str(value)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows atomically: compose in a temp file, then rename into place."""
+    """Write rows atomically: compose in a temp file, then rename into place.
+
+    A non-finite float cell raises ConfigError before the rename, so no file is left.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -535,8 +540,9 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OverflowError, ZeroDivisionError) as exc:
+        reason = exc if isinstance(exc, ConfigError) else f"an input is out of range ({exc})"
+        print(f"error: {reason}", file=sys.stderr)
         return 2
 
 

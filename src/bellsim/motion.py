@@ -177,12 +177,11 @@ def cap_quadrature(func, theta0: float, tol: float = 1e-9,
     previous, err = None, float("inf")
     order = start_order
     while order <= max_order:
-        tn, tw = np.polynomial.legendre.leggauss(order)
-        theta = 0.5 * theta0 * (tn + 1.0)
-        wt = 0.5 * theta0 * tw * np.sin(theta)
-        pn, pw = np.polynomial.legendre.leggauss(order)
-        phi = np.pi * (pn + 1.0)
-        wp = np.pi * pw
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        theta = 0.5 * theta0 * (nodes + 1.0)
+        wt = 0.5 * theta0 * weights * np.sin(theta)
+        phi = np.pi * (nodes + 1.0)
+        wp = np.pi * weights
         th_grid, ph_grid = np.meshgrid(theta, phi, indexing="ij")
         value = float(np.einsum("i,j,ij->", wt, wp, np.asarray(func(th_grid, ph_grid), dtype=float)))
         if previous is not None:

@@ -5,6 +5,11 @@ displacements from the thermal Gaussians, evaluates the per-sample operator
 pipeline and only then averages.  Agreement with the quadrature and
 closed-form routes (within a few standard errors) validates both sides.
 
+Directions are (n, 3) unit vectors k drawn without arccos (the proposals
+and the draws are those of the earlier (theta, phi) sampler, which
+tests/test_oracle.py keeps as the reference); the kick is q = e_x - k, and a
+stage enters every estimator only through delta = q . (dr1 - dr2).
+
 The per-sample Bell operator is (e^{ip1} BRANCH_ATOM1 + e^{ip2} BRANCH_ATOM2)
 / sqrt(2) with fixed real branches, so every per-sample probability reduces
 exactly (sample by sample, not in the thermal average) to a cosine of the
@@ -130,44 +135,52 @@ def _estimate(total: float, total_sq: float, n: int) -> McEstimate:
 def sample_displacement(trap: TrapParams, rng: np.random.Generator,
                         size: int, mode: str = "classical") -> np.ndarray:
     """(size, 3) thermal displacements in inverse-wavenumber units."""
-    stds = np.sqrt([axis_variance(trap, ax, mode) for ax in ("x", "y", "z")])
-    return rng.standard_normal((size, 3)) * stds
+    dr = rng.standard_normal((size, 3))
+    dr *= np.sqrt([axis_variance(trap, ax, mode) for ax in ("x", "y", "z")])
+    return dr
 
 
 def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float,
-                           theta_min: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                           theta_min: float | None = None) -> np.ndarray:
     """Rejection sampling of the x-dipole pattern 1 - sin^2(theta) cos^2(phi).
 
-    Proposals are uniform on the cap cos(theta) >= cos_lo; with theta_min set,
-    directions with theta <= theta_min are rejected too.
+    Proposals u = cos(theta) are uniform on [cos_lo, 1), the cap
+    cos(theta) >= cos_lo; with theta_min set, directions with
+    theta <= theta_min (u >= cos(theta_min)) are rejected too.  Returns
+    (size, 3) unit vectors (sin(theta) cos(phi), sin(theta) sin(phi), u);
+    sin(phi) and sin(theta) are evaluated for accepted proposals only.
     """
-    thetas = np.empty(size)
-    phis = np.empty(size)
+    k = np.empty((size, 3))
+    u_max = None if theta_min is None else np.cos(theta_min)
     have = 0
     while have < size:
         batch = max(2 * (size - have), 64)
-        theta = np.arccos(rng.uniform(cos_lo, 1.0, batch))
+        u = rng.uniform(cos_lo, 1.0, batch)
         phi = rng.uniform(0.0, 2.0 * np.pi, batch)
-        keep = rng.uniform(0.0, 1.0, batch) < 1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2
-        if theta_min is not None:
-            keep &= theta > theta_min
-        take = min(int(keep.sum()), size - have)
-        thetas[have:have + take] = theta[keep][:take]
-        phis[have:have + take] = phi[keep][:take]
-        have += take
-    return thetas, phis
+        cos_phi = np.cos(phi)
+        sin2 = (1.0 - u) * (1.0 + u)
+        keep = rng.uniform(0.0, 1.0, batch) < 1.0 - sin2 * cos_phi * cos_phi
+        if u_max is not None:
+            keep &= u < u_max
+        idx = np.flatnonzero(keep)[:size - have]
+        rows = k[have:have + idx.size]
+        sin_theta = np.sqrt(sin2[idx])
+        rows[:, 0] = sin_theta * cos_phi[idx]
+        rows[:, 1] = sin_theta * np.sin(phi[idx])
+        rows[:, 2] = u[idx]
+        have += idx.size
+    return k
 
 
 def sample_photon_direction(optics: OpticsParams, rng: np.random.Generator,
-                            size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directions (theta, phi) of registered photons inside the cone."""
+                            size: int) -> np.ndarray:
+    """(size, 3) unit vectors of registered photons inside the cone."""
     return _sample_dipole_pattern(rng, size, np.cos(optics.theta0))
 
 
 def sample_dipole_direction(rng: np.random.Generator, size: int,
-                            exclude_theta0: float | None = None
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Directions from the full-sphere x-dipole pattern (missed photons).
+                            exclude_theta0: float | None = None) -> np.ndarray:
+    """(size, 3) unit vectors from the full-sphere x-dipole pattern (missed photons).
 
     With exclude_theta0 set, directions inside that cone are rejected too,
     restricting the missed photon to the complement of the collection cone.
@@ -175,20 +188,20 @@ def sample_dipole_direction(rng: np.random.Generator, size: int,
     return _sample_dipole_pattern(rng, size, -1.0, exclude_theta0)
 
 
-def momentum_kick(theta, phi) -> np.ndarray:
-    """(n, 3) components of q/k for excitation along x, photon at (theta, phi)."""
-    st = np.sin(theta)
-    return np.stack(
-        [1.0 - st * np.cos(phi), -st * np.sin(phi), -np.cos(theta)], axis=-1)
+def momentum_kick(direction: np.ndarray) -> np.ndarray:
+    """(n, 3) components of q/k = e_x - k for excitation along x, photon along k."""
+    q = -direction
+    q[:, 0] += 1.0
+    return q
 
 
-def _motion_phases(trap, optics, rng, count, mode):
-    """One stage of draws: photon direction, then both atom displacements."""
-    theta, phi = sample_photon_direction(optics, rng, count)
-    q = momentum_kick(theta, phi)
-    dr1 = sample_displacement(trap, rng, count, mode)
-    dr2 = sample_displacement(trap, rng, count, mode)
-    return np.einsum("ij,ij->i", q, dr1), np.einsum("ij,ij->i", q, dr2)
+def _phase_difference(trap, optics, rng, count, mode):
+    """One stage of draws (photon direction, then both atom displacements)
+    and its relative motional phase q . (dr1 - dr2)."""
+    q = momentum_kick(sample_photon_direction(optics, rng, count))
+    dr = sample_displacement(trap, rng, count, mode)
+    dr -= sample_displacement(trap, rng, count, mode)
+    return np.einsum("ij,ij->i", q, dr)
 
 
 def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
@@ -202,8 +215,7 @@ def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
     """
 
     def chunk(rng, count):
-        p1, p2 = _motion_phases(trap, optics, rng, count, mode)
-        delta = p1 - p2
+        delta = _phase_difference(trap, optics, rng, count, mode)
         d, s = 2.0 * np.sin(0.5 * delta) ** 2, np.sin(delta)
         return (d.sum(), (d * d).sum(), s.sum(), (s * s).sum())
 
@@ -227,12 +239,17 @@ def mc_probabilities(trap: TrapParams, optics: OpticsParams,
     x = BRANCH_ATOM1 @ r / SQRT2
     y = BRANCH_ATOM2 @ r / SQRT2
     constant, cross = x * x + y * y, 2.0 * x * y
+    row_constant, row_cross = constant.sum(axis=1), cross.sum(axis=1)
 
     def chunk(rng, count):
-        p1, p2 = _motion_phases(trap, optics, rng, count, mode)
-        probs = constant + cross * np.cos(p1 - p2)[:, None, None]
-        dev = float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
-        return probs.sum(axis=0), (probs**2).sum(axis=0), dev
+        # per sample constant + cross * c with c = cos(delta): the sums over
+        # the chunk need only the sums of c and c^2
+        c = np.cos(_phase_difference(trap, optics, rng, count, mode))
+        c1, c2 = c.sum(), (c * c).sum()
+        rows = row_constant + c[:, None] * row_cross
+        dev = float(np.max(np.abs(rows - 1.0)))
+        return (count * constant + c1 * cross,
+                count * constant**2 + 2.0 * c1 * constant * cross + c2 * cross**2, dev)
 
     total, total_sq, worst = _reduce_chunks(chunk, cfg, workers,
                                             (operator.add, operator.add, max))
@@ -254,13 +271,12 @@ def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
     exclude = optics.theta0 if missed_outside_cone else None
 
     def chunk(rng, count):
-        theta, phi = sample_photon_direction(optics, rng, count)
-        q = momentum_kick(theta, phi)
-        theta_m, phi_m = sample_dipole_direction(rng, count, exclude)
-        q_miss = momentum_kick(theta_m, phi_m)
-        dr1 = sample_displacement(trap, rng, count, mode)
-        dr2 = sample_displacement(trap, rng, count, mode)
-        v = 2.0 + 2.0 * np.cos(np.einsum("ij,ij->i", q - q_miss, dr1 - dr2))
+        k = sample_photon_direction(optics, rng, count)
+        dk = sample_dipole_direction(rng, count, exclude)
+        dk -= k  # q - q_miss = k_miss - k
+        dr = sample_displacement(trap, rng, count, mode)
+        dr -= sample_displacement(trap, rng, count, mode)
+        v = 2.0 + 2.0 * np.cos(np.einsum("ij,ij->i", dk, dr))
         return (v.sum(), (v * v).sum())
 
     return _estimate(*_reduce_chunks(chunk, cfg, workers), cfg.n_samples)
@@ -289,13 +305,13 @@ def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
     norm = (1.0 + 2.0 * xi) ** 2
 
     def chunk(rng, count):
-        p1, p2 = _motion_phases(trap, optics, rng, count, mode)
-        q1, q2 = _motion_phases(trap, optics, rng, count, mode)
-        dp, dq = p1 - p2, q1 - q2
+        dp = _phase_difference(trap, optics, rng, count, mode)
+        dq = _phase_difference(trap, optics, rng, count, mode)
         probs = np.full((count, 4, 4), 2.0 * xi / norm)
         probs[:, _DIAGONAL] = ((0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm)[:, None]
         probs[:, _ANTI_DIAGONAL] = (0.5 * (1.0 - np.cos(dp + dq)) / norm)[:, None]
-        return probs.sum(axis=0), (probs**2).sum(axis=0)
+        total = probs.sum(axis=0)
+        return total, np.square(probs, out=probs).sum(axis=0)
 
     total, total_sq = _reduce_chunks(chunk, cfg, workers)
     return MatrixEstimate(*_moments(total, total_sq, cfg.n_samples), cfg.n_samples)

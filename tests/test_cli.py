@@ -193,6 +193,27 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, doc):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["fidelity", "--xi-list", "1e300"],
+    ["bell-sweep", "--nu-perp", "1e200"],
+    ["tcrit", "--nu-perp", "1e200"],
+    ["scatter", "--nu-perp", "1e-300"],
+], ids=["fidelity-xi-overflow", "bell-sweep-nu-overflow", "tcrit-nu-overflow",
+        "scatter-nu-underflow"])
+def test_out_of_range_inputs_exit_2_with_one_error_line(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cell", [float("nan"), np.inf, -np.float64(np.inf)])
+def test_write_csv_refuses_non_finite_cells(tmp_path, cell):
+    with pytest.raises(cli.ConfigError):
+        cli.write_csv(tmp_path / "out.csv", ["a", "b"], [(1.0, 2.0), (0.5, cell)])
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import bellsim.cli, sys; "

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellsim import chsh, gates, motion, oracle, protocol
 from bellsim.motion import DEFAULT_OPTICS, DEFAULT_TRAP
@@ -7,6 +9,7 @@ from bellsim.motion import DEFAULT_OPTICS, DEFAULT_TRAP
 TCR = motion.t_crit(DEFAULT_TRAP, DEFAULT_OPTICS)
 TRAP_HALF = DEFAULT_TRAP.with_temperature(0.5 * TCR)
 CFG = oracle.McConfig(n_samples=40_000, seed=101, chunk_size=8_000)
+THETA0 = DEFAULT_OPTICS.theta0
 
 
 def test_mc_config_validation():
@@ -34,25 +37,67 @@ def test_sample_displacement_variances():
     assert dr[:, 0].var() == pytest.approx(dr[:, 1].var(), rel=0.05)
 
 
+def _angle_sampler(rng, size, cos_lo, theta_min=None):
+    # reference: the same draws returned as angles, with arccos and sin(theta)
+    thetas = np.empty(size)
+    phis = np.empty(size)
+    have = 0
+    while have < size:
+        batch = max(2 * (size - have), 64)
+        theta = np.arccos(rng.uniform(cos_lo, 1.0, batch))
+        phi = rng.uniform(0.0, 2.0 * np.pi, batch)
+        keep = rng.uniform(0.0, 1.0, batch) < 1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2
+        if theta_min is not None:
+            keep &= theta > theta_min
+        take = min(int(keep.sum()), size - have)
+        thetas[have:have + take] = theta[keep][:take]
+        phis[have:have + take] = phi[keep][:take]
+        have += take
+    return thetas, phis
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("size", [7, 3_000])
+@pytest.mark.parametrize("case", ["cone", "sphere", "sphere-excluding-cone"])
+def test_unit_vector_sampler_matches_angle_sampler(case, size, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if case == "cone":
+        k = oracle.sample_photon_direction(DEFAULT_OPTICS, rng, size)
+        theta, phi = _angle_sampler(ref_rng, size, np.cos(THETA0))
+    else:
+        exclude = THETA0 if case == "sphere-excluding-cone" else None
+        k = oracle.sample_dipole_direction(rng, size, exclude)
+        theta, phi = _angle_sampler(ref_rng, size, -1.0, exclude)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws consumed
+    expected = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                         np.cos(theta)], axis=-1)
+    np.testing.assert_allclose(k, expected, rtol=0, atol=1e-12)
+
+
+def test_momentum_kick_is_ex_minus_direction():
+    k = oracle.sample_dipole_direction(np.random.default_rng(5), 100)
+    np.testing.assert_array_equal(oracle.momentum_kick(k), np.array([1.0, 0.0, 0.0]) - k)
+
+
 def test_sample_photon_direction_stays_in_cone():
     rng = np.random.default_rng(2)
-    theta, phi = oracle.sample_photon_direction(DEFAULT_OPTICS, rng, 20_000)
-    assert np.all(theta <= DEFAULT_OPTICS.theta0)
-    assert np.all(theta >= 0)
-    assert np.all((phi >= 0) & (phi <= 2 * np.pi))
+    k = oracle.sample_photon_direction(DEFAULT_OPTICS, rng, 20_000)
+    assert np.all(k[:, 2] >= np.cos(DEFAULT_OPTICS.theta0))  # theta <= theta0
+    assert np.all(k[:, 2] <= 1.0)  # theta >= 0
+    np.testing.assert_allclose(np.linalg.norm(k, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_sample_photon_direction_matches_quadrature():
     rng = np.random.default_rng(3)
     n = 100_000
-    theta, phi = oracle.sample_photon_direction(DEFAULT_OPTICS, rng, n)
+    k = oracle.sample_photon_direction(DEFAULT_OPTICS, rng, n)
     c0 = motion.angular_norm_const(DEFAULT_OPTICS.theta0)
-    weight = 1.0 / (1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2)
-    for func in (lambda th, ph: np.sin(th) ** 2,
-                 lambda th, ph: np.cos(th),
-                 lambda th, ph: np.sin(th) * np.cos(ph)):
+    weight = 1.0 / (1.0 - k[:, 0] ** 2)  # 1 / (1 - sin^2 theta cos^2 phi)
+    # each function of (theta, phi) with its value on the unit vectors
+    for func, values in ((lambda th, ph: np.sin(th) ** 2, 1.0 - k[:, 2] ** 2),
+                         (lambda th, ph: np.cos(th), k[:, 2]),
+                         (lambda th, ph: np.sin(th) * np.cos(ph), k[:, 0])):
         # plain mean estimates the pattern-weighted average
-        values = func(theta, phi)
         target, _ = motion.cap_quadrature(
             lambda th, ph: func(th, ph) * motion.angular_pdf(th, ph, DEFAULT_OPTICS),
             DEFAULT_OPTICS.theta0)
@@ -67,10 +112,10 @@ def test_sample_photon_direction_matches_quadrature():
 
 def test_sample_dipole_direction_complement_flag():
     rng = np.random.default_rng(4)
-    theta, _ = oracle.sample_dipole_direction(rng, 5000)
-    assert theta.max() > np.pi / 2  # full sphere reached
-    theta, _ = oracle.sample_dipole_direction(rng, 5000, exclude_theta0=DEFAULT_OPTICS.theta0)
-    assert np.all(theta > DEFAULT_OPTICS.theta0)
+    k = oracle.sample_dipole_direction(rng, 5000)
+    assert k[:, 2].min() < 0.0  # full sphere reached: theta > pi/2
+    k = oracle.sample_dipole_direction(rng, 5000, exclude_theta0=DEFAULT_OPTICS.theta0)
+    assert np.all(k[:, 2] < np.cos(DEFAULT_OPTICS.theta0))  # theta > theta0
 
 
 def test_mc_decoherence_exact_zero_at_t0():
@@ -99,6 +144,18 @@ def test_mc_decoherence_resolves_tiny_dephasing(ratio):
     assert abs(est.estimate.mean - closed) <= 3 * est.estimate.std_error
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.floats(-12.0, 1.0))
+@example(-12.0)
+def test_mc_decoherence_matches_quadrature_over_temperatures(log_ratio):
+    # T/T_cr in [1e-12, 10]; 4 SE rather than 3 since 25 examples are drawn
+    trap = DEFAULT_TRAP.with_temperature(10.0**log_ratio * TCR)
+    est = oracle.mc_decoherence(trap, DEFAULT_OPTICS, oracle.McConfig(20_000, 61, 10_000))
+    se = est.estimate.std_error
+    assert np.isfinite(se) and se > 0.0
+    assert abs(est.estimate.mean - motion.d_exact(trap, DEFAULT_OPTICS)) <= 4 * se
+
+
 def test_mc_decoherence_chunk_size_consistency():
     a = oracle.mc_decoherence(TRAP_HALF, DEFAULT_OPTICS,
                               oracle.McConfig(40_000, 23, 5_000))
@@ -113,6 +170,20 @@ def test_mc_bit_reproducible_across_workers():
             for w in (1, 2, 5)]
     assert runs[0].estimate.mean == runs[1].estimate.mean == runs[2].estimate.mean
     assert runs[0].estimate.std_error == runs[2].estimate.std_error
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda w: oracle.mc_probabilities(TRAP_HALF, DEFAULT_OPTICS, 0.3, 1.1, CFG, workers=w),
+    lambda w: oracle.mc_f_squared(TRAP_HALF, DEFAULT_OPTICS, CFG, workers=w),
+    lambda w: oracle.mc_f_squared(TRAP_HALF, DEFAULT_OPTICS, CFG,
+                                  missed_outside_cone=True, workers=w),
+    lambda w: oracle.mc_bell_measurement(TRAP_HALF, DEFAULT_OPTICS, 0.05, CFG, workers=w),
+], ids=["probabilities", "f_squared", "f_squared-outside-cone", "bell_measurement"])
+def test_every_estimator_bit_reproducible_across_workers(estimator):
+    runs = [estimator(w) for w in (1, 2, 5)]
+    for run in runs[1:]:
+        assert np.array_equal(run.mean, runs[0].mean)
+        assert np.array_equal(run.std_error, runs[0].std_error)
 
 
 def test_mc_statistical_acceptance_over_seeds():
@@ -214,8 +285,7 @@ def _chunk0_rng(seed):
 
 
 def _dense_phases(rng, n):
-    theta, phi = oracle.sample_photon_direction(DEFAULT_OPTICS, rng, n)
-    q = oracle.momentum_kick(theta, phi)
+    q = oracle.momentum_kick(oracle.sample_photon_direction(DEFAULT_OPTICS, rng, n))
     dr1 = oracle.sample_displacement(TRAP_HALF, rng, n)
     dr2 = oracle.sample_displacement(TRAP_HALF, rng, n)
     return np.einsum("ij,ij->i", q, dr1), np.einsum("ij,ij->i", q, dr2)
@@ -231,6 +301,9 @@ def test_collapsed_estimators_match_dense_per_sample_products():
     dense = [np.abs(gates.bell_matrix(a, b) @ r) ** 2 for a, b in zip(*_dense_phases(rng, n))]
     est = oracle.mc_probabilities(TRAP_HALF, DEFAULT_OPTICS, *angles, cfg)
     np.testing.assert_allclose(est.mean, np.mean(dense, axis=0), rtol=0, atol=1e-12)
+    # the chunk's sum of squares is formed from the sums of cos and cos^2
+    np.testing.assert_allclose(est.std_error, np.std(dense, axis=0, ddof=1) / np.sqrt(n),
+                               rtol=0, atol=1e-12)
 
     rng = _chunk0_rng(seed)
     p1, p2 = _dense_phases(rng, n)
@@ -245,8 +318,8 @@ def test_collapsed_estimators_match_dense_per_sample_products():
     np.testing.assert_allclose(est.mean, np.mean(dense, axis=0), rtol=0, atol=1e-12)
 
     rng = _chunk0_rng(seed)
-    q = oracle.momentum_kick(*oracle.sample_photon_direction(DEFAULT_OPTICS, rng, n))
-    q_miss = oracle.momentum_kick(*oracle.sample_dipole_direction(rng, n))
+    q = oracle.momentum_kick(oracle.sample_photon_direction(DEFAULT_OPTICS, rng, n))
+    q_miss = oracle.momentum_kick(oracle.sample_dipole_direction(rng, n))
     dr1 = oracle.sample_displacement(TRAP_HALF, rng, n)
     dr2 = oracle.sample_displacement(TRAP_HALF, rng, n)
     f = (np.exp(1j * (np.einsum("ij,ij->i", q, dr1) + np.einsum("ij,ij->i", q_miss, dr2)))
