@@ -21,7 +21,8 @@ drawn phases:
                        norm = (1 + 2 xi)^2 the diagonal is
                        (1/2 (1 + cos(dp - dq)) + 4 xi^2) / norm, the
                        anti-diagonal 1/2 (1 - cos(dp + dq)) / norm and the
-                       other eight entries 2 xi / norm
+                       other eight entries 2 xi / norm; a chunk sums these
+                       three values and their squares
   mc_f_squared         |f|^2 = 2 + 2 cos((q - q_miss) . (dr1 - dr2))
 tests/test_oracle.py pins these to the dense per-sample matrix products.
 
@@ -45,10 +46,10 @@ from .motion import OpticsParams, TrapParams, axis_variance
 
 SQRT2 = np.sqrt(2.0)
 
-# Supports of I and K = BRANCH_ATOM1 BRANCH_ATOM2^T, the only entries the
-# clean/clean bracket reaches; the single-sided double leaks fill the other 8.
-_DIAGONAL = np.eye(4, dtype=bool)
-_ANTI_DIAGONAL = BRANCH_ATOM1 @ BRANCH_ATOM2.T != 0
+# Kinds of Bell-measurement entry: 0 on the support of I, 1 on that of
+# K = BRANCH_ATOM1 BRANCH_ATOM2^T (the clean/clean bracket), 2 for the 8
+# single-sided double leaks
+_ENTRY_KIND = np.where(np.eye(4, dtype=bool), 0, np.where(BRANCH_ATOM1 @ BRANCH_ATOM2.T, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -149,20 +150,35 @@ def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float,
     theta <= theta_min (u >= cos(theta_min)) are rejected too.  Returns
     (size, 3) unit vectors (sin(theta) cos(phi), sin(theta) sin(phi), u);
     sin(phi) and sin(theta) are evaluated for accepted proposals only.
+
+    The pattern is >= u^2, so w < u^2 (outside the excluded cone) is a sure
+    accept; cos(phi) and the exact test run only up to the sure accept that
+    completes the batch (on the whole batch if it holds too few).  Every
+    batch is still drawn in full, so the draws and accepts are unchanged.
     """
     k = np.empty((size, 3))
     u_max = None if theta_min is None else np.cos(theta_min)
     have = 0
     while have < size:
-        batch = max(2 * (size - have), 64)
+        need = size - have
+        batch = max(2 * need, 64)
         u = rng.uniform(cos_lo, 1.0, batch)
         phi = rng.uniform(0.0, 2.0 * np.pi, batch)
+        w = rng.uniform(0.0, 1.0, batch)
+        # sure accepts; the margin of 16 units of 2^-53 exceeds the round-off
+        # of this bound and of the exact test below
+        sure = w < u * u - 2.0**-49
+        if u_max is not None:
+            sure &= u < u_max
+        if np.count_nonzero(sure) >= need:
+            end = np.flatnonzero(sure)[need - 1] + 1
+            u, phi, w = u[:end], phi[:end], w[:end]
         cos_phi = np.cos(phi)
         sin2 = (1.0 - u) * (1.0 + u)
-        keep = rng.uniform(0.0, 1.0, batch) < 1.0 - sin2 * cos_phi * cos_phi
+        keep = w < 1.0 - sin2 * cos_phi * cos_phi
         if u_max is not None:
             keep &= u < u_max
-        idx = np.flatnonzero(keep)[:size - have]
+        idx = np.flatnonzero(keep)[:need]
         rows = k[have:have + idx.size]
         sin_theta = np.sqrt(sin2[idx])
         rows[:, 0] = sin_theta * cos_phi[idx]
@@ -246,7 +262,8 @@ def mc_probabilities(trap: TrapParams, optics: OpticsParams,
         # the chunk need only the sums of c and c^2
         c = np.cos(_phase_difference(trap, optics, rng, count, mode))
         c1, c2 = c.sum(), (c * c).sum()
-        rows = row_constant + c[:, None] * row_cross
+        # each row sum is monotone in c, rounding included: the extremes bound it
+        rows = row_constant + np.array([c.min(), c.max()])[:, None] * row_cross
         dev = float(np.max(np.abs(rows - 1.0)))
         return (count * constant + c1 * cross,
                 count * constant**2 + 2.0 * c1 * constant * cross + c2 * cross**2, dev)
@@ -303,15 +320,21 @@ def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
     if xi < 0:
         raise ValueError("scattering ratio must be >= 0")
     norm = (1.0 + 2.0 * xi) ** 2
+    # the 8 leak entries are 2 xi / norm in every sample; their sums are added
+    # one sample at a time, the order whose round-off bench/reference.json pins
+    leak = 2.0 * xi / norm
+    leak_sums = {count: [np.cumsum(np.full(count, v))[-1] for v in (leak, leak * leak)]
+                 for count in set(_chunk_counts(cfg))}
 
     def chunk(rng, count):
         dp = _phase_difference(trap, optics, rng, count, mode)
         dq = _phase_difference(trap, optics, rng, count, mode)
-        probs = np.full((count, 4, 4), 2.0 * xi / norm)
-        probs[:, _DIAGONAL] = ((0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm)[:, None]
-        probs[:, _ANTI_DIAGONAL] = (0.5 * (1.0 - np.cos(dp + dq)) / norm)[:, None]
-        total = probs.sum(axis=0)
-        return total, np.square(probs, out=probs).sum(axis=0)
+        diag = (0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm
+        anti = 0.5 * (1.0 - np.cos(dp + dq)) / norm
+        s1, s2 = leak_sums[count]
+        sums = np.array([[diag.sum(), anti.sum(), s1],
+                         [(diag * diag).sum(), (anti * anti).sum(), s2]])
+        return tuple(sums[:, _ENTRY_KIND])
 
     total, total_sq = _reduce_chunks(chunk, cfg, workers)
     return MatrixEstimate(*_moments(total, total_sq, cfg.n_samples), cfg.n_samples)

@@ -57,21 +57,93 @@ def _angle_sampler(rng, size, cos_lo, theta_min=None):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("size", [7, 3_000])
-@pytest.mark.parametrize("case", ["cone", "sphere", "sphere-excluding-cone"])
-def test_unit_vector_sampler_matches_angle_sampler(case, size, seed):
+@pytest.mark.parametrize("size", [1, 7, 64, 3_000])
+@pytest.mark.parametrize("case, theta0", [
+    pytest.param("cone", THETA0, id="cone"),
+    pytest.param("sphere", None, id="sphere"),
+    pytest.param("sphere-excluding-cone", THETA0, id="sphere-excluding-cone"),
+    pytest.param("cone", motion.THETA0_MIN, id="cone-at-theta0-min"),
+    pytest.param("cone", np.pi / 2, id="cone-at-half-pi"),
+    pytest.param("sphere-excluding-cone", motion.THETA0_MIN,
+                 id="sphere-excluding-cone-at-theta0-min"),
+    pytest.param("sphere-excluding-cone", np.pi / 2, id="sphere-excluding-cone-at-half-pi"),
+])
+def test_unit_vector_sampler_matches_angle_sampler(case, theta0, size, seed):
+    # covers batches cut at a sure accept (narrow cones), batches tested whole
+    # (too few sure accepts, as over a hemisphere) and the 64-proposal floor
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if case == "cone":
-        k = oracle.sample_photon_direction(DEFAULT_OPTICS, rng, size)
-        theta, phi = _angle_sampler(ref_rng, size, np.cos(THETA0))
+        k = oracle.sample_photon_direction(motion.OpticsParams(theta0=theta0), rng, size)
+        theta, phi = _angle_sampler(ref_rng, size, np.cos(theta0))
     else:
-        exclude = THETA0 if case == "sphere-excluding-cone" else None
+        exclude = theta0
         k = oracle.sample_dipole_direction(rng, size, exclude)
         theta, phi = _angle_sampler(ref_rng, size, -1.0, exclude)
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws consumed
     expected = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                          np.cos(theta)], axis=-1)
     np.testing.assert_allclose(k, expected, rtol=0, atol=1e-12)
+
+
+# Bell-measurement entries a single-sided double excitation fills: the same
+# 2 xi / (1 + 2 xi)^2 in every sample
+LEAK = (np.eye(4) == 0) & (gates.BRANCH_ATOM1 @ gates.BRANCH_ATOM2.T == 0)
+
+
+def _table_chunk(xi):
+    # reference: each sample's (count, 4, 4) Bell-measurement table, summed
+    # over the sample axis
+    norm = (1.0 + 2.0 * xi) ** 2
+    diagonal, anti_diagonal = np.eye(4, dtype=bool), ~LEAK & (np.eye(4) == 0)
+
+    def chunk(rng, count):
+        dp = oracle._phase_difference(TRAP_HALF, DEFAULT_OPTICS, rng, count, "classical")
+        dq = oracle._phase_difference(TRAP_HALF, DEFAULT_OPTICS, rng, count, "classical")
+        probs = np.full((count, 4, 4), 2.0 * xi / norm)
+        probs[:, diagonal] = ((0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm)[:, None]
+        probs[:, anti_diagonal] = (0.5 * (1.0 - np.cos(dp + dq)) / norm)[:, None]
+        return probs.sum(axis=0), np.square(probs).sum(axis=0)
+
+    return chunk
+
+
+def _row_check_chunk(theta1, theta2):
+    # reference: the largest deviation from 1 of each sample's (count, 4) row sums
+    r = gates.raman_matrix(theta1, theta2).real
+    x, y = gates.BRANCH_ATOM1 @ r / oracle.SQRT2, gates.BRANCH_ATOM2 @ r / oracle.SQRT2
+    row_constant, row_cross = (x * x + y * y).sum(axis=1), (2.0 * x * y).sum(axis=1)
+
+    def chunk(rng, count):
+        c = np.cos(oracle._phase_difference(TRAP_HALF, DEFAULT_OPTICS, rng, count, "classical"))
+        return (float(np.max(np.abs(row_constant + c[:, None] * row_cross - 1.0))),)
+
+    return chunk
+
+
+REDUCTION_CASES = [(300, 300), (10_500, 4_000), (7, 7)]
+
+
+@pytest.mark.parametrize("n, chunk_size", REDUCTION_CASES)
+@pytest.mark.parametrize("xi", [0.0, 0.05, 1.0])
+def test_bell_measurement_reduces_like_the_per_sample_table(xi, n, chunk_size):
+    cfg = oracle.McConfig(n, 29, chunk_size)
+    mean, se = oracle._moments(*oracle._reduce_chunks(_table_chunk(xi), cfg, 1), n)
+    est = oracle.mc_bell_measurement(TRAP_HALF, DEFAULT_OPTICS, xi, cfg)
+    # the leak entries keep the round-off of a sample-by-sample sum bit for
+    # bit: their SE is not 0 but round-off, and bench/reference.json pins it
+    assert np.array_equal(est.mean[LEAK], mean[LEAK])
+    assert np.array_equal(est.std_error[LEAK], se[LEAK])
+    np.testing.assert_allclose(est.mean, mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(est.std_error, se, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, chunk_size", REDUCTION_CASES)
+@pytest.mark.parametrize("angles", [(0.3, 1.1), (np.pi / 7, np.pi / 5), (-2.0, 0.4)])
+def test_row_sum_deviation_matches_every_sample_row(angles, n, chunk_size):
+    cfg = oracle.McConfig(n, 37, chunk_size)
+    (worst,) = oracle._reduce_chunks(_row_check_chunk(*angles), cfg, 1, (max,))
+    est = oracle.mc_probabilities(TRAP_HALF, DEFAULT_OPTICS, *angles, cfg)
+    assert est.row_sum_max_dev == worst
 
 
 def test_momentum_kick_is_ex_minus_direction():
@@ -154,6 +226,35 @@ def test_mc_decoherence_matches_quadrature_over_temperatures(log_ratio):
     se = est.estimate.std_error
     assert np.isfinite(se) and se > 0.0
     assert abs(est.estimate.mean - motion.d_exact(trap, DEFAULT_OPTICS)) <= 4 * se
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.floats(-12.0, 1.0))
+@example(-12.0)
+def test_mc_probabilities_matches_closed_form_over_temperatures(log_ratio):
+    # T/T_cr in [1e-12, 10] at 4 SE; far below T_cr the spread cancels in
+    # _moments and the SE may read 0, so only SE >= 0 is required
+    trap = DEFAULT_TRAP.with_temperature(10.0**log_ratio * TCR)
+    est = oracle.mc_probabilities(trap, DEFAULT_OPTICS, np.pi / 7, np.pi / 5,
+                                  oracle.McConfig(20_000, 67, 10_000))
+    closed = chsh.probabilities_first_principles(motion.d_exact(trap, DEFAULT_OPTICS),
+                                                 np.pi / 7, np.pi / 5)
+    assert np.all(np.isfinite(est.std_error)) and np.all(est.std_error >= 0.0)
+    assert np.all(np.abs(est.mean - closed) <= 4 * est.std_error + 1e-9)
+    assert est.row_sum_max_dev <= 1e-12
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.floats(-12.0, 1.0), st.sampled_from([0.0, 0.05]))
+@example(-12.0, 0.05)
+def test_mc_bell_measurement_matches_closed_form_over_temperatures(log_ratio, xi):
+    # as above, with both stages drawn at the same temperature
+    trap = DEFAULT_TRAP.with_temperature(10.0**log_ratio * TCR)
+    est = oracle.mc_bell_measurement(trap, DEFAULT_OPTICS, xi,
+                                     oracle.McConfig(20_000, 71, 10_000))
+    closed = protocol.bell_meas_matrix(motion.d_exact(trap, DEFAULT_OPTICS), xi)
+    assert np.all(np.isfinite(est.std_error)) and np.all(est.std_error >= 0.0)
+    assert np.all(np.abs(est.mean - closed) <= 4 * est.std_error + 1e-9)
 
 
 def test_mc_decoherence_chunk_size_consistency():
@@ -316,6 +417,8 @@ def test_collapsed_estimators_match_dense_per_sample_products():
         dense.append(sum(np.abs(m) ** 2 for m in branches) / (1 + 2 * xi) ** 2)
     est = oracle.mc_bell_measurement(TRAP_HALF, DEFAULT_OPTICS, xi, cfg)
     np.testing.assert_allclose(est.mean, np.mean(dense, axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(est.std_error, np.std(dense, axis=0, ddof=1) / np.sqrt(n),
+                               rtol=0, atol=1e-12)
 
     rng = _chunk0_rng(seed)
     q = oracle.momentum_kick(oracle.sample_photon_direction(DEFAULT_OPTICS, rng, n))
