@@ -229,10 +229,10 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError(f"root search failed to converge after 100 iterations, value is {xcur}")
 
 
-def _grid_max(curve, grid: int) -> float:
-    """Largest |curve(x)| over x in (0, pi/2): grid scan, then golden-section
-    polish unless the grid maximum sits on the edge."""
-    xs = np.linspace(0.0, np.pi / 2, grid + 2)[1:-1]
+def _grid_max(curve) -> float:
+    """Largest |curve(x)| over x in (0, pi/2): scan of 2000 interior grid
+    points, then golden-section polish unless the maximum sits on the edge."""
+    xs = np.linspace(0.0, np.pi / 2, 2002)[1:-1]
     values = np.abs(curve(xs))
     i = int(np.argmax(values))
     if i == 0 or i == len(xs) - 1:
@@ -241,8 +241,7 @@ def _grid_max(curve, grid: int) -> float:
     return float(max(values[i], best))
 
 
-def s_max(d: float, initial: str = "ge", kind: str = "standard",
-          grid: int = 2000) -> float:
+def s_max(d: float, initial: str = "ge", kind: str = "standard") -> float:
     """Maximum of |S(x)| over the open interval x in (0, pi/2).
 
     Grid scan followed by golden-section refinement.  Note the sweep has a
@@ -250,7 +249,7 @@ def s_max(d: float, initial: str = "ge", kind: str = "standard",
     pairs coincide), so once the interior peak decays below 2 this maximum
     saturates just under 2 instead of dropping further.
     """
-    return _grid_max(lambda x: chsh_s_curve(x, initial, d, kind), grid)
+    return _grid_max(lambda x: chsh_s_curve(x, initial, d, kind))
 
 
 def s_at_standard_angle(d: float) -> float:
@@ -296,19 +295,17 @@ def s_gg_scatter_curve(x, d: float, xi: float, form: str = "closed_form") -> np.
             + e_gg_scatter(d, xi, 2.0 * x, 3.0 * x, form))
 
 
-def s_gg_scatter_max(d: float, xi: float, form: str = "closed_form",
-                     grid: int = 2000) -> float:
+def s_gg_scatter_max(d: float, xi: float, form: str = "closed_form") -> float:
     """Maximum of |S_gg(x)| with scattering over x in (0, pi/2)."""
-    return _grid_max(lambda x: s_gg_scatter_curve(x, d, xi, form), grid)
+    return _grid_max(lambda x: s_gg_scatter_curve(x, d, xi, form))
 
 
-def scatter_threshold(d: float, fixed_x: float | None = None,
-                      xi_hi: float = 4.0) -> float:
+def scatter_threshold(d: float, fixed_x: float | None = None) -> float:
     """Smallest xi at which the gg violation drops to the classical bound 2.
 
     With fixed_x given, the compact-form S at that angle is inverted in
     closed form; otherwise |S| is maximized over x and the threshold is
-    located by Brent's method on [0, xi_hi].
+    located by Brent's method on [0, 4].
     """
     _check_d(d)
     if fixed_x is not None:
@@ -323,7 +320,7 @@ def scatter_threshold(d: float, fixed_x: float | None = None,
         return float(0.5 * (ratio - 1.0))
     if s_gg_scatter_max(d, 0.0) <= 2.0:
         return 0.0
-    return float(_brentq(lambda xi: s_gg_scatter_max(d, xi) - 2.0, 0.0, xi_hi, xtol=1e-10))
+    return float(_brentq(lambda xi: s_gg_scatter_max(d, xi) - 2.0, 0.0, 4.0, xtol=1e-10))
 
 
 __all__ = [

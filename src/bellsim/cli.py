@@ -151,7 +151,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         chunk_size=number(args.chunk_size, mc_doc, "chunk_size", DEFAULT_CHUNK, lo=1, integer=True))
 
     out = Path(args.out) if args.out else None
-    workers = _number(args.workers if args.workers else 1, "workers", lo=1, integer=True)
+    workers = _number(args.workers, "workers", lo=1, integer=True)
     return RunConfig(trap, optics, ratio, xi, kind, x_min, x_max, n_points, mc, workers, out)
 
 
@@ -315,8 +315,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     ck = _Checker()
     sqrt2 = np.sqrt(2.0)
 
-    second_local = gates.h2_singular() if args.use_singular_h2 else gates.h2()
-    defect = gates.verify_cnot_identity(second_local=second_local)
+    defect = gates.verify_cnot_identity()
     ck.check("cnot_identity", defect <= 1e-12, f"defect={defect:.3e}")
 
     bad = gates.verify_cnot_identity(second_local=gates.h2_singular())
@@ -528,8 +527,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the invariant suite")
     _add_common(p)
-    p.add_argument("--use-singular-h2", action="store_true",
-                   help="debug: run the CNOT identity with the known-bad local operation")
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -27,8 +27,6 @@ import numpy as np
 H = 6.62607015e-34
 K_B = 1.380649e-23
 
-VARIANCE_MODES = ("classical", "quantum-exact")
-
 THETA0_MIN = 0.05
 THETA0_MAX = np.pi / 2
 
@@ -90,11 +88,6 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def _check_mode(mode: str):
-    if mode not in VARIANCE_MODES:
-        raise ValueError(f"mode must be one of {VARIANCE_MODES}, got {mode!r}")
-
-
 def _axis_frequency(trap: TrapParams, axis: str) -> float:
     try:
         return {"x": trap.nu_perp, "y": trap.nu_perp, "z": trap.nu_par}[axis]
@@ -102,22 +95,14 @@ def _axis_frequency(trap: TrapParams, axis: str) -> float:
         raise ValueError(f"axis must be x, y or z, got {axis!r}") from None
 
 
-def axis_variance(trap: TrapParams, axis: str, mode: str = "classical") -> float:
+def axis_variance(trap: TrapParams, axis: str) -> float:
     """Thermal position variance along one axis, in units of 1/k^2.
 
-    classical      : equipartition, k^2 <dr^2> = 2 nu_R k_B T / (h nu^2);
-                     exactly zero at T = 0.
-    quantum-exact  : full oscillator coth form, which keeps the zero-point
-                     value nu_R / nu at T = 0.
+    The paper's equipartition law, k^2 <dr^2> = 2 nu_R k_B T / (h nu^2), the
+    same law that defines T_cr; exactly zero at T = 0.
     """
-    _check_mode(mode)
     nu = _axis_frequency(trap, axis)
-    if mode == "classical":
-        return 2.0 * trap.nu_recoil * K_B * trap.temperature / (H * nu**2)
-    if trap.temperature == 0.0:
-        return trap.nu_recoil / nu
-    x = H * nu / (2.0 * K_B * trap.temperature)
-    return (trap.nu_recoil / nu) / np.tanh(x)
+    return 2.0 * trap.nu_recoil * K_B * trap.temperature / (H * nu**2)
 
 
 def direction_weights(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,7 +115,7 @@ def direction_weights(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ((1.0 - st * np.cos(phi)) ** 2, (st * np.sin(phi)) ** 2, ct**2)
 
 
-def mean_square_phase(theta, phi, trap: TrapParams, mode: str = "classical"):
+def mean_square_phase(theta, phi, trap: TrapParams):
     """Thermal variance of the motional phase q . dr for one atom.
 
     Vanishes identically in the forward-scattering direction
@@ -138,9 +123,9 @@ def mean_square_phase(theta, phi, trap: TrapParams, mode: str = "classical"):
     """
     wx, wy, wz = direction_weights(theta, phi)
     return (
-        wx * axis_variance(trap, "x", mode)
-        + wy * axis_variance(trap, "y", mode)
-        + wz * axis_variance(trap, "z", mode)
+        wx * axis_variance(trap, "x")
+        + wy * axis_variance(trap, "y")
+        + wz * axis_variance(trap, "z")
     )
 
 
@@ -230,22 +215,20 @@ def d_approx(trap: TrapParams, optics: OpticsParams) -> float:
     return float(1.0 - np.exp(-trap.temperature / t_crit(trap, optics)))
 
 
-def d_exact(trap: TrapParams, optics: OpticsParams, mode: str = "classical",
-            tol: float = 1e-10) -> float:
+def d_exact(trap: TrapParams, optics: OpticsParams) -> float:
     """Decoherence parameter by direct quadrature of the dephasing factor.
 
     Integrates exp(-<(q.dr)^2>_T) against the collected dipole pattern; the
     exponential estimate replaces the average of the exponential with the
     exponential of the average, so this value is never larger (Jensen).
     """
-    _check_mode(mode)
     c0 = angular_norm_const(optics.theta0)
 
     def integrand(theta, phi):
         pattern = c0 * (1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2)
-        return pattern * np.exp(-mean_square_phase(theta, phi, trap, mode))
+        return pattern * np.exp(-mean_square_phase(theta, phi, trap))
 
-    coherence, _ = cap_quadrature(integrand, optics.theta0, tol=tol)
+    coherence, _ = cap_quadrature(integrand, optics.theta0, tol=1e-10)
     return float(1.0 - coherence)
 
 
@@ -255,7 +238,6 @@ __all__ = [
     "OpticsParams",
     "QuadratureError",
     "TrapParams",
-    "VARIANCE_MODES",
     "angular_norm_const",
     "angular_pdf",
     "aperture_coefficients",

@@ -133,11 +133,10 @@ def _estimate(total: float, total_sq: float, n: int) -> McEstimate:
     return McEstimate(float(mean), float(se), n)
 
 
-def sample_displacement(trap: TrapParams, rng: np.random.Generator,
-                        size: int, mode: str = "classical") -> np.ndarray:
+def sample_displacement(trap: TrapParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, 3) thermal displacements in inverse-wavenumber units."""
     dr = rng.standard_normal((size, 3))
-    dr *= np.sqrt([axis_variance(trap, ax, mode) for ax in ("x", "y", "z")])
+    dr *= np.sqrt([axis_variance(trap, ax) for ax in ("x", "y", "z")])
     return dr
 
 
@@ -211,17 +210,17 @@ def momentum_kick(direction: np.ndarray) -> np.ndarray:
     return q
 
 
-def _phase_difference(trap, optics, rng, count, mode):
+def _phase_difference(trap, optics, rng, count):
     """One stage of draws (photon direction, then both atom displacements)
     and its relative motional phase q . (dr1 - dr2)."""
     q = momentum_kick(sample_photon_direction(optics, rng, count))
-    dr = sample_displacement(trap, rng, count, mode)
-    dr -= sample_displacement(trap, rng, count, mode)
+    dr = sample_displacement(trap, rng, count)
+    dr -= sample_displacement(trap, rng, count)
     return np.einsum("ij,ij->i", q, dr)
 
 
 def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
-                   mode: str = "classical", workers: int = 1) -> DecoherenceEstimate:
+                   workers: int = 1) -> DecoherenceEstimate:
     """Estimate D = 1 - <cos(q.(dr1 - dr2))> by direct sampling.
 
     Each sample contributes 2 sin^2(delta / 2), equal to 1 - cos(delta) but
@@ -231,7 +230,7 @@ def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
     """
 
     def chunk(rng, count):
-        delta = _phase_difference(trap, optics, rng, count, mode)
+        delta = _phase_difference(trap, optics, rng, count)
         d, s = 2.0 * np.sin(0.5 * delta) ** 2, np.sin(delta)
         return (d.sum(), (d * d).sum(), s.sum(), (s * s).sum())
 
@@ -243,7 +242,7 @@ def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
 
 def mc_probabilities(trap: TrapParams, optics: OpticsParams,
                      theta1: float, theta2: float, cfg: McConfig,
-                     mode: str = "classical", workers: int = 1) -> MatrixEstimate:
+                     workers: int = 1) -> MatrixEstimate:
     """Outcome probability matrix estimated sample by sample.
 
     Each sample's Bell operator is composed with the analysis rotation and
@@ -260,7 +259,7 @@ def mc_probabilities(trap: TrapParams, optics: OpticsParams,
     def chunk(rng, count):
         # per sample constant + cross * c with c = cos(delta): the sums over
         # the chunk need only the sums of c and c^2
-        c = np.cos(_phase_difference(trap, optics, rng, count, mode))
+        c = np.cos(_phase_difference(trap, optics, rng, count))
         c1, c2 = c.sum(), (c * c).sum()
         # each row sum is monotone in c, rounding included: the extremes bound it
         rows = row_constant + np.array([c.min(), c.max()])[:, None] * row_cross
@@ -274,8 +273,7 @@ def mc_probabilities(trap: TrapParams, optics: OpticsParams,
 
 
 def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
-                 mode: str = "classical", missed_outside_cone: bool = False,
-                 workers: int = 1) -> McEstimate:
+                 missed_outside_cone: bool = False, workers: int = 1) -> McEstimate:
     """Mean squared modulus of the double-emission interference factor.
 
     f = e^{i(q.dr1 + q_miss.dr2)} + e^{i(q.dr2 + q_miss.dr1)} adds the two
@@ -291,8 +289,8 @@ def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
         k = sample_photon_direction(optics, rng, count)
         dk = sample_dipole_direction(rng, count, exclude)
         dk -= k  # q - q_miss = k_miss - k
-        dr = sample_displacement(trap, rng, count, mode)
-        dr -= sample_displacement(trap, rng, count, mode)
+        dr = sample_displacement(trap, rng, count)
+        dr -= sample_displacement(trap, rng, count)
         v = 2.0 + 2.0 * np.cos(np.einsum("ij,ij->i", dk, dr))
         return (v.sum(), (v * v).sum())
 
@@ -300,8 +298,7 @@ def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
 
 
 def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
-                        cfg: McConfig, mode: str = "classical",
-                        workers: int = 1) -> MatrixEstimate:
+                        cfg: McConfig, workers: int = 1) -> MatrixEstimate:
     """Prepare-then-measure probability matrix with independent stage draws.
 
     The measurement stage projects onto the Bell states decorated with its
@@ -327,8 +324,8 @@ def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
                  for count in set(_chunk_counts(cfg))}
 
     def chunk(rng, count):
-        dp = _phase_difference(trap, optics, rng, count, mode)
-        dq = _phase_difference(trap, optics, rng, count, mode)
+        dp = _phase_difference(trap, optics, rng, count)
+        dq = _phase_difference(trap, optics, rng, count)
         diag = (0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm
         anti = 0.5 * (1.0 - np.cos(dp + dq)) / norm
         s1, s2 = leak_sums[count]

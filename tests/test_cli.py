@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellsim import cli
+from bellsim import cli, gates
 
 SQRT2 = np.sqrt(2.0)
 
@@ -181,7 +181,9 @@ def test_invalid_config_exits_2(tmp_path):
     (["bell-max", "--t-n", "-1"], None),
     (["bell-max", "--t-n", "0"], None),
     (["fidelity", "--xi-list", "nan"], None),
-], ids=["xi-string", "trap-list", "t-over-tcr-nan", "t-n-negative", "t-n-zero", "xi-list-nan"])
+    (["bell-sweep", "--workers", "0"], None),
+], ids=["xi-string", "trap-list", "t-over-tcr-nan", "t-n-negative", "t-n-zero", "xi-list-nan",
+        "workers-zero"])
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, doc):
     argv = argv + ["--out", str(tmp_path / "out.csv")]
     if doc is not None:
@@ -223,6 +225,15 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_submodule():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import bellsim, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('bellsim.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_temperature_kelvin_accepted(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["bell-sweep", "--temperature-k", "1e-5", "--out", str(out)]) == 0
@@ -230,18 +241,45 @@ def test_temperature_kelvin_accepted(tmp_path):
     assert np.max(np.abs(data[:, 1:])) > 2.0  # 10 uK is below T_cr, still violating
 
 
+VALIDATE_CHECKS = [
+    "cnot_identity",
+    "flawed_second_local_detected",
+    "local_operations_unitary",
+    "bell_matrix_unitary_at_equal_phases",
+    "closed_vs_first_principles_probabilities",
+    "probability_rows_stochastic",
+    "orthogonality_phase_condition",
+    "aperture_and_tcrit_anchor",
+    "chsh_standard_angle_values",
+    "smax_curve_shape",
+    "scatter_threshold",
+    "fidelity_anchors_and_monotonicity",
+    "scatter_form_gap",
+    "d_exact_vs_exponential",
+    "mc_decoherence_T_over_Tcr_0.2",
+    "mc_decoherence_T_over_Tcr_0.5",
+    "mc_decoherence_T_over_Tcr_1",
+    "mc_probabilities_vs_closed_form",
+    "mc_bell_measurement_diag_xi_0",
+    "mc_bell_measurement_diag_xi_0.05",
+    "mc_bit_reproducible_across_workers",
+]
+
+
 def test_validate_passes_by_default(tmp_path, capsys):
     code = run(["validate", "--samples", "40000", "--seed", "424242"])
     out = capsys.readouterr().out
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("[")]
-    assert len(lines) >= 12
-    assert all("FAIL" not in ln for ln in lines)
+    assert [ln[7:].split()[0] for ln in lines] == VALIDATE_CHECKS
+    assert all(ln.startswith("[  ok] ") for ln in lines)
     assert "std_error" in out  # Monte-Carlo checks report their triples
 
 
-def test_validate_flags_singular_variant(capsys):
-    code = run(["validate", "--samples", "2000", "--use-singular-h2"])
+def test_validate_flags_singular_variant(capsys, monkeypatch):
+    singular = gates.h2_singular()
+    monkeypatch.setattr(gates, "h2", lambda: singular)
+    code = run(["validate", "--samples", "2000"])
     out = capsys.readouterr().out
     assert code == 1
     assert any("FAIL" in ln and "cnot_identity" in ln for ln in out.splitlines())

@@ -48,37 +48,37 @@ def test_optics_params_domain():
 def test_axis_variance_classical_zero_at_t0():
     trap = DEFAULT_TRAP.with_temperature(0.0)
     for axis in "xyz":
-        assert motion.axis_variance(trap, axis, "classical") == 0.0
-
-
-def test_axis_variance_zero_point_limit():
-    trap = DEFAULT_TRAP.with_temperature(0.0)
-    assert motion.axis_variance(trap, "x", "quantum-exact") == pytest.approx(
-        trap.nu_recoil / trap.nu_perp)
-    assert motion.axis_variance(trap, "z", "quantum-exact") == pytest.approx(
-        trap.nu_recoil / trap.nu_par)
-
-
-def test_axis_variance_modes_agree_at_high_temperature():
-    # within 1% once k_B T >= 10 h nu
-    t10 = 10 * const.h * DEFAULT_TRAP.nu_perp / const.k
-    trap = DEFAULT_TRAP.with_temperature(t10)
-    ratio = (motion.axis_variance(trap, "x", "quantum-exact")
-             / motion.axis_variance(trap, "x", "classical"))
-    assert abs(ratio - 1.0) < 0.01
+        assert motion.axis_variance(trap, axis) == 0.0
 
 
 def test_axis_variance_transverse_axes_match():
     trap = DEFAULT_TRAP.with_temperature(1e-5)
-    for mode in motion.VARIANCE_MODES:
-        assert motion.axis_variance(trap, "x", mode) == motion.axis_variance(trap, "y", mode)
+    assert motion.axis_variance(trap, "x") == motion.axis_variance(trap, "y")
 
 
 def test_axis_variance_rejects_bad_inputs():
     with pytest.raises(ValueError):
         motion.axis_variance(DEFAULT_TRAP, "w")
-    with pytest.raises(ValueError):
-        motion.axis_variance(DEFAULT_TRAP, "x", "approximate")
+
+
+def test_axis_variance_equipartition_law():
+    trap = DEFAULT_TRAP.with_temperature(1e-5)
+    for axis, nu in (("x", trap.nu_perp), ("z", trap.nu_par)):
+        expected = 2.0 * trap.nu_recoil * const.k * trap.temperature / (const.h * nu**2)
+        assert motion.axis_variance(trap, axis) == pytest.approx(expected, rel=1e-12)
+    hotter = DEFAULT_TRAP.with_temperature(2e-5)
+    assert motion.axis_variance(hotter, "z") == pytest.approx(
+        2.0 * motion.axis_variance(trap, "z"), rel=1e-12)
+
+
+@pytest.mark.parametrize("theta0", [np.pi / 8, np.pi / 4, np.pi / 2])
+def test_pattern_mean_phase_variance_is_t_over_t_crit(theta0):
+    # the pattern average of <(q.dr)^2> is the exponent of d_approx, T / T_cr
+    optics = OpticsParams(theta0)
+    trap = DEFAULT_TRAP.with_temperature(0.3 * motion.t_crit(DEFAULT_TRAP, optics))
+    mean = cap_integral(lambda th, ph: motion.angular_pdf(th, ph, optics)
+                        * motion.mean_square_phase(th, ph, trap), theta0)
+    assert mean == pytest.approx(0.3, rel=1e-9)
 
 
 def test_angular_pdf_on_axis():
@@ -128,8 +128,7 @@ def test_mean_square_phase_nonnegative():
     rng = np.random.default_rng(41)
     th = rng.uniform(0, np.pi / 2, 200)
     ph = rng.uniform(0, 2 * np.pi, 200)
-    for mode in motion.VARIANCE_MODES:
-        assert np.all(motion.mean_square_phase(th, ph, trap, mode) > 0.0)
+    assert np.all(motion.mean_square_phase(th, ph, trap) > 0.0)
     assert motion.mean_square_phase(np.pi / 2, np.pi, trap) > 0.0
 
 
@@ -226,16 +225,6 @@ def test_d_exact_monotone_and_bounded():
               for f in (0.0, 0.3, 0.8, 1.5, 3.0)]
     assert np.all(np.diff(values) > 0)
     assert values[-1] < 1.0
-
-
-def test_d_exact_quantum_mode_close_to_classical_here():
-    # h nu / k_B T ~ 0.5 at T_cr/2 for the default trap, so the coth
-    # correction is visible but small
-    trap = DEFAULT_TRAP.with_temperature(0.5 * TCR_DEFAULT)
-    classical = motion.d_exact(trap, DEFAULT_OPTICS, "classical")
-    quantum = motion.d_exact(trap, DEFAULT_OPTICS, "quantum-exact")
-    assert quantum > classical
-    assert abs(quantum - classical) < 0.1
 
 
 def test_cap_quadrature_reports_nonconvergence():

@@ -97,8 +97,8 @@ def _table_chunk(xi):
     diagonal, anti_diagonal = np.eye(4, dtype=bool), ~LEAK & (np.eye(4) == 0)
 
     def chunk(rng, count):
-        dp = oracle._phase_difference(TRAP_HALF, DEFAULT_OPTICS, rng, count, "classical")
-        dq = oracle._phase_difference(TRAP_HALF, DEFAULT_OPTICS, rng, count, "classical")
+        dp = oracle._phase_difference(TRAP_HALF, DEFAULT_OPTICS, rng, count)
+        dq = oracle._phase_difference(TRAP_HALF, DEFAULT_OPTICS, rng, count)
         probs = np.full((count, 4, 4), 2.0 * xi / norm)
         probs[:, diagonal] = ((0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm)[:, None]
         probs[:, anti_diagonal] = (0.5 * (1.0 - np.cos(dp + dq)) / norm)[:, None]
@@ -114,7 +114,7 @@ def _row_check_chunk(theta1, theta2):
     row_constant, row_cross = (x * x + y * y).sum(axis=1), (2.0 * x * y).sum(axis=1)
 
     def chunk(rng, count):
-        c = np.cos(oracle._phase_difference(TRAP_HALF, DEFAULT_OPTICS, rng, count, "classical"))
+        c = np.cos(oracle._phase_difference(TRAP_HALF, DEFAULT_OPTICS, rng, count))
         return (float(np.max(np.abs(row_constant + c[:, None] * row_cross - 1.0))),)
 
     return chunk
