@@ -101,18 +101,17 @@ def correlation(p_row) -> float:
 def correlation_closed_form(initial: str, d: float, theta1, theta2):
     """Correlation in closed form; accepts angle arrays for sweeps."""
     _check_d(d)
-    q = d * np.sin(2.0 * np.asarray(theta1)) * np.sin(2.0 * np.asarray(theta2))
-    minus = np.cos(2.0 * (np.asarray(theta1) - np.asarray(theta2)))
-    plus = np.cos(2.0 * (np.asarray(theta1) + np.asarray(theta2)))
-    table = {
-        "gg": -minus + q,
-        "ge": minus - q,
-        "eg": plus + q,
-        "ee": -plus - q,
-    }
-    if initial not in table:
-        raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
-    return table[initial]
+    t1, t2 = np.asarray(theta1), np.asarray(theta2)
+    q = d * np.sin(2.0 * t1) * np.sin(2.0 * t2)
+    if initial == "gg":
+        return -np.cos(2.0 * (t1 - t2)) + q
+    if initial == "ge":
+        return np.cos(2.0 * (t1 - t2)) - q
+    if initial == "eg":
+        return np.cos(2.0 * (t1 + t2)) + q
+    if initial == "ee":
+        return -np.cos(2.0 * (t1 + t2)) - q
+    raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
 
 
 def chsh_s(initial: str, angles: ChshAngles, d: float) -> float:

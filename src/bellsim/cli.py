@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chsh, gates, motion, oracle, protocol
+from . import chsh, gates, linalg, motion, oracle, protocol
 
 DEFAULT_SEED = 20240
 DEFAULT_SAMPLES = 100_000
@@ -326,10 +326,10 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     for _ in range(50):
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         xis = rng.uniform(-np.pi, np.pi, 4)
-        worst = max(worst, gates.unitarity_defect(gates.local_matrix(t1, t2, *xis)))
+        worst = max(worst, linalg.unitarity_defect(gates.local_matrix(t1, t2, *xis)))
     ck.check("local_operations_unitary", worst <= 1e-13, f"max defect={worst:.3e}")
 
-    worst = max(gates.unitarity_defect(gates.bell_matrix(p, p))
+    worst = max(linalg.unitarity_defect(gates.bell_matrix(p, p))
                 for p in rng.uniform(-np.pi, np.pi, 20))
     ck.check("bell_matrix_unitary_at_equal_phases", worst <= 1e-13,
              f"max defect={worst:.3e}")
@@ -427,9 +427,14 @@ def cmd_validate(cfg: RunConfig, args) -> int:
                                - motion.d_approx(trap, cfg.optics)))
     ck.check("d_exact_vs_exponential", worst <= 0.05, f"max |gap|={worst:.4f}")
 
+    # the T/T_cr = 0.5 checks read the same stages of every chunk: draw them once
+    trap_half = cfg.trap.with_temperature(0.5 * tcr_val)
+    half = oracle.mc_thermal(trap_half, cfg.optics, np.pi / 7, np.pi / 5, (0.0, 0.05),
+                             cfg.mc, workers=cfg.workers)
     for ratio in (0.2, 0.5, 1.0):
         trap = cfg.trap.with_temperature(ratio * tcr_val)
-        est = oracle.mc_decoherence(trap, cfg.optics, cfg.mc, workers=cfg.workers)
+        est = (half.decoherence if ratio == 0.5
+               else oracle.mc_decoherence(trap, cfg.optics, cfg.mc, workers=cfg.workers))
         closed = motion.d_exact(trap, cfg.optics)
         diff = abs(est.estimate.mean - closed)
         ck.check(f"mc_decoherence_T_over_Tcr_{ratio:g}",
@@ -437,19 +442,15 @@ def cmd_validate(cfg: RunConfig, args) -> int:
                  f"estimate={est.estimate.mean:.5f} closed={closed:.5f} "
                  f"std_error={est.estimate.std_error:.2e}")
 
-    trap_half = cfg.trap.with_temperature(0.5 * tcr_val)
     d_quad = motion.d_exact(trap_half, cfg.optics)
-    est = oracle.mc_probabilities(trap_half, cfg.optics, np.pi / 7, np.pi / 5, cfg.mc,
-                                  workers=cfg.workers)
+    est = half.probabilities
     closed = chsh.probabilities_first_principles(d_quad, np.pi / 7, np.pi / 5)
     ok = bool(np.all(np.abs(est.mean - closed) <= 3 * est.std_error + 1e-9))
     ck.check("mc_probabilities_vs_closed_form", ok and est.row_sum_max_dev <= 1e-12,
              f"max |gap|={float(np.max(np.abs(est.mean - closed))):.2e} "
              f"row dev={est.row_sum_max_dev:.2e}")
 
-    for xi in (0.0, 0.05):
-        est = oracle.mc_bell_measurement(trap_half, cfg.optics, xi, cfg.mc,
-                                         workers=cfg.workers)
+    for xi, est in zip((0.0, 0.05), half.bell_measurement):
         closed = protocol.bell_meas_fidelity(d_quad, xi)
         diag = float(np.mean(np.diag(est.mean)))
         # diagonal entries coincide per sample: single-entry standard error

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import matrix4, unitarity_defect
+# unitarity_defect is not used here: bench/tests/test_bench.py traces it as an
+# example of a `from ... import` rebinding; callers use linalg.unitarity_defect
+from .linalg import matrix4, unitarity_defect  # noqa: F401
 
 SQRT2 = np.sqrt(2.0)
 
@@ -224,6 +226,5 @@ __all__ = [
     "phase_matrix",
     "raman_matrix",
     "raman_single",
-    "unitarity_defect",
     "verify_cnot_identity",
 ]

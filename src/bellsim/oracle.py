@@ -26,16 +26,25 @@ drawn phases:
   mc_f_squared         |f|^2 = 2 + 2 cos((q - q_miss) . (dr1 - dr2))
 tests/test_oracle.py pins these to the dense per-sample matrix products.
 
+mc_decoherence and mc_probabilities read the first stage of each chunk and
+mc_bell_measurement the first two, drawn in that order from the same
+substream, so with one cfg and trap they all see the same stage phases.
+mc_thermal returns all three (one Bell table per xi) from one draw of each
+stage.  mc_f_squared draws a different stream (photon, missed photon,
+displacements) and is separate.
+
 Reproducibility contract: sampling is split into chunks of cfg.chunk_size;
 chunk i uses the substream SeedSequence(cfg.seed, spawn_key=(i,)) and the
 partial sums are reduced in chunk order.  Results are therefore bit-identical
 for a fixed (seed, chunk_size, n_samples) no matter how many workers run the
-chunks.
+chunks, and each estimate of mc_thermal is bit-identical to the separate
+estimator's.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -151,9 +160,12 @@ def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float,
     sin(phi) and sin(theta) are evaluated for accepted proposals only.
 
     The pattern is >= u^2, so w < u^2 (outside the excluded cone) is a sure
-    accept; cos(phi) and the exact test run only up to the sure accept that
-    completes the batch (on the whole batch if it holds too few).  Every
-    batch is still drawn in full, so the draws and accepts are unchanged.
+    accept; on a cap (cos_lo >= 0) cos(phi) and the exact test run only up
+    to the sure accept that completes the batch (on the whole batch if it
+    holds too few).  With cos_lo < 0 about E[u^2] = 1/3 of the proposals
+    are sure accepts, too few to complete a batch of 2 (size - have) except
+    in the small last rounds, so the test is skipped.  Every batch is still
+    drawn in full, so the draws and accepts are unchanged.
     """
     k = np.empty((size, 3))
     u_max = None if theta_min is None else np.cos(theta_min)
@@ -164,14 +176,15 @@ def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float,
         u = rng.uniform(cos_lo, 1.0, batch)
         phi = rng.uniform(0.0, 2.0 * np.pi, batch)
         w = rng.uniform(0.0, 1.0, batch)
-        # sure accepts; the margin of 16 units of 2^-53 exceeds the round-off
-        # of this bound and of the exact test below
-        sure = w < u * u - 2.0**-49
-        if u_max is not None:
-            sure &= u < u_max
-        if np.count_nonzero(sure) >= need:
-            end = np.flatnonzero(sure)[need - 1] + 1
-            u, phi, w = u[:end], phi[:end], w[:end]
+        if cos_lo >= 0.0:
+            # sure accepts; the margin of 16 units of 2^-53 exceeds the
+            # round-off of this bound and of the exact test below
+            sure = w < u * u - 2.0**-49
+            if u_max is not None:
+                sure &= u < u_max
+            if np.count_nonzero(sure) >= need:
+                end = np.flatnonzero(sure)[need - 1] + 1
+                u, phi, w = u[:end], phi[:end], w[:end]
         cos_phi = np.cos(phi)
         sin2 = (1.0 - u) * (1.0 + u)
         keep = w < 1.0 - sin2 * cos_phi * cos_phi
@@ -219,6 +232,101 @@ def _phase_difference(trap, optics, rng, count):
     return np.einsum("ij,ij->i", q, dr)
 
 
+@dataclass(frozen=True)
+class _Part:
+    """One estimate reduced from the stage phases of each chunk.
+
+    sums(count, *phases) reads the first `stages` stage phases of a chunk and
+    returns its partial sums; ops folds each sum across chunks and
+    finish(totals) turns the folded sums into the estimate.
+    """
+
+    stages: int
+    sums: Callable
+    ops: tuple
+    finish: Callable
+
+
+def _decoherence_part(cfg: McConfig) -> _Part:
+    def sums(count, dp):
+        d, s = 2.0 * np.sin(0.5 * dp) ** 2, np.sin(dp)
+        return (d.sum(), (d * d).sum(), s.sum(), (s * s).sum())
+
+    def finish(totals):
+        d1, d2, s1, s2 = totals
+        return DecoherenceEstimate(estimate=_estimate(d1, d2, cfg.n_samples),
+                                   imaginary_part=_estimate(s1, s2, cfg.n_samples))
+
+    return _Part(1, sums, (operator.add,) * 4, finish)
+
+
+def _probabilities_part(theta1: float, theta2: float, cfg: McConfig) -> _Part:
+    r = raman_matrix(theta1, theta2).real
+    x = BRANCH_ATOM1 @ r / SQRT2
+    y = BRANCH_ATOM2 @ r / SQRT2
+    constant, cross = x * x + y * y, 2.0 * x * y
+    row_constant, row_cross = constant.sum(axis=1), cross.sum(axis=1)
+
+    def sums(count, dp):
+        # per sample constant + cross * c with c = cos(delta): the sums over
+        # the chunk need only the sums of c and c^2
+        c = np.cos(dp)
+        c1, c2 = c.sum(), (c * c).sum()
+        # each row sum is monotone in c, rounding included: the extremes bound it
+        rows = row_constant + np.array([c.min(), c.max()])[:, None] * row_cross
+        dev = float(np.max(np.abs(rows - 1.0)))
+        return (count * constant + c1 * cross,
+                count * constant**2 + 2.0 * c1 * constant * cross + c2 * cross**2, dev)
+
+    def finish(totals):
+        total, total_sq, worst = totals
+        return MatrixEstimate(*_moments(total, total_sq, cfg.n_samples), cfg.n_samples, worst)
+
+    return _Part(1, sums, (operator.add, operator.add, max), finish)
+
+
+def _bell_measurement_part(xi: float, cfg: McConfig) -> _Part:
+    if xi < 0:
+        raise ValueError("scattering ratio must be >= 0")
+    norm = (1.0 + 2.0 * xi) ** 2
+    # the 8 leak entries are 2 xi / norm in every sample; their sums are added
+    # one sample at a time, the order whose round-off bench/reference.json pins
+    leak = 2.0 * xi / norm
+    leak_sums = {count: [np.cumsum(np.full(count, v))[-1] for v in (leak, leak * leak)]
+                 for count in set(_chunk_counts(cfg))}
+
+    def sums(count, dp, dq):
+        diag = (0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm
+        anti = 0.5 * (1.0 - np.cos(dp + dq)) / norm
+        s1, s2 = leak_sums[count]
+        table = np.array([[diag.sum(), anti.sum(), s1],
+                          [(diag * diag).sum(), (anti * anti).sum(), s2]])
+        return tuple(table[:, _ENTRY_KIND])
+
+    def finish(totals):
+        return MatrixEstimate(*_moments(*totals, cfg.n_samples), cfg.n_samples)
+
+    return _Part(2, sums, (operator.add, operator.add), finish)
+
+
+def _sample_parts(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
+                  parts: list[_Part], workers: int) -> list:
+    """Estimates of every part from one pass over the chunks.
+
+    Each chunk draws as many stages as the deepest part reads, in stage
+    order, and hands the same phase arrays to every part, so a part's
+    estimate is bit-identical to the one it gives on its own.
+    """
+    depth = max(part.stages for part in parts)
+
+    def chunk(rng, count):
+        phases = [_phase_difference(trap, optics, rng, count) for _ in range(depth)]
+        return [s for part in parts for s in part.sums(count, *phases[:part.stages])]
+
+    totals = iter(_reduce_chunks(chunk, cfg, workers, [op for part in parts for op in part.ops]))
+    return [part.finish([next(totals) for _ in part.ops]) for part in parts]
+
+
 def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
                    workers: int = 1) -> DecoherenceEstimate:
     """Estimate D = 1 - <cos(q.(dr1 - dr2))> by direct sampling.
@@ -228,16 +336,7 @@ def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
     far below T_cr.  The sine average is returned as a diagnostic; it
     vanishes by symmetry, so the cosine alone carries the dephasing.
     """
-
-    def chunk(rng, count):
-        delta = _phase_difference(trap, optics, rng, count)
-        d, s = 2.0 * np.sin(0.5 * delta) ** 2, np.sin(delta)
-        return (d.sum(), (d * d).sum(), s.sum(), (s * s).sum())
-
-    d1, d2, s1, s2 = _reduce_chunks(chunk, cfg, workers)
-    n = cfg.n_samples
-    return DecoherenceEstimate(estimate=_estimate(d1, d2, n),
-                               imaginary_part=_estimate(s1, s2, n))
+    return _sample_parts(trap, optics, cfg, [_decoherence_part(cfg)], workers)[0]
 
 
 def mc_probabilities(trap: TrapParams, optics: OpticsParams,
@@ -250,26 +349,8 @@ def mc_probabilities(trap: TrapParams, optics: OpticsParams,
     sample (the composition preserves row norms); the largest per-sample
     deviation is reported in row_sum_max_dev.
     """
-    r = raman_matrix(theta1, theta2).real
-    x = BRANCH_ATOM1 @ r / SQRT2
-    y = BRANCH_ATOM2 @ r / SQRT2
-    constant, cross = x * x + y * y, 2.0 * x * y
-    row_constant, row_cross = constant.sum(axis=1), cross.sum(axis=1)
-
-    def chunk(rng, count):
-        # per sample constant + cross * c with c = cos(delta): the sums over
-        # the chunk need only the sums of c and c^2
-        c = np.cos(_phase_difference(trap, optics, rng, count))
-        c1, c2 = c.sum(), (c * c).sum()
-        # each row sum is monotone in c, rounding included: the extremes bound it
-        rows = row_constant + np.array([c.min(), c.max()])[:, None] * row_cross
-        dev = float(np.max(np.abs(rows - 1.0)))
-        return (count * constant + c1 * cross,
-                count * constant**2 + 2.0 * c1 * constant * cross + c2 * cross**2, dev)
-
-    total, total_sq, worst = _reduce_chunks(chunk, cfg, workers,
-                                            (operator.add, operator.add, max))
-    return MatrixEstimate(*_moments(total, total_sq, cfg.n_samples), cfg.n_samples, worst)
+    part = _probabilities_part(theta1, theta2, cfg)
+    return _sample_parts(trap, optics, cfg, [part], workers)[0]
 
 
 def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
@@ -314,27 +395,30 @@ def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
     Row sums equal 1 on average (exactly 1 at T = 0); per sample they
     fluctuate with the overlap of the two stages' decorated bases.
     """
-    if xi < 0:
-        raise ValueError("scattering ratio must be >= 0")
-    norm = (1.0 + 2.0 * xi) ** 2
-    # the 8 leak entries are 2 xi / norm in every sample; their sums are added
-    # one sample at a time, the order whose round-off bench/reference.json pins
-    leak = 2.0 * xi / norm
-    leak_sums = {count: [np.cumsum(np.full(count, v))[-1] for v in (leak, leak * leak)]
-                 for count in set(_chunk_counts(cfg))}
+    return _sample_parts(trap, optics, cfg, [_bell_measurement_part(xi, cfg)], workers)[0]
 
-    def chunk(rng, count):
-        dp = _phase_difference(trap, optics, rng, count)
-        dq = _phase_difference(trap, optics, rng, count)
-        diag = (0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm
-        anti = 0.5 * (1.0 - np.cos(dp + dq)) / norm
-        s1, s2 = leak_sums[count]
-        sums = np.array([[diag.sum(), anti.sum(), s1],
-                         [(diag * diag).sum(), (anti * anti).sum(), s2]])
-        return tuple(sums[:, _ENTRY_KIND])
 
-    total, total_sq = _reduce_chunks(chunk, cfg, workers)
-    return MatrixEstimate(*_moments(total, total_sq, cfg.n_samples), cfg.n_samples)
+@dataclass(frozen=True)
+class ThermalEstimate:
+    """The estimates of mc_thermal, each equal to its single-estimator call."""
+
+    decoherence: DecoherenceEstimate
+    probabilities: MatrixEstimate
+    bell_measurement: tuple[MatrixEstimate, ...]
+
+
+def mc_thermal(trap: TrapParams, optics: OpticsParams, theta1: float, theta2: float,
+               xis: Iterable[float], cfg: McConfig, workers: int = 1) -> ThermalEstimate:
+    """mc_decoherence, mc_probabilities at (theta1, theta2) and one
+    mc_bell_measurement per xi in xis, from one draw of each stage.
+
+    The results are bit-identical to the separate calls with the same cfg,
+    which would draw the same stages again for every estimate.
+    """
+    parts = [_decoherence_part(cfg), _probabilities_part(theta1, theta2, cfg)]
+    parts += [_bell_measurement_part(xi, cfg) for xi in xis]
+    decoherence, probabilities, *bell = _sample_parts(trap, optics, cfg, parts, workers)
+    return ThermalEstimate(decoherence, probabilities, tuple(bell))
 
 
 __all__ = [
@@ -342,10 +426,12 @@ __all__ = [
     "MatrixEstimate",
     "McConfig",
     "McEstimate",
+    "ThermalEstimate",
     "mc_bell_measurement",
     "mc_decoherence",
     "mc_f_squared",
     "mc_probabilities",
+    "mc_thermal",
     "momentum_kick",
     "sample_dipole_direction",
     "sample_displacement",

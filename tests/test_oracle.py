@@ -1,9 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellsim import chsh, gates, motion, oracle, protocol
+from bellsim import chsh, cli, gates, motion, oracle, protocol
 from bellsim.motion import DEFAULT_OPTICS, DEFAULT_TRAP
 
 TCR = motion.t_crit(DEFAULT_TRAP, DEFAULT_OPTICS)
@@ -257,6 +259,22 @@ def test_mc_bell_measurement_matches_closed_form_over_temperatures(log_ratio, xi
     assert np.all(np.abs(est.mean - closed) <= 4 * est.std_error + 1e-9)
 
 
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.floats(-12.0, 1.0), st.booleans())
+@example(-12.0, False)
+@example(-12.0, True)
+def test_mc_f_squared_bounded_over_temperatures(log_ratio, missed_outside_cone):
+    # |f|^2 = 2 + 2 cos(.) averages to 2 + 2 exp(-var / 2) in [2, 4] for any
+    # missed-photon pattern; far below T_cr it stays at 4 to round-off
+    trap = DEFAULT_TRAP.with_temperature(10.0**log_ratio * TCR)
+    est = oracle.mc_f_squared(trap, DEFAULT_OPTICS, oracle.McConfig(20_000, 73, 10_000),
+                              missed_outside_cone=missed_outside_cone)
+    assert np.isfinite(est.std_error) and est.std_error >= 0.0
+    assert 2.0 - 4 * est.std_error - 1e-9 <= est.mean <= 4.0 + 1e-9
+    if log_ratio == -12.0:
+        assert abs(est.mean - 4.0) <= 1e-9
+
+
 def test_mc_decoherence_chunk_size_consistency():
     a = oracle.mc_decoherence(TRAP_HALF, DEFAULT_OPTICS,
                               oracle.McConfig(40_000, 23, 5_000))
@@ -285,6 +303,58 @@ def test_every_estimator_bit_reproducible_across_workers(estimator):
     for run in runs[1:]:
         assert np.array_equal(run.mean, runs[0].mean)
         assert np.array_equal(run.std_error, runs[0].std_error)
+
+
+def _flat(est):
+    if isinstance(est, oracle.DecoherenceEstimate):
+        return [est.estimate.mean, est.estimate.std_error,
+                est.imaginary_part.mean, est.imaginary_part.std_error]
+    return [est.mean, est.std_error, est.row_sum_max_dev]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("n, chunk_size", REDUCTION_CASES)
+def test_mc_thermal_equals_the_separate_estimators(n, chunk_size, workers):
+    # one draw of each stage per chunk gives every estimate bit for bit, at
+    # any worker count
+    cfg, xis, angles = oracle.McConfig(n, 43, chunk_size), (0.0, 0.05, 1.0), (0.3, 1.1)
+    shared = oracle.mc_thermal(TRAP_HALF, DEFAULT_OPTICS, *angles, xis, cfg, workers=workers)
+    separate = [oracle.mc_decoherence(TRAP_HALF, DEFAULT_OPTICS, cfg),
+                oracle.mc_probabilities(TRAP_HALF, DEFAULT_OPTICS, *angles, cfg)]
+    separate += [oracle.mc_bell_measurement(TRAP_HALF, DEFAULT_OPTICS, xi, cfg) for xi in xis]
+    got = [shared.decoherence, shared.probabilities, *shared.bell_measurement]
+    assert len(got) == len(separate)
+    for a, b in zip(got, separate):
+        for x, y in zip(_flat(a), _flat(b)):
+            assert x is y if x is None else np.array_equal(x, y)
+
+
+def test_mc_thermal_rejects_negative_xi():
+    with pytest.raises(ValueError):
+        oracle.mc_thermal(TRAP_HALF, DEFAULT_OPTICS, 0.3, 1.1, (0.05, -0.2), CFG)
+
+
+def test_validate_draws_each_shared_stage_once(monkeypatch):
+    # the 0.2 and 1.0 decoherence checks draw one stage each, the T/T_cr = 0.5
+    # checks two between them, and the reproducibility runs (20 000 samples
+    # whatever --samples says) one each; one of those runs uses 3 threads
+    drawn, lock = {"photon": 0, "displacement": 0}, threading.Lock()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            with lock:
+                drawn[name] += len(out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(oracle, "sample_photon_direction",
+                        counting("photon", oracle.sample_photon_direction))
+    monkeypatch.setattr(oracle, "sample_displacement",
+                        counting("displacement", oracle.sample_displacement))
+    cli.main(["validate", "--samples", "2000"])
+    assert drawn["photon"] == 2_000 + 2_000 + 2 * 2_000 + 2 * 20_000
+    assert drawn["displacement"] == 2 * drawn["photon"]
 
 
 def test_mc_statistical_acceptance_over_seeds():
