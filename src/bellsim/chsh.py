@@ -114,34 +114,27 @@ def correlation_closed_form(initial: str, d: float, theta1, theta2):
     raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
 
 
-def chsh_s(initial: str, angles: ChshAngles, d: float) -> float:
-    """CHSH combination for one initial state, from the operator pipeline."""
-    if initial not in STATE_INDEX:
-        raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
-    row = STATE_INDEX[initial]
-
-    def corr(t1, t2):
-        return correlation(probabilities_first_principles(d, t1, t2)[row])
-
+def _chsh_combination(corr, angles: ChshAngles):
+    """S = E(t1, t2) - E(t1, t2') + E(t1', t2) + E(t1', t2') for a correlation E."""
     return (corr(angles.theta1, angles.theta2)
             - corr(angles.theta1, angles.theta2p)
             + corr(angles.theta1p, angles.theta2)
             + corr(angles.theta1p, angles.theta2p))
 
 
+def chsh_s(initial: str, angles: ChshAngles, d: float) -> float:
+    """CHSH combination for one initial state, from the operator pipeline."""
+    if initial not in STATE_INDEX:
+        raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
+    row = STATE_INDEX[initial]
+    return _chsh_combination(
+        lambda t1, t2: correlation(probabilities_first_principles(d, t1, t2)[row]), angles)
+
+
 def chsh_s_curve(x, initial: str, d: float, kind: str = "standard") -> np.ndarray:
     """Vectorized S(x) over an array of pattern parameters (closed form)."""
-    x = np.asarray(x, dtype=float)
-    sign = {"standard": 1.0, "mirrored": -1.0}
-    if kind not in sign:
-        raise ValueError(f"pattern kind must be one of {PATTERN_KINDS}, got {kind!r}")
-    t2 = sign[kind] * x
-    t2p = sign[kind] * 3.0 * x
-    zeros = np.zeros_like(x)
-    return (correlation_closed_form(initial, d, zeros, t2)
-            - correlation_closed_form(initial, d, zeros, t2p)
-            + correlation_closed_form(initial, d, 2.0 * x, t2)
-            + correlation_closed_form(initial, d, 2.0 * x, t2p))
+    return _chsh_combination(lambda t1, t2: correlation_closed_form(initial, d, t1, t2),
+                             pattern_angles(kind, np.asarray(x, dtype=float)))
 
 
 def sweep_s(x_values, d: float, kind: str = "standard") -> dict[str, np.ndarray]:
@@ -286,12 +279,8 @@ def e_gg_scatter(d: float, xi: float, theta1, theta2,
 
 def s_gg_scatter_curve(x, d: float, xi: float, form: str = "closed_form") -> np.ndarray:
     """CHSH S(x) for initial gg with scattering, standard angle pattern."""
-    x = np.asarray(x, dtype=float)
-    zeros = np.zeros_like(x)
-    return (e_gg_scatter(d, xi, zeros, x, form)
-            - e_gg_scatter(d, xi, zeros, 3.0 * x, form)
-            + e_gg_scatter(d, xi, 2.0 * x, x, form)
-            + e_gg_scatter(d, xi, 2.0 * x, 3.0 * x, form))
+    return _chsh_combination(lambda t1, t2: e_gg_scatter(d, xi, t1, t2, form),
+                             pattern_angles("standard", np.asarray(x, dtype=float)))
 
 
 def s_gg_scatter_max(d: float, xi: float, form: str = "closed_form") -> float:

@@ -260,79 +260,59 @@ def cmd_scatter(cfg: RunConfig, args) -> int:
 def cmd_fidelity(cfg: RunConfig, args) -> int:
     xi_list = _parse_float_list(args.xi_list, "--xi-list")
     t_list = _parse_float_list(args.t_list, "--t-list")
+    ratios = _grid(args.t_max, args.t_n, "t")
+    xis = _grid(args.xi_max, args.xi_n, "xi")
 
     out = cfg.out or Path("fidelity.csv")
     stem, suffix = out.with_suffix(""), out.suffix or ".csv"
     path_t = Path(f"{stem}_vs_t{suffix}")
     path_xi = Path(f"{stem}_vs_xi{suffix}")
 
-    ratios = _grid(args.t_max, args.t_n, "t")
-    header_t = ["T_over_Tcr"]
-    for xi in xi_list:
-        header_t += [f"F_B_xi_{xi:g}", f"F_xi_{xi:g}"]
-    rows_t = []
-    for ratio in ratios:
+    def cells(ratio, xi):
         d = 1.0 - np.exp(-ratio)
-        row = [ratio]
-        for xi in xi_list:
-            row += [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
-        rows_t.append(row)
-    write_csv(path_t, header_t, rows_t)
+        return [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
 
-    xis = _grid(args.xi_max, args.xi_n, "xi")
-    header_xi = ["xi"]
-    for ratio in t_list:
-        header_xi += [f"F_B_t_{ratio:g}", f"F_t_{ratio:g}"]
-    rows_xi = []
-    for xi in xis:
-        row = [xi]
-        for ratio in t_list:
-            d = 1.0 - np.exp(-ratio)
-            row += [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
-        rows_xi.append(row)
-    write_csv(path_xi, header_xi, rows_xi)
+    header_t = ["T_over_Tcr"] + [f"{f}_xi_{xi:g}" for xi in xi_list for f in ("F_B", "F")]
+    rows_t = [[ratio] + [c for xi in xi_list for c in cells(ratio, xi)] for ratio in ratios]
+    header_xi = ["xi"] + [f"{f}_t_{ratio:g}" for ratio in t_list for f in ("F_B", "F")]
+    rows_xi = [[xi] + [c for ratio in t_list for c in cells(ratio, xi)] for xi in xis]
+
+    write_csv(path_t, header_t, rows_t)
+    try:
+        write_csv(path_xi, header_xi, rows_xi)
+    except BaseException:
+        path_t.unlink()  # both tables or neither
+        raise
     print(f"wrote {path_t}")
     print(f"wrote {path_xi}")
     return 0
 
 
-class _Checker:
-    def __init__(self):
-        self.failures = 0
-        self.count = 0
-
-    def check(self, name: str, ok: bool, detail: str = ""):
-        self.count += 1
-        tag = "ok" if ok else "FAIL"
-        suffix = f"  ({detail})" if detail else ""
-        print(f"[{tag:>4}] {name}{suffix}")
-        if not ok:
-            self.failures += 1
-
-
-def cmd_validate(cfg: RunConfig, args) -> int:
+def validation_checks(cfg: RunConfig):
+    """Yield (name, ok, detail) for every invariant of `bellsim validate`, in order."""
+    if cfg.mc.n_samples < 2:
+        raise ConfigError("validate needs n_samples >= 2: one sample has no standard error")
     rng = np.random.default_rng(cfg.mc.seed)
-    ck = _Checker()
     sqrt2 = np.sqrt(2.0)
 
     defect = gates.verify_cnot_identity()
-    ck.check("cnot_identity", defect <= 1e-12, f"defect={defect:.3e}")
+    yield "cnot_identity", defect <= 1e-12, f"defect={defect:.3e}"
 
-    bad = gates.verify_cnot_identity(second_local=gates.h2_singular())
-    ck.check("flawed_second_local_detected", bad >= 0.5,
-             f"defect with singular variant={bad:.3f}")
+    singular = gates.h2_singular()
+    bad = gates.verify_cnot_identity(second_local=singular)
+    yield ("flawed_second_local_detected", bad >= 0.5 and np.linalg.matrix_rank(singular) < 4,
+           f"defect with singular variant={bad:.3f}")
 
     worst = 0.0
     for _ in range(50):
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         xis = rng.uniform(-np.pi, np.pi, 4)
         worst = max(worst, linalg.unitarity_defect(gates.local_matrix(t1, t2, *xis)))
-    ck.check("local_operations_unitary", worst <= 1e-13, f"max defect={worst:.3e}")
+    yield "local_operations_unitary", worst <= 1e-13, f"max defect={worst:.3e}"
 
     worst = max(linalg.unitarity_defect(gates.bell_matrix(p, p))
                 for p in rng.uniform(-np.pi, np.pi, 20))
-    ck.check("bell_matrix_unitary_at_equal_phases", worst <= 1e-13,
-             f"max defect={worst:.3e}")
+    yield "bell_matrix_unitary_at_equal_phases", worst <= 1e-13, f"max defect={worst:.3e}"
 
     gap = 0.0
     for _ in range(100):
@@ -341,8 +321,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         gap = max(gap, float(np.max(np.abs(
             chsh.probabilities_closed_form(d, t1, t2)
             - chsh.probabilities_first_principles(d, t1, t2)))))
-    ck.check("closed_vs_first_principles_probabilities", gap <= 1e-12,
-             f"max entry gap={gap:.3e}")
+    yield "closed_vs_first_principles_probabilities", gap <= 1e-12, f"max entry gap={gap:.3e}"
 
     worst = 0.0
     for _ in range(100):
@@ -353,27 +332,32 @@ def cmd_validate(cfg: RunConfig, args) -> int:
                   protocol.bell_meas_matrix(d, xi),
                   protocol.cnot_prob_matrix(d, xi)):
             worst = max(worst, float(np.max(np.abs(m.sum(axis=1) - 1.0))))
-    ck.check("probability_rows_stochastic", worst <= 1e-12, f"max row defect={worst:.3e}")
+    yield "probability_rows_stochastic", worst <= 1e-12, f"max row defect={worst:.3e}"
 
     config = gates.GeneralBellConfig(geometry_phase=np.pi)
     d1, d2 = gates.orthogonality_defect(gates.bell_matrix_general(config))
-    ck.check("orthogonality_phase_condition", max(d1, d2) <= 1e-12,
-             f"defects=({d1:.3e}, {d2:.3e})")
+    yield ("orthogonality_phase_condition", max(d1, d2) <= 1e-12,
+           f"defects=({d1:.3e}, {d2:.3e})")
 
     a_perp, a_par = motion.aperture_coefficients(cfg.optics)
     nu = motion.nu_eff(cfg.trap, cfg.optics)
     tcr = motion.t_crit(cfg.trap, cfg.optics)
     ok = (abs(a_perp - 1.25) <= 0.02 and abs(a_par - 0.75) <= 0.02
           and abs(nu - 55e3) <= 1e3 and 19e-6 <= tcr <= 21e-6)
-    ck.check("aperture_and_tcrit_anchor", ok,
-             f"A_perp={a_perp:.4f} A_par={a_par:.4f} nu_eff={nu:.0f} Hz T_cr={tcr*1e6:.2f} uK")
+    yield ("aperture_and_tcrit_anchor", ok,
+           f"A_perp={a_perp:.4f} A_par={a_par:.4f} nu_eff={nu:.0f} Hz T_cr={tcr*1e6:.2f} uK")
 
+    d_half = 1.0 - np.exp(-0.5)
     angles = chsh.pattern_angles("standard", np.pi / 8)
     s0 = chsh.chsh_s("ge", angles, 0.0)
-    s5 = chsh.chsh_s("ge", angles, 1.0 - np.exp(-0.5))
+    s5 = chsh.chsh_s("ge", angles, d_half)
+    # the other (eg, ee) family stays classical at T/T_cr = 0.5
+    xs = np.linspace(0.0, np.pi / 2, 2001)
+    other = max(float(np.max(np.abs(chsh.chsh_s_curve(xs, state, d_half))))
+                for state in ("eg", "ee"))
     ok = (abs(s0 - 2 * sqrt2) <= 1e-9
-          and abs(s5 - sqrt2 * (1 + np.exp(-0.5))) <= 1e-6)
-    ck.check("chsh_standard_angle_values", ok, f"S(d=0)={s0:.9f} S(T/Tcr=0.5)={s5:.6f}")
+          and abs(s5 - sqrt2 * (1 + np.exp(-0.5))) <= 1e-6 and other <= 2.0 + 1e-9)
+    yield "chsh_standard_angle_values", ok, f"S(d=0)={s0:.9f} S(T/Tcr=0.5)={s5:.6f}"
 
     ratios = np.linspace(0.0, 2.0, 41)
     smax_curve = np.array([chsh.s_max(1.0 - np.exp(-r)) for r in ratios])
@@ -381,94 +365,104 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     monotone = bool(np.all(np.diff(smax_curve) <= 1e-9))
     start = abs(smax_curve[0] - 2 * sqrt2) <= 1e-6
     std_cross = float(np.interp(2.0, std_curve[::-1], ratios[::-1]))
-    ck.check("smax_curve_shape", monotone and start and 0.8 <= std_cross <= 1.1,
-             f"standard-angle crossing T/Tcr={std_cross:.4f}; optimized max stays "
-             f">= {smax_curve[-1]:.6f} (trivial x->0 limit), see notes")
+    # sqrt(2) (1 + e^{-T/T_cr}) = 2 at T/T_cr = -ln(sqrt(2) - 1)
+    ok = (monotone and start and 0.8 <= std_cross <= 1.1
+          and abs(std_cross + np.log(sqrt2 - 1.0)) <= 1e-3)
+    yield ("smax_curve_shape", ok,
+           f"standard-angle crossing T/Tcr={std_cross:.4f}; optimized max stays "
+           f">= {smax_curve[-1]:.6f} (trivial x->0 limit), see notes")
 
-    d_half = 1.0 - np.exp(-0.5)
     thr_fixed = chsh.scatter_threshold(d_half, fixed_x=np.pi / 8)
     thr_opt = chsh.scatter_threshold(d_half)
-    ck.check("scatter_threshold", abs(thr_fixed - 0.119) <= 0.005 and 0.10 <= thr_opt <= 0.20,
-             f"xi*(pi/8)={thr_fixed:.4f} xi*(optimized)={thr_opt:.4f}")
+    yield ("scatter_threshold", abs(thr_fixed - 0.119) <= 0.005 and 0.10 <= thr_opt <= 0.20,
+           f"xi*(pi/8)={thr_fixed:.4f} xi*(optimized)={thr_opt:.4f}")
 
     f_anchor = protocol.cnot_fidelity(1.0 - np.exp(-1.0), 0.0)
     fb_d1 = protocol.bell_meas_fidelity(1.0, 0.0)
     fb_xi1 = protocol.bell_meas_fidelity(0.0, 1.0)
-    fb_col = [protocol.bell_meas_fidelity(1.0 - np.exp(-r), 0.05) for r in ratios]
-    f_col = [protocol.cnot_fidelity(1.0 - np.exp(-r), 0.05) for r in ratios]
+    curves = [[fidelity(1.0 - np.exp(-r), xi) for r in ratios]
+              for xi in (0.0, 0.05, 0.15, 1.0)
+              for fidelity in (protocol.bell_meas_fidelity, protocol.cnot_fidelity)]
     ok = (abs(f_anchor - np.exp(-1.0)) <= 1e-12 and abs(fb_d1 - 0.5) <= 1e-12
           and abs(fb_xi1 - 5.0 / 9.0) <= 1e-12
-          and np.all(np.diff(fb_col) <= 1e-12) and np.all(np.diff(f_col) <= 1e-12))
-    ck.check("fidelity_anchors_and_monotonicity", ok,
-             f"F(Tcr,0)={f_anchor:.6f} F_B(d=1,0)={fb_d1:.3f} F_B(0,1)={fb_xi1:.6f}")
+          and all(np.all(np.diff(curve) <= 1e-12) for curve in curves))
+    yield ("fidelity_anchors_and_monotonicity", ok,
+           f"F(Tcr,0)={f_anchor:.6f} F_B(d=1,0)={fb_d1:.3f} F_B(0,1)={fb_xi1:.6f}")
 
     tg1, tg2 = np.meshgrid(np.linspace(-np.pi, np.pi, 81),
                            np.linspace(-np.pi, np.pi, 81))
-    gap05 = float(np.max(np.abs(
-        chsh.e_gg_scatter(d_half, 0.05, tg1, tg2, "closed_form")
-        - chsh.e_gg_scatter(d_half, 0.05, tg1, tg2, "branch"))))
-    gap0 = float(np.max(np.abs(
-        chsh.e_gg_scatter(d_half, 1e-6, tg1, tg2, "closed_form")
-        - chsh.e_gg_scatter(d_half, 1e-6, tg1, tg2, "branch"))))
+
+    def route_gap(xi):
+        return float(np.max(np.abs(chsh.e_gg_scatter(d_half, xi, tg1, tg2, "closed_form")
+                                   - chsh.e_gg_scatter(d_half, xi, tg1, tg2, "branch"))))
+
+    gaps = [route_gap(xi) for xi in (0.05, 0.01, 1e-3, 1e-4)]
+    gap05, gap0 = gaps[0], route_gap(1e-6)
     xs = np.linspace(1e-3, np.pi / 2, 400)
     s_gap = float(np.max(np.abs(
         chsh.s_gg_scatter_curve(xs, d_half, 0.05, "closed_form")
         - chsh.s_gg_scatter_curve(xs, d_half, 0.05, "branch"))))
-    ck.check("scatter_form_gap",
-             gap05 <= 0.1 and gap0 <= 1e-4 and s_gap <= 4 * gap05 + 1e-12,
-             f"correlation gap(xi=0.05)={gap05:.4f} gap(xi=1e-6)={gap0:.2e} "
-             f"S-column gap={s_gap:.4f}")
+    ok = (gap05 <= 0.1 and gap0 <= 1e-4 and s_gap <= 4 * gap05 + 1e-12
+          and bool(np.all(np.diff(gaps) < 0)) and gaps[-1] <= 1e-3)
+    yield ("scatter_form_gap", ok,
+           f"correlation gap(xi=0.05)={gap05:.4f} gap(xi=1e-6)={gap0:.2e} "
+           f"S-column gap={s_gap:.4f}")
 
-    tcr_val = motion.t_crit(cfg.trap, cfg.optics)
     worst = 0.0
     for frac in (0.1, 0.25, 0.5, 0.75, 1.0):
-        trap = cfg.trap.with_temperature(frac * tcr_val)
+        trap = cfg.trap.with_temperature(frac * tcr)
         worst = max(worst, abs(motion.d_exact(trap, cfg.optics)
                                - motion.d_approx(trap, cfg.optics)))
-    ck.check("d_exact_vs_exponential", worst <= 0.05, f"max |gap|={worst:.4f}")
+    yield "d_exact_vs_exponential", worst <= 0.05, f"max |gap|={worst:.4f}"
 
     # the T/T_cr = 0.5 checks read the same stages of every chunk: draw them once
-    trap_half = cfg.trap.with_temperature(0.5 * tcr_val)
+    trap_half = cfg.trap.with_temperature(0.5 * tcr)
     half = oracle.mc_thermal(trap_half, cfg.optics, np.pi / 7, np.pi / 5, (0.0, 0.05),
                              cfg.mc, workers=cfg.workers)
     for ratio in (0.2, 0.5, 1.0):
-        trap = cfg.trap.with_temperature(ratio * tcr_val)
+        trap = cfg.trap.with_temperature(ratio * tcr)
         est = (half.decoherence if ratio == 0.5
                else oracle.mc_decoherence(trap, cfg.optics, cfg.mc, workers=cfg.workers))
         closed = motion.d_exact(trap, cfg.optics)
         diff = abs(est.estimate.mean - closed)
-        ck.check(f"mc_decoherence_T_over_Tcr_{ratio:g}",
-                 diff <= 3 * est.estimate.std_error + 1e-9,
-                 f"estimate={est.estimate.mean:.5f} closed={closed:.5f} "
-                 f"std_error={est.estimate.std_error:.2e}")
+        yield (f"mc_decoherence_T_over_Tcr_{ratio:g}",
+               diff <= 3 * est.estimate.std_error + 1e-9,
+               f"estimate={est.estimate.mean:.5f} closed={closed:.5f} "
+               f"std_error={est.estimate.std_error:.2e}")
 
     d_quad = motion.d_exact(trap_half, cfg.optics)
     est = half.probabilities
     closed = chsh.probabilities_first_principles(d_quad, np.pi / 7, np.pi / 5)
     ok = bool(np.all(np.abs(est.mean - closed) <= 3 * est.std_error + 1e-9))
-    ck.check("mc_probabilities_vs_closed_form", ok and est.row_sum_max_dev <= 1e-12,
-             f"max |gap|={float(np.max(np.abs(est.mean - closed))):.2e} "
-             f"row dev={est.row_sum_max_dev:.2e}")
+    yield ("mc_probabilities_vs_closed_form", ok and est.row_sum_max_dev <= 1e-12,
+           f"max |gap|={float(np.max(np.abs(est.mean - closed))):.2e} "
+           f"row dev={est.row_sum_max_dev:.2e}")
 
     for xi, est in zip((0.0, 0.05), half.bell_measurement):
         closed = protocol.bell_meas_fidelity(d_quad, xi)
         diag = float(np.mean(np.diag(est.mean)))
         # diagonal entries coincide per sample: single-entry standard error
         se = float(np.max(np.diag(est.std_error)))
-        ck.check(f"mc_bell_measurement_diag_xi_{xi:g}",
-                 abs(diag - closed) <= 3 * se + 1e-9,
-                 f"estimate={diag:.5f} closed={closed:.5f} std_error={se:.2e}")
+        yield (f"mc_bell_measurement_diag_xi_{xi:g}", abs(diag - closed) <= 3 * se + 1e-9,
+               f"estimate={diag:.5f} closed={closed:.5f} std_error={se:.2e}")
 
     small = oracle.McConfig(20_000, cfg.mc.seed, cfg.mc.chunk_size)
     one = oracle.mc_decoherence(trap_half, cfg.optics, small, workers=1)
     many = oracle.mc_decoherence(trap_half, cfg.optics, small, workers=3)
-    ck.check("mc_bit_reproducible_across_workers",
-             one.estimate.mean == many.estimate.mean
-             and one.estimate.std_error == many.estimate.std_error,
-             f"estimate={one.estimate.mean:.10f}")
+    yield ("mc_bit_reproducible_across_workers",
+           one.estimate.mean == many.estimate.mean
+           and one.estimate.std_error == many.estimate.std_error,
+           f"estimate={one.estimate.mean:.10f}")
 
-    print(f"{ck.count} checks, {ck.failures} failure(s)")
-    return 0 if ck.failures == 0 else 1
+
+def cmd_validate(cfg: RunConfig, args) -> int:
+    count = failures = 0
+    for name, ok, detail in validation_checks(cfg):
+        count += 1
+        failures += not ok
+        print(f"[{'ok' if ok else 'FAIL':>4}] {name}  ({detail})")
+    print(f"{count} checks, {failures} failure(s)")
+    return 0 if failures == 0 else 1
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -536,9 +530,11 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        return args.func(cfg, args)
-    except (ConfigError, OverflowError, ZeroDivisionError) as exc:
+        # an overflow or an undefined value inside numpy is an out-of-range input too
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            cfg = build_config(args)
+            return args.func(cfg, args)
+    except (ConfigError, OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         reason = exc if isinstance(exc, ConfigError) else f"an input is out of range ({exc})"
         print(f"error: {reason}", file=sys.stderr)
         return 2
