@@ -415,14 +415,14 @@ def validation_checks(cfg: RunConfig):
                                - motion.d_approx(trap, cfg.optics)))
     yield "d_exact_vs_exponential", worst <= 0.05, f"max |gap|={worst:.4f}"
 
-    # the T/T_cr = 0.5 checks read the same stages of every chunk: draw them once
+    # the T/T_cr = 0.5 checks read the same stages of every chunk: draw them
+    # once; the 0.2 and 1 decoherence checks rescale those phases by sqrt(T)
     trap_half = cfg.trap.with_temperature(0.5 * tcr)
     half = oracle.mc_thermal(trap_half, cfg.optics, np.pi / 7, np.pi / 5, (0.0, 0.05),
-                             cfg.mc, workers=cfg.workers)
-    for ratio in (0.2, 0.5, 1.0):
+                             cfg.mc, workers=cfg.workers, temperatures=(0.2 * tcr, 1.0 * tcr))
+    low, high = half.decoherence_at
+    for ratio, est in ((0.2, low), (0.5, half.decoherence), (1.0, high)):
         trap = cfg.trap.with_temperature(ratio * tcr)
-        est = (half.decoherence if ratio == 0.5
-               else oracle.mc_decoherence(trap, cfg.optics, cfg.mc, workers=cfg.workers))
         closed = motion.d_exact(trap, cfg.optics)
         diff = abs(est.estimate.mean - closed)
         yield (f"mc_decoherence_T_over_Tcr_{ratio:g}",

@@ -33,12 +33,19 @@ mc_thermal returns all three (one Bell table per xi) from one draw of each
 stage.  mc_f_squared draws a different stream (photon, missed photon,
 displacements) and is separate.
 
+The draws do not depend on the temperature: under the equipartition law each
+axis's thermal spread is proportional to sqrt(T), so the stage phase at T is
+sqrt(T / T0) times the phase drawn at T0.  mc_thermal returns mc_decoherence
+at extra temperatures from the phases drawn at trap.temperature, scaled by
+that factor; these agree with the separate call at T to round-off, not bit
+for bit (the scale rounds differently from the per-axis spreads).
+
 Reproducibility contract: sampling is split into chunks of cfg.chunk_size;
 chunk i uses the substream SeedSequence(cfg.seed, spawn_key=(i,)) and the
 partial sums are reduced in chunk order.  Results are therefore bit-identical
 for a fixed (seed, chunk_size, n_samples) no matter how many workers run the
-chunks, and each estimate of mc_thermal is bit-identical to the separate
-estimator's.
+chunks, and each estimate of mc_thermal at trap.temperature is bit-identical
+to the separate estimator's.
 """
 
 from __future__ import annotations
@@ -61,6 +68,16 @@ SQRT2 = np.sqrt(2.0)
 _ENTRY_KIND = np.where(np.eye(4, dtype=bool), 0, np.where(BRANCH_ATOM1 @ BRANCH_ATOM2.T, 1, 2))
 
 
+def _index(name: str, value) -> int:
+    """value as an int (numpy integers too); bools and other types raise ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     n_samples: int = 100_000
@@ -68,10 +85,11 @@ class McConfig:
     chunk_size: int = 10_000
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        for name, lo in (("n_samples", 1), ("seed", 0), ("chunk_size", 1)):
+            value = _index(name, getattr(self, name))
+            if value < lo:
+                raise ValueError(f"{name} must be >= {lo}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -247,8 +265,10 @@ class _Part:
     finish: Callable
 
 
-def _decoherence_part(cfg: McConfig) -> _Part:
+def _decoherence_part(cfg: McConfig, scale: float = 1.0) -> _Part:
+    """D and the sine diagnostic from the phases times scale (x * 1.0 == x)."""
     def sums(count, dp):
+        dp = scale * dp
         d, s = 2.0 * np.sin(0.5 * dp) ** 2, np.sin(dp)
         return (d.sum(), (d * d).sum(), s.sum(), (s * s).sum())
 
@@ -400,25 +420,49 @@ def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
 
 @dataclass(frozen=True)
 class ThermalEstimate:
-    """The estimates of mc_thermal, each equal to its single-estimator call."""
+    """The estimates of mc_thermal.
+
+    The first three equal their single-estimator calls bit for bit;
+    decoherence_at holds one mc_decoherence estimate per extra temperature.
+    """
 
     decoherence: DecoherenceEstimate
     probabilities: MatrixEstimate
     bell_measurement: tuple[MatrixEstimate, ...]
+    decoherence_at: tuple[DecoherenceEstimate, ...]
+
+
+def _phase_scale(trap: TrapParams, temperature: float) -> float:
+    """sqrt(T / trap.temperature): every thermal spread is proportional to sqrt(T)."""
+    trap.with_temperature(temperature)  # the checks TrapParams makes
+    if temperature == 0.0:
+        return 0.0
+    if trap.temperature == 0.0:
+        raise ValueError("a positive extra temperature needs trap.temperature > 0")
+    return float(np.sqrt(temperature / trap.temperature))
 
 
 def mc_thermal(trap: TrapParams, optics: OpticsParams, theta1: float, theta2: float,
-               xis: Iterable[float], cfg: McConfig, workers: int = 1) -> ThermalEstimate:
+               xis: Iterable[float], cfg: McConfig, workers: int = 1,
+               temperatures: Iterable[float] = ()) -> ThermalEstimate:
     """mc_decoherence, mc_probabilities at (theta1, theta2) and one
-    mc_bell_measurement per xi in xis, from one draw of each stage.
+    mc_bell_measurement per xi in xis, from one draw of each stage, plus
+    mc_decoherence at each of temperatures from the same draw.
 
-    The results are bit-identical to the separate calls with the same cfg,
-    which would draw the same stages again for every estimate.
+    The first three are bit-identical to the separate calls with the same
+    cfg, which would draw the same stages again for every estimate.  Under
+    the equipartition law the stage phase q . (dr1 - dr2) at T is
+    sqrt(T / trap.temperature) times the phase drawn at trap.temperature,
+    so an extra temperature scales the drawn phases and agrees with the
+    separate call at T to round-off, not bit for bit.  A positive extra
+    temperature needs trap.temperature > 0.
     """
-    parts = [_decoherence_part(cfg), _probabilities_part(theta1, theta2, cfg)]
-    parts += [_bell_measurement_part(xi, cfg) for xi in xis]
-    decoherence, probabilities, *bell = _sample_parts(trap, optics, cfg, parts, workers)
-    return ThermalEstimate(decoherence, probabilities, tuple(bell))
+    bell = [_bell_measurement_part(xi, cfg) for xi in xis]
+    extra = [_decoherence_part(cfg, _phase_scale(trap, t)) for t in temperatures]
+    parts = [_decoherence_part(cfg), _probabilities_part(theta1, theta2, cfg), *bell, *extra]
+    decoherence, probabilities, *rest = _sample_parts(trap, optics, cfg, parts, workers)
+    return ThermalEstimate(decoherence, probabilities, tuple(rest[:len(bell)]),
+                           tuple(rest[len(bell):]))
 
 
 __all__ = [

@@ -55,19 +55,6 @@ def bell_meas_fidelity(d: float, xi: float) -> float:
     return float(1.0 - (4.0 * xi + f1) / (1.0 + 2.0 * xi) ** 2)
 
 
-def cnot_composite(p1: float, p2: float, xi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both branch matrices of the CNOT sequence at fixed motional phases.
-
-    The first is h1 @ bell(p1, p2) @ h2 (single detected photon), the second
-    replaces the Bell operator by the double-excitation branch.
-    """
-    _check_xi(xi)
-    left, right = gates.h1(), gates.h2()
-    c1 = left @ gates.bell_matrix(p1, p2) @ right
-    c2 = left @ gates.b2_matrix(xi) @ right
-    return c1, c2
-
-
 def cnot_prob_matrix(d: float, xi: float) -> np.ndarray:
     """Motion-averaged CNOT truth table from the composed operators.
 
@@ -97,7 +84,6 @@ def cnot_fidelity(d: float, xi: float) -> float:
 __all__ = [
     "bell_meas_fidelity",
     "bell_meas_matrix",
-    "cnot_composite",
     "cnot_fidelity",
     "cnot_prob_matrix",
     "two_stage_dephasing",

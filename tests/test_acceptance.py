@@ -5,9 +5,13 @@ them at a pinned Monte-Carlo config and pins their names and order.  Run with
 `pytest tests/test_acceptance.py -v` to see one line per check.
 """
 
+from pathlib import Path
+
 import pytest
 
 from bellsim import cli, gates, oracle
+
+GOLDEN_VALIDATE = Path(__file__).with_name("validate_seed424242_n20000.txt")
 
 VALIDATE_CHECKS = [
     "cnot_identity",
@@ -58,6 +62,15 @@ def test_validate_passes_by_default(tmp_path, capsys):
     assert [ln[7:].split()[0] for ln in lines] == VALIDATE_CHECKS
     assert all(ln.startswith("[  ok] ") for ln in lines)
     assert "std_error" in out  # Monte-Carlo checks report their triples
+
+
+def test_validate_stdout_matches_golden_file(capsys):
+    # every printed digit, round-off-level defects included; a change meant to
+    # alter the printed lines re-records the file with
+    # `bellsim validate --seed 424242 --samples 20000 > tests/validate_seed424242_n20000.txt`
+    code = cli.main(["validate", "--seed", "424242", "--samples", "20000"])
+    assert code == 0
+    assert capsys.readouterr().out == GOLDEN_VALIDATE.read_text()
 
 
 def test_validate_flags_singular_variant(capsys, monkeypatch):

@@ -21,6 +21,25 @@ def test_mc_config_validation():
         oracle.McConfig(chunk_size=0)
 
 
+@pytest.mark.parametrize("args", [
+    (1e4, 0, 1000), (100, 1.5, 10), (100, 2.0, 10), (100, 0, 10.0), (True, 0, 1),
+    (100, False, 10), (100, 0, np.True_), ("100", 0, 10), (100, None, 10), (100, -1, 10),
+], ids=["float-n", "float-seed", "integral-float-seed", "float-chunk", "bool-n",
+        "bool-seed", "numpy-bool-chunk", "str-n", "none-seed", "negative-seed"])
+def test_mc_config_rejects_unusable_values(args):
+    with pytest.raises(ValueError):
+        oracle.McConfig(*args)
+
+
+def test_mc_config_accepts_numpy_integers():
+    cfg = oracle.McConfig(np.int64(300), np.uint32(7), np.int16(100))
+    assert [type(v) for v in (cfg.n_samples, cfg.seed, cfg.chunk_size)] == [int] * 3
+    assert cfg == oracle.McConfig(300, 7, 100)
+    est = oracle.mc_decoherence(TRAP_HALF, DEFAULT_OPTICS, cfg)
+    assert est == oracle.mc_decoherence(TRAP_HALF, DEFAULT_OPTICS, oracle.McConfig(300, 7, 100))
+    assert type(est.estimate.n) is int
+
+
 def test_sample_displacement_frozen_at_t0():
     rng = np.random.default_rng(0)
     trap = DEFAULT_TRAP.with_temperature(0.0)
@@ -334,10 +353,82 @@ def test_mc_thermal_rejects_negative_xi():
         oracle.mc_thermal(TRAP_HALF, DEFAULT_OPTICS, 0.3, 1.1, (0.05, -0.2), CFG)
 
 
+def _assert_round_off_equal(got, want):
+    # D and its SE to round-off; the sine mean is ~0 by symmetry, so its
+    # round-off is absolute
+    for a, b in ((got.estimate.mean, want.estimate.mean),
+                 (got.estimate.std_error, want.estimate.std_error),
+                 (got.imaginary_part.std_error, want.imaginary_part.std_error)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.imaginary_part.mean, want.imaginary_part.mean,
+                               rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("n, chunk_size", REDUCTION_CASES)
+def test_mc_thermal_extra_temperatures_match_separate_calls(n, chunk_size, workers):
+    # the phases drawn at T/T_cr = 0.5, scaled by sqrt(T / T_0), are the
+    # phases drawn at T to round-off; bit for bit across worker counts
+    cfg, ratios = oracle.McConfig(n, 47, chunk_size), (0.2, 1.0, 3.0)
+    temps = [r * TCR for r in ratios]
+    shared = oracle.mc_thermal(TRAP_HALF, DEFAULT_OPTICS, 0.3, 1.1, (0.05,), cfg,
+                               workers=workers, temperatures=temps)
+    assert len(shared.decoherence_at) == len(temps)
+    for temp, got in zip(temps, shared.decoherence_at):
+        want = oracle.mc_decoherence(DEFAULT_TRAP.with_temperature(temp), DEFAULT_OPTICS, cfg)
+        _assert_round_off_equal(got, want)
+    one = oracle.mc_thermal(TRAP_HALF, DEFAULT_OPTICS, 0.3, 1.1, (0.05,), cfg,
+                            temperatures=temps)
+    for a, b in zip(shared.decoherence_at, one.decoherence_at):
+        assert all(np.array_equal(x, y) for x, y in zip(_flat(a), _flat(b)))
+
+
+def test_mc_thermal_extra_temperature_equal_to_base_is_bit_identical():
+    shared = oracle.mc_thermal(TRAP_HALF, DEFAULT_OPTICS, 0.3, 1.1, (), CFG,
+                               temperatures=(TRAP_HALF.temperature,))
+    separate = oracle.mc_decoherence(TRAP_HALF, DEFAULT_OPTICS, CFG)
+    for got in (shared.decoherence, shared.decoherence_at[0]):
+        assert _flat(got) == _flat(separate)
+
+
+@pytest.mark.parametrize("base", [0.0, 0.5])
+def test_mc_thermal_extra_temperature_zero_is_exactly_coherent(base):
+    trap = DEFAULT_TRAP.with_temperature(base * TCR)
+    shared = oracle.mc_thermal(trap, DEFAULT_OPTICS, 0.3, 1.1, (), CFG, temperatures=(0.0,))
+    est = shared.decoherence_at[0].estimate
+    assert est.mean == 0.0
+    assert est.std_error == 0.0
+
+
+@pytest.mark.parametrize("base, temperature", [
+    (0.5, -1e-9), (0.5, float("nan")), (0.5, float("inf")), (0.5, -float("inf")), (0.0, 1e-9),
+], ids=["negative", "nan", "inf", "minus-inf", "positive-over-zero-base"])
+def test_mc_thermal_rejects_bad_extra_temperature(base, temperature):
+    trap = DEFAULT_TRAP.with_temperature(base * TCR)
+    with pytest.raises(ValueError):
+        oracle.mc_thermal(trap, DEFAULT_OPTICS, 0.3, 1.1, (), CFG, temperatures=(temperature,))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.floats(-12.0, 1.0), st.floats(-12.0, 1.0))
+@example(-12.0, 1.0)
+@example(1.0, -12.0)
+def test_mc_thermal_extra_temperature_over_temperatures(log_base, log_extra):
+    # base and extra T/T_cr each in [1e-12, 10]: the scale spans 10^-6.5..10^6.5
+    cfg = oracle.McConfig(2_000, 53, 500)
+    trap = DEFAULT_TRAP.with_temperature(10.0**log_base * TCR)
+    extra = DEFAULT_TRAP.with_temperature(10.0**log_extra * TCR)
+    shared = oracle.mc_thermal(trap, DEFAULT_OPTICS, 0.3, 1.1, (), cfg,
+                               temperatures=(extra.temperature,))
+    _assert_round_off_equal(shared.decoherence_at[0],
+                            oracle.mc_decoherence(extra, DEFAULT_OPTICS, cfg))
+
+
 def test_validate_draws_each_shared_stage_once(monkeypatch):
-    # the 0.2 and 1.0 decoherence checks draw one stage each, the T/T_cr = 0.5
-    # checks two between them, and the reproducibility runs (20 000 samples
-    # whatever --samples says) one each; one of those runs uses 3 threads
+    # every T/T_cr = 0.2, 0.5 and 1 check reads the two stages of one shared
+    # draw (0.2 and 1 rescale its phases), and the reproducibility runs
+    # (20 000 samples whatever --samples says) draw one each; one of those
+    # runs uses 3 threads
     drawn, lock = {"photon": 0, "displacement": 0}, threading.Lock()
 
     def counting(name, fn):
@@ -353,7 +444,7 @@ def test_validate_draws_each_shared_stage_once(monkeypatch):
     monkeypatch.setattr(oracle, "sample_displacement",
                         counting("displacement", oracle.sample_displacement))
     cli.main(["validate", "--samples", "2000"])
-    assert drawn["photon"] == 2_000 + 2_000 + 2 * 2_000 + 2 * 20_000
+    assert drawn["photon"] == 2 * 2_000 + 2 * 20_000
     assert drawn["displacement"] == 2 * drawn["photon"]
 
 

@@ -69,14 +69,25 @@ def test_fidelity_orderings_at_xi0():
         assert fb >= f
 
 
+def cnot_composite(p1, p2, xi):
+    """Both branch matrices of the CNOT sequence at fixed motional phases.
+
+    The first is h1 @ bell(p1, p2) @ h2 (single detected photon), the second
+    replaces the Bell operator by the double-excitation branch.
+    """
+    left, right = gates.h1(), gates.h2()
+    return (left @ gates.bell_matrix(p1, p2) @ right,
+            left @ gates.b2_matrix(xi) @ right)
+
+
 def test_cnot_composite_motionless_is_exact():
     for xi in (0.0, 0.05, 0.4):
-        c1, _ = protocol.cnot_composite(0.0, 0.0, xi)
+        c1, _ = cnot_composite(0.0, 0.0, xi)
         np.testing.assert_allclose(c1, gates.cnot_target(), atol=1e-14)
 
 
 def test_cnot_composite_double_branch_vanishes_at_xi0():
-    _, c2 = protocol.cnot_composite(0.3, -0.8, 0.0)
+    _, c2 = cnot_composite(0.3, -0.8, 0.0)
     assert np.max(np.abs(c2)) == 0.0
 
 
@@ -85,7 +96,7 @@ def test_cnot_composite_norm_bookkeeping():
     for _ in range(50):
         p1, p2 = rng.uniform(-np.pi, np.pi, 2)
         xi = rng.uniform(0, 1)
-        c1, c2 = protocol.cnot_composite(p1, p2, xi)
+        c1, c2 = cnot_composite(p1, p2, xi)
         total = (elementwise_sqmod(c1) + elementwise_sqmod(c2)) / (1 + 2 * xi)
         np.testing.assert_allclose(total.sum(axis=1), 1.0, atol=1e-12)
 
