@@ -10,7 +10,8 @@ fidelity    Bell-measurement and CNOT fidelities versus T/T_cr and versus xi
 validate    run the full invariant suite; exit 0 only if every check passes
 
 Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
-Parameters merge defaults <- JSON config file <- command-line flags.
+Each subcommand accepts only the flags it reads (`_COMMANDS`); `build_config`
+resolves every setting once, defaults <- JSON config file <- command-line flags.
 """
 
 from __future__ import annotations
@@ -21,44 +22,97 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import chsh, gates, linalg, motion, oracle, protocol
 
 DEFAULT_SEED = 20240
-DEFAULT_SAMPLES = 100_000
-DEFAULT_CHUNK = 10_000
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    trap: motion.TrapParams = motion.DEFAULT_TRAP
-    optics: motion.OpticsParams = motion.DEFAULT_OPTICS
-    t_over_tcr: float = 0.5
-    xi: float = 0.0
-    pattern_kind: str = "standard"
-    x_min: float = 0.0
-    x_max: float = np.pi / 2
-    n_points: int = 201
-    mc: oracle.McConfig = field(
-        default_factory=lambda: oracle.McConfig(DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_CHUNK))
-    workers: int = 1
-    out: Path | None = None
-
-    @property
-    def d(self) -> float:
-        """Decoherence level implied by the configured temperature ratio."""
-        return float(1.0 - np.exp(-self.t_over_tcr))
+class _Setting(NamedTuple):
+    """A setting's kind (float, int, str, or list: comma-separated floats >= 0),
+    flag help, default, (section, key) in the config file if any, lower bound
+    and allowed values."""
+    kind: type
+    help: str
+    default: object = None
+    key: tuple[str, str] | None = None
+    lo: float | None = None
+    choices: tuple[str, ...] | None = None
 
 
-def _load_json(path: str) -> dict:
+_SETTINGS = {
+    "--config": _Setting(str, "JSON config file"),
+    "--out": _Setting(str, "output CSV path"),
+    "--nu-perp": _Setting(float, "transverse trap frequency (Hz)",
+                          motion.DEFAULT_TRAP.nu_perp, ("trap", "nu_perp_hz")),
+    "--nu-par": _Setting(float, "longitudinal trap frequency (Hz)",
+                         motion.DEFAULT_TRAP.nu_par, ("trap", "nu_par_hz")),
+    "--nu-recoil": _Setting(float, "recoil frequency (Hz)",
+                            motion.DEFAULT_TRAP.nu_recoil, ("trap", "nu_recoil_hz")),
+    "--theta0": _Setting(float, "collection-cone half-angle (rad)",
+                         motion.DEFAULT_OPTICS.theta0, ("optics", "theta0_rad")),
+    # no default: T/T_cr = 0.5 applies when neither temperature setting is given
+    "--temperature-k": _Setting(float, "atom temperature (K)",
+                                key=("trap", "temperature_k"), lo=0.0),
+    "--t-over-tcr": _Setting(float, "temperature as a fraction of T_cr",
+                             key=("trap", "t_over_tcr"), lo=0.0),
+    "--pattern": _Setting(str, "angle pattern", "standard", ("pattern", "kind"),
+                          choices=chsh.PATTERN_KINDS),
+    "--x-min": _Setting(float, "sweep start (rad)", 0.0, ("pattern", "x_min")),
+    "--x-max": _Setting(float, "sweep end (rad)", np.pi / 2, ("pattern", "x_max")),
+    "--grid-n": _Setting(int, "sweep grid size", 201, ("pattern", "n"), lo=2),
+    "--seed": _Setting(int, "Monte-Carlo seed", DEFAULT_SEED, ("mc", "seed"), lo=0),
+    # one sample has no standard error
+    "--samples": _Setting(int, "Monte-Carlo sample count", 100_000, ("mc", "n_samples"), lo=2),
+    "--chunk-size": _Setting(int, "Monte-Carlo chunk size", 10_000, ("mc", "chunk_size"), lo=1),
+    "--workers": _Setting(int, "parallel chunk workers", 1, lo=1),
+    "--xi-list": _Setting(list, "comma-separated xi values", "0,0.05,0.15,1"),
+    "--t-list": _Setting(list, "T/T_cr values for the xi table", "0,0.2,0.5,1"),
+    "--t-max": _Setting(float, "largest T/T_cr", 2.0, lo=0.0),
+    "--t-n": _Setting(int, "temperature grid size", 81, lo=1),
+    "--xi-max": _Setting(float, "largest xi in the xi table", 1.0, lo=0.0),
+    "--xi-n": _Setting(int, "xi grid size", 101, lo=1),
+}
+
+_TRAP = ("--nu-perp", "--nu-par", "--nu-recoil")
+# the trap and optics settings convert a temperature in kelvin through T_cr
+_TEMPERATURE = (*_TRAP, "--theta0", "--temperature-k", "--t-over-tcr")
+_X_GRID = ("--x-min", "--x-max", "--grid-n")
+
+#: Subcommand -> (help, the flags it reads, defaults that differ from
+#: `_SETTINGS`).  Its handler is `cmd_<name>`.
+_COMMANDS = {
+    "tcrit": ("critical temperature vs aperture angle",
+              ("--config", "--out", *_TRAP, "--grid-n"), {"--out": "tcrit.csv"}),
+    "bell-sweep": ("CHSH S(x) for the four initial states",
+                   ("--config", "--out", *_TEMPERATURE, "--pattern", *_X_GRID),
+                   {"--out": "bell_sweep.csv"}),
+    "bell-max": ("maxima of |S| vs T/T_cr",
+                 ("--config", "--out", "--pattern", "--t-max", "--t-n"),
+                 {"--out": "bell_max.csv", "--t-n": 41}),
+    "scatter": ("S_gg(x) at several double-excitation ratios",
+                ("--config", "--out", *_TEMPERATURE, *_X_GRID, "--xi-list"),
+                {"--out": "scatter.csv"}),
+    "fidelity": ("Bell-measurement and CNOT fidelity tables",
+                 ("--out", "--xi-list", "--t-list", "--t-max", "--t-n", "--xi-max", "--xi-n"),
+                 {"--out": "fidelity.csv"}),
+    "validate": ("run the invariant suite",
+                 ("--config", *_TRAP, "--theta0", "--seed", "--samples", "--chunk-size",
+                  "--workers"), {}),
+}
+
+
+def _load_config(path: str) -> dict:
+    """Read a JSON config; refuse a key no setting reads and a section that is no object."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -66,14 +120,17 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    known = {setting.key for setting in _SETTINGS.values() if setting.key}
+    sections = {section for section, _ in known}
+    for section, body in doc.items():
+        if section not in sections:
+            raise ConfigError(f"unknown config key {section!r}")
+        if not isinstance(body, dict):
+            raise ConfigError(f"config {section} must be a JSON object, got {body!r}")
+        for key in body:
+            if (section, key) not in known:
+                raise ConfigError(f"unknown config key {f'{section}.{key}'!r}")
     return doc
-
-
-def _section(doc: dict, key: str) -> dict:
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config {key} must be a JSON object, got {value!r}")
-    return value
 
 
 def _number(value, name: str, lo: float | None = None, integer: bool = False):
@@ -90,69 +147,75 @@ def _number(value, name: str, lo: float | None = None, integer: bool = False):
     return int(value) if integer else number
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    doc = _load_json(args.config) if args.config else {}
-    trap_doc = _section(doc, "trap")
-    optics_doc = _section(doc, "optics")
-    pattern_doc = _section(doc, "pattern")
-    mc_doc = _section(doc, "mc")
-
-    def pick(flag_value, doc_value, default):
-        if flag_value is not None:
-            return flag_value
-        if doc_value is not None:
-            return doc_value
-        return default
-
-    def number(flag_value, section, key, default, lo=None, integer=False):
-        return _number(pick(flag_value, section.get(key), default), key, lo, integer)
-
-    nu_perp = number(args.nu_perp, trap_doc, "nu_perp_hz", motion.DEFAULT_TRAP.nu_perp)
-    nu_par = number(args.nu_par, trap_doc, "nu_par_hz", motion.DEFAULT_TRAP.nu_par)
-    nu_recoil = number(args.nu_recoil, trap_doc, "nu_recoil_hz", motion.DEFAULT_TRAP.nu_recoil)
-    theta0 = number(args.theta0, optics_doc, "theta0_rad", motion.DEFAULT_OPTICS.theta0)
-
-    temp_flag = args.temperature_k
-    ratio_flag = args.t_over_tcr
-    temp_doc = trap_doc.get("temperature_k")
-    ratio_doc = trap_doc.get("t_over_tcr")
-    if temp_flag is not None and ratio_flag is not None:
-        raise ConfigError("--temperature-k and --t-over-tcr are mutually exclusive")
-    if temp_doc is not None and ratio_doc is not None:
-        raise ConfigError("config trap.temperature_k and trap.t_over_tcr are mutually exclusive")
-
-    # either flag overrides both file keys; the file keys fill in otherwise
-    from_flags = temp_flag is not None or ratio_flag is not None
-    temperature, ratio = (temp_flag, ratio_flag) if from_flags else (temp_doc, ratio_doc)
+def _parse_float_list(text: str, name: str) -> list[float]:
     try:
-        trap = motion.TrapParams(nu_perp, nu_par, nu_recoil, 0.0)
-        optics = motion.OpticsParams(theta0)
-        if temperature is not None:
-            ratio = _number(temperature, "temperature_k", lo=0.0) / motion.t_crit(trap, optics)
-        ratio = _number(0.5 if ratio is None else ratio, "t_over_tcr", lo=0.0)
-        trap = trap.with_temperature(ratio * motion.t_crit(trap, optics))
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{name} must be a comma-separated float list") from exc
+    if not values:
+        raise ConfigError(f"{name} must not be empty")
+    return [_number(v, name, lo=0.0) for v in values]
+
+
+def build_config(args: argparse.Namespace) -> SimpleNamespace:
+    """Resolve every setting the subcommand reads: defaults <- config file <- flags.
+
+    Each setting becomes the attribute named as its flag without dashes, except
+    that the trap frequencies and the resolved temperature make `trap`, theta0
+    makes `optics`, the temperature settings leave the ratio `t_over_tcr`, and
+    the Monte-Carlo ones make `mc`.
+    """
+    _, flags, defaults = _COMMANDS[args.command]
+    given = vars(args)
+    doc = _load_config(given["config"]) if given.get("config") else {}
+    if given.get("temperature_k") is not None or given.get("t_over_tcr") is not None:
+        # either temperature flag displaces both file keys
+        doc["trap"] = {key: value for key, value in doc.get("trap", {}).items()
+                       if key not in ("temperature_k", "t_over_tcr")}
+
+    values = {}
+    for flag in flags:
+        setting = _SETTINGS[flag]
+        dest = flag[2:].replace("-", "_")
+        section, key = setting.key or (None, None)
+        name = f"{section}.{key}" if section else flag
+        value = given[dest]
+        if value is None and section is not None:
+            value = doc.get(section, {}).get(key)
+        if value is None:
+            value = defaults.get(flag, setting.default)
+        if setting.choices and value not in setting.choices:
+            raise ConfigError(f"{name} must be one of {setting.choices}, got {value!r}")
+        if setting.kind is list:
+            value = _parse_float_list(value, name)
+        elif setting.kind is not str and value is not None:
+            value = _number(value, name, setting.lo, integer=setting.kind is int)
+        values[dest] = value
+
+    try:
+        if "nu_perp" in values:
+            values["trap"] = motion.TrapParams(
+                values.pop("nu_perp"), values.pop("nu_par"), values.pop("nu_recoil"), 0.0)
+        if "theta0" in values:
+            values["optics"] = motion.OpticsParams(values.pop("theta0"))
+        if "temperature_k" in values:
+            temperature, ratio = values.pop("temperature_k"), values["t_over_tcr"]
+            if temperature is not None and ratio is not None:
+                raise ConfigError("temperature_k and t_over_tcr are mutually exclusive")
+            t_cr = motion.t_crit(values["trap"], values["optics"])
+            if temperature is not None:
+                ratio = temperature / t_cr
+            values["t_over_tcr"] = ratio = _number(
+                0.5 if ratio is None else ratio, "t_over_tcr", lo=0.0)
+            values["trap"] = values["trap"].with_temperature(ratio * t_cr)
+        if "seed" in values:
+            values["mc"] = oracle.McConfig(
+                values.pop("samples"), values.pop("seed"), values.pop("chunk_size"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    kind = pick(args.pattern, pattern_doc.get("kind"), "standard")
-    if kind not in chsh.PATTERN_KINDS:
-        raise ConfigError(f"pattern kind must be one of {chsh.PATTERN_KINDS}")
-    x_min = number(args.x_min, pattern_doc, "x_min", 0.0)
-    x_max = number(args.x_max, pattern_doc, "x_max", np.pi / 2)
-    n_points = number(args.grid_n, pattern_doc, "n", 201, lo=2, integer=True)
-    if not x_min < x_max:
+    if "x_min" in values and not values["x_min"] < values["x_max"]:
         raise ConfigError("pattern grid needs x_min < x_max")
-
-    xi = number(args.xi, doc, "xi", 0.0, lo=0.0)
-
-    mc = oracle.McConfig(
-        n_samples=number(args.samples, mc_doc, "n_samples", DEFAULT_SAMPLES, lo=1, integer=True),
-        seed=number(args.seed, mc_doc, "seed", DEFAULT_SEED, lo=0, integer=True),
-        chunk_size=number(args.chunk_size, mc_doc, "chunk_size", DEFAULT_CHUNK, lo=1, integer=True))
-
-    out = Path(args.out) if args.out else None
-    workers = _number(args.workers, "workers", lo=1, integer=True)
-    return RunConfig(trap, optics, ratio, xi, kind, x_min, x_max, n_points, mc, workers, out)
+    return SimpleNamespace(**values)
 
 
 def _fmt(value) -> str:
@@ -163,7 +226,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write rows atomically: compose in a temp file, then rename into place.
 
     A non-finite float cell raises ConfigError before the rename, so no file is left.
@@ -183,25 +246,9 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         raise
 
 
-def _parse_float_list(text: str, name: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a comma-separated float list") from exc
-    if not values:
-        raise ConfigError(f"{name} must not be empty")
-    return [_number(v, name, lo=0.0) for v in values]
-
-
-def _grid(stop, count, flag: str) -> np.ndarray:
-    """count evenly spaced points over [0, stop], checked as --<flag>-max and --<flag>-n."""
-    return np.linspace(0.0, _number(stop, f"--{flag}-max", lo=0.0),
-                       _number(count, f"--{flag}-n", lo=1, integer=True))
-
-
-def cmd_tcrit(cfg: RunConfig, args) -> int:
+def cmd_tcrit(cfg: SimpleNamespace) -> int:
     # keep the reference aperture pi/4 on the grid so its row is quotable
-    grid = np.union1d(np.linspace(motion.THETA0_MIN, np.pi / 2, cfg.n_points),
+    grid = np.union1d(np.linspace(motion.THETA0_MIN, np.pi / 2, cfg.grid_n),
                       [np.pi / 4])
     rows = []
     for theta0 in grid:
@@ -209,61 +256,55 @@ def cmd_tcrit(cfg: RunConfig, args) -> int:
         a_perp, a_par = motion.aperture_coefficients(optics)
         rows.append((theta0, a_perp, a_par,
                      motion.nu_eff(cfg.trap, optics), motion.t_crit(cfg.trap, optics)))
-    out = cfg.out or Path("tcrit.csv")
-    write_csv(out, ["theta0_rad", "A_perp", "A_par", "nu_eff_Hz", "T_cr_K"], rows)
-    print(f"wrote {out}")
+    write_csv(cfg.out, ["theta0_rad", "A_perp", "A_par", "nu_eff_Hz", "T_cr_K"], rows)
+    print(f"wrote {cfg.out}")
     return 0
 
 
-def cmd_bell_sweep(cfg: RunConfig, args) -> int:
-    xs = np.linspace(cfg.x_min, cfg.x_max, cfg.n_points)
-    curves = chsh.sweep_s(xs, cfg.d, cfg.pattern_kind)
+def cmd_bell_sweep(cfg: SimpleNamespace) -> int:
+    xs = np.linspace(cfg.x_min, cfg.x_max, cfg.grid_n)
+    curves = chsh.sweep_s(xs, 1.0 - np.exp(-cfg.t_over_tcr), cfg.pattern)
     rows = zip(xs, curves["gg"], curves["ge"], curves["eg"], curves["ee"])
-    out = cfg.out or Path("bell_sweep.csv")
-    write_csv(out, ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"], rows)
-    print(f"wrote {out}")
+    write_csv(cfg.out, ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"], rows)
+    print(f"wrote {cfg.out}")
     return 0
 
 
-def cmd_bell_max(cfg: RunConfig, args) -> int:
-    ratios = _grid(args.t_max, args.t_n, "t")
-    violating = "ge" if cfg.pattern_kind == "standard" else "eg"
-    other = "eg" if cfg.pattern_kind == "standard" else "ge"
+def cmd_bell_max(cfg: SimpleNamespace) -> int:
+    ratios = np.linspace(0.0, cfg.t_max, cfg.t_n)
+    violating = "ge" if cfg.pattern == "standard" else "eg"
+    other = "eg" if cfg.pattern == "standard" else "ge"
     rows = []
     for ratio in ratios:
         d = 1.0 - np.exp(-ratio)
         rows.append((ratio,
-                     chsh.s_max(d, violating, cfg.pattern_kind),
-                     chsh.s_max(d, other, cfg.pattern_kind)))
-    out = cfg.out or Path("bell_max.csv")
-    write_csv(out, ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"], rows)
-    print(f"wrote {out}")
+                     chsh.s_max(d, violating, cfg.pattern),
+                     chsh.s_max(d, other, cfg.pattern)))
+    write_csv(cfg.out, ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"], rows)
+    print(f"wrote {cfg.out}")
     return 0
 
 
-def cmd_scatter(cfg: RunConfig, args) -> int:
-    xi_list = _parse_float_list(args.xi_list, "--xi-list")
-    xs = np.linspace(cfg.x_min, cfg.x_max, cfg.n_points)
+def cmd_scatter(cfg: SimpleNamespace) -> int:
+    xs = np.linspace(cfg.x_min, cfg.x_max, cfg.grid_n)
+    d = 1.0 - np.exp(-cfg.t_over_tcr)
     header = ["x_rad"]
     columns = [xs]
-    for xi in xi_list:
+    for xi in cfg.xi_list:
         header.append(f"S_gg_closed_xi_{xi:g}")
-        columns.append(chsh.s_gg_scatter_curve(xs, cfg.d, xi, "closed_form"))
+        columns.append(chsh.s_gg_scatter_curve(xs, d, xi, "closed_form"))
         header.append(f"S_gg_branch_xi_{xi:g}")
-        columns.append(chsh.s_gg_scatter_curve(xs, cfg.d, xi, "branch"))
-    out = cfg.out or Path("scatter.csv")
-    write_csv(out, header, zip(*columns))
-    print(f"wrote {out}")
+        columns.append(chsh.s_gg_scatter_curve(xs, d, xi, "branch"))
+    write_csv(cfg.out, header, zip(*columns))
+    print(f"wrote {cfg.out}")
     return 0
 
 
-def cmd_fidelity(cfg: RunConfig, args) -> int:
-    xi_list = _parse_float_list(args.xi_list, "--xi-list")
-    t_list = _parse_float_list(args.t_list, "--t-list")
-    ratios = _grid(args.t_max, args.t_n, "t")
-    xis = _grid(args.xi_max, args.xi_n, "xi")
+def cmd_fidelity(cfg: SimpleNamespace) -> int:
+    ratios = np.linspace(0.0, cfg.t_max, cfg.t_n)
+    xis = np.linspace(0.0, cfg.xi_max, cfg.xi_n)
 
-    out = cfg.out or Path("fidelity.csv")
+    out = Path(cfg.out)
     stem, suffix = out.with_suffix(""), out.suffix or ".csv"
     path_t = Path(f"{stem}_vs_t{suffix}")
     path_xi = Path(f"{stem}_vs_xi{suffix}")
@@ -272,10 +313,10 @@ def cmd_fidelity(cfg: RunConfig, args) -> int:
         d = 1.0 - np.exp(-ratio)
         return [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
 
-    header_t = ["T_over_Tcr"] + [f"{f}_xi_{xi:g}" for xi in xi_list for f in ("F_B", "F")]
-    rows_t = [[ratio] + [c for xi in xi_list for c in cells(ratio, xi)] for ratio in ratios]
-    header_xi = ["xi"] + [f"{f}_t_{ratio:g}" for ratio in t_list for f in ("F_B", "F")]
-    rows_xi = [[xi] + [c for ratio in t_list for c in cells(ratio, xi)] for xi in xis]
+    header_t = ["T_over_Tcr"] + [f"{f}_xi_{xi:g}" for xi in cfg.xi_list for f in ("F_B", "F")]
+    rows_t = [[ratio] + [c for xi in cfg.xi_list for c in cells(ratio, xi)] for ratio in ratios]
+    header_xi = ["xi"] + [f"{f}_t_{ratio:g}" for ratio in cfg.t_list for f in ("F_B", "F")]
+    rows_xi = [[xi] + [c for ratio in cfg.t_list for c in cells(ratio, xi)] for xi in xis]
 
     write_csv(path_t, header_t, rows_t)
     try:
@@ -288,10 +329,12 @@ def cmd_fidelity(cfg: RunConfig, args) -> int:
     return 0
 
 
-def validation_checks(cfg: RunConfig):
+def validation_checks(cfg: SimpleNamespace):
     """Yield (name, ok, detail) for every invariant of `bellsim validate`, in order."""
-    if cfg.mc.n_samples < 2:
-        raise ConfigError("validate needs n_samples >= 2: one sample has no standard error")
+    # before the first check: a trap out of range ends the run before any line
+    a_perp, a_par = motion.aperture_coefficients(cfg.optics)
+    nu = motion.nu_eff(cfg.trap, cfg.optics)
+    tcr = motion.t_crit(cfg.trap, cfg.optics)
     rng = np.random.default_rng(cfg.mc.seed)
     sqrt2 = np.sqrt(2.0)
 
@@ -339,9 +382,6 @@ def validation_checks(cfg: RunConfig):
     yield ("orthogonality_phase_condition", max(d1, d2) <= 1e-12,
            f"defects=({d1:.3e}, {d2:.3e})")
 
-    a_perp, a_par = motion.aperture_coefficients(cfg.optics)
-    nu = motion.nu_eff(cfg.trap, cfg.optics)
-    tcr = motion.t_crit(cfg.trap, cfg.optics)
     ok = (abs(a_perp - 1.25) <= 0.02 and abs(a_par - 0.75) <= 0.02
           and abs(nu - 55e3) <= 1e3 and 19e-6 <= tcr <= 21e-6)
     yield ("aperture_and_tcrit_anchor", ok,
@@ -408,11 +448,12 @@ def validation_checks(cfg: RunConfig):
            f"correlation gap(xi=0.05)={gap05:.4f} gap(xi=1e-6)={gap0:.2e} "
            f"S-column gap={s_gap:.4f}")
 
+    d_exact = {frac: motion.d_exact(cfg.trap.with_temperature(frac * tcr), cfg.optics)
+               for frac in (0.1, 0.2, 0.25, 0.5, 0.75, 1.0)}
     worst = 0.0
     for frac in (0.1, 0.25, 0.5, 0.75, 1.0):
         trap = cfg.trap.with_temperature(frac * tcr)
-        worst = max(worst, abs(motion.d_exact(trap, cfg.optics)
-                               - motion.d_approx(trap, cfg.optics)))
+        worst = max(worst, abs(d_exact[frac] - motion.d_approx(trap, cfg.optics)))
     yield "d_exact_vs_exponential", worst <= 0.05, f"max |gap|={worst:.4f}"
 
     # the T/T_cr = 0.5 checks read the same stages of every chunk: draw them
@@ -422,15 +463,14 @@ def validation_checks(cfg: RunConfig):
                              cfg.mc, workers=cfg.workers, temperatures=(0.2 * tcr, 1.0 * tcr))
     low, high = half.decoherence_at
     for ratio, est in ((0.2, low), (0.5, half.decoherence), (1.0, high)):
-        trap = cfg.trap.with_temperature(ratio * tcr)
-        closed = motion.d_exact(trap, cfg.optics)
+        closed = d_exact[ratio]
         diff = abs(est.estimate.mean - closed)
         yield (f"mc_decoherence_T_over_Tcr_{ratio:g}",
                diff <= 3 * est.estimate.std_error + 1e-9,
                f"estimate={est.estimate.mean:.5f} closed={closed:.5f} "
                f"std_error={est.estimate.std_error:.2e}")
 
-    d_quad = motion.d_exact(trap_half, cfg.optics)
+    d_quad = d_exact[0.5]
     est = half.probabilities
     closed = chsh.probabilities_first_principles(d_quad, np.pi / 7, np.pi / 5)
     ok = bool(np.all(np.abs(est.mean - closed) <= 3 * est.std_error + 1e-9))
@@ -455,7 +495,7 @@ def validation_checks(cfg: RunConfig):
            f"estimate={one.estimate.mean:.10f}")
 
 
-def cmd_validate(cfg: RunConfig, args) -> int:
+def cmd_validate(cfg: SimpleNamespace) -> int:
     count = failures = 0
     for name, ok, detail in validation_checks(cfg):
         count += 1
@@ -465,75 +505,29 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--seed", type=int, help="Monte-Carlo seed")
-    parser.add_argument("--samples", type=int, help="Monte-Carlo sample count")
-    parser.add_argument("--chunk-size", type=int, help="Monte-Carlo chunk size")
-    parser.add_argument("--workers", type=int, default=1, help="parallel chunk workers")
-    parser.add_argument("--nu-perp", type=float, help="transverse trap frequency (Hz)")
-    parser.add_argument("--nu-par", type=float, help="longitudinal trap frequency (Hz)")
-    parser.add_argument("--nu-recoil", type=float, help="recoil frequency (Hz)")
-    parser.add_argument("--temperature-k", type=float, help="atom temperature (K)")
-    parser.add_argument("--t-over-tcr", type=float, help="temperature as a fraction of T_cr")
-    parser.add_argument("--theta0", type=float, help="collection-cone half-angle (rad)")
-    parser.add_argument("--xi", type=float, help="double-excitation ratio")
-    parser.add_argument("--pattern", choices=chsh.PATTERN_KINDS, help="angle pattern")
-    parser.add_argument("--x-min", type=float, help="sweep start (rad)")
-    parser.add_argument("--x-max", type=float, help="sweep end (rad)")
-    parser.add_argument("--grid-n", type=int, help="sweep grid size")
-
-
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Conditional two-qubit logic simulator: figures as CSV plus validation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tcrit", help="critical temperature vs aperture angle")
-    _add_common(p)
-    p.set_defaults(func=cmd_tcrit)
-
-    p = sub.add_parser("bell-sweep", help="CHSH S(x) for the four initial states")
-    _add_common(p)
-    p.set_defaults(func=cmd_bell_sweep)
-
-    p = sub.add_parser("bell-max", help="maxima of |S| vs T/T_cr")
-    _add_common(p)
-    p.add_argument("--t-max", type=float, default=2.0, help="largest T/T_cr")
-    p.add_argument("--t-n", type=int, default=41, help="temperature grid size")
-    p.set_defaults(func=cmd_bell_max)
-
-    p = sub.add_parser("scatter", help="S_gg(x) at several double-excitation ratios")
-    _add_common(p)
-    p.add_argument("--xi-list", default="0,0.05,0.15,1", help="comma-separated xi values")
-    p.set_defaults(func=cmd_scatter)
-
-    p = sub.add_parser("fidelity", help="Bell-measurement and CNOT fidelity tables")
-    _add_common(p)
-    p.add_argument("--xi-list", default="0,0.05,0.15,1", help="xi values for the T table")
-    p.add_argument("--t-list", default="0,0.2,0.5,1", help="T/T_cr values for the xi table")
-    p.add_argument("--t-max", type=float, default=2.0, help="largest T/T_cr in the T table")
-    p.add_argument("--t-n", type=int, default=81, help="T grid size")
-    p.add_argument("--xi-max", type=float, default=1.0, help="largest xi in the xi table")
-    p.add_argument("--xi-n", type=int, default=101, help="xi grid size")
-    p.set_defaults(func=cmd_fidelity)
-
-    p = sub.add_parser("validate", help="run the invariant suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
+    for name, (help_text, flags, _) in _COMMANDS.items():
+        # no abbreviations: a prefix of another flag is a flag the command does not take
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            setting = _SETTINGS[flag]
+            p.add_argument(flag, type=str if setting.kind is list else setting.kind,
+                           choices=setting.choices, help=setting.help)
     return parser
 
 
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* (a tracing wrapper) is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         # an overflow or an undefined value inside numpy is an out-of-range input too
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            cfg = build_config(args)
-            return args.func(cfg, args)
+            return handler(build_config(args))
     except (ConfigError, OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         reason = exc if isinstance(exc, ConfigError) else f"an input is out of range ({exc})"
         print(f"error: {reason}", file=sys.stderr)

@@ -40,7 +40,10 @@ VALIDATE_CHECKS = [
 
 @pytest.fixture(scope="module")
 def results():
-    cfg = cli.RunConfig(mc=oracle.McConfig(100_000, 424242, 10_000))
+    args = cli._make_parser().parse_args(
+        ["validate", "--samples", "100000", "--seed", "424242", "--chunk-size", "10000"])
+    cfg = cli.build_config(args)
+    assert cfg.mc == oracle.McConfig(100_000, 424242, 10_000)
     return {name: (ok, detail) for name, ok, detail in cli.validation_checks(cfg)}
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -169,7 +170,7 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 def test_invalid_config_exits_2(tmp_path):
-    assert run(["tcrit", "--theta0", "0.001", "--out", str(tmp_path / "x.csv")]) == 2
+    assert run(["bell-sweep", "--theta0", "0.001", "--out", str(tmp_path / "x.csv")]) == 2
     assert run(["bell-sweep", "--t-over-tcr", "0.5", "--temperature-k", "1e-5",
                 "--out", str(tmp_path / "y.csv")]) == 2
     bad = tmp_path / "bad.json"
@@ -184,13 +185,14 @@ def test_invalid_config_exits_2(tmp_path):
     (["bell-max", "--t-n", "-1"], None),
     (["bell-max", "--t-n", "0"], None),
     (["fidelity", "--xi-list", "nan"], None),
-    (["bell-sweep", "--workers", "0"], None),
+    (["validate", "--workers", "0"], None),
     (["validate", "--samples", "1"], None),
     (["fidelity", "--xi-n", "0"], None),
 ], ids=["xi-string", "trap-list", "t-over-tcr-nan", "t-n-negative", "t-n-zero", "xi-list-nan",
         "workers-zero", "validate-one-sample", "fidelity-second-table-bad"])
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, doc):
-    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    if argv[0] != "validate":  # validate writes no file and takes no --out
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
     if doc is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         argv += ["--config", str(tmp_path / "cfg.json")]
@@ -200,18 +202,77 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, doc):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv, doc, key", [
+    (["tcrit"], {"trap": {"nu_perp": 1e5}}, "'trap.nu_perp'"),
+    (["bell-sweep"], {"optics": {"theta0": 0.5}}, "'optics.theta0'"),
+    (["bell-max"], {"pattern": {"points": 11}}, "'pattern.points'"),
+    (["validate"], {"mc": {"samples": 10}}, "'mc.samples'"),
+    (["tcrit"], {"xi": 0.05}, "'xi'"),
+], ids=["trap", "optics", "pattern", "mc", "top-level"])
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, argv, doc, key):
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+
+# The flags each subcommand registers (--help aside): exactly the settings it reads.
+TRAP_FLAGS = {"--nu-perp", "--nu-par", "--nu-recoil"}
+SWEEP_FLAGS = {"--config", "--out", *TRAP_FLAGS, "--theta0", "--temperature-k", "--t-over-tcr",
+               "--x-min", "--x-max", "--grid-n"}
+SUBCOMMAND_FLAGS = {
+    "tcrit": {"--config", "--out", *TRAP_FLAGS, "--grid-n"},
+    "bell-sweep": SWEEP_FLAGS | {"--pattern"},
+    "bell-max": {"--config", "--out", "--pattern", "--t-max", "--t-n"},
+    "scatter": SWEEP_FLAGS | {"--xi-list"},
+    "fidelity": {"--out", "--xi-list", "--t-list", "--t-max", "--t-n", "--xi-max", "--xi-n"},
+    "validate": {"--config", *TRAP_FLAGS, "--theta0", "--seed", "--samples", "--chunk-size",
+                 "--workers"},
+}
+
+
+def test_each_subcommand_registers_exactly_the_flags_it_reads():
+    parser = cli._make_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings}
+             - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 51
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--pattern", "mirrored"],
+    ["validate", "--t-over-tcr", "1"],
+    ["tcrit", "--seed", "3"],
+    ["fidelity", "--xi", "0.1"],
+    ["scatter", "--xi", "0.1"],
+    ["validate", "--out", "v.csv"],
+], ids=["scatter-pattern", "validate-t-over-tcr", "tcrit-seed", "fidelity-xi",
+        "scatter-xi-prefix", "validate-out"])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["fidelity", "--xi-list", "1e300"],
     ["bell-sweep", "--nu-perp", "1e200"],
     ["tcrit", "--nu-perp", "1e200"],
     ["scatter", "--nu-perp", "1e-300"],
     ["scatter", "--xi-list", "1e308"],
+    ["validate", "--nu-perp", "1e200"],
 ], ids=["fidelity-xi-overflow", "bell-sweep-nu-overflow", "tcrit-nu-overflow",
-        "scatter-nu-underflow", "scatter-xi-overflow"])
+        "scatter-nu-underflow", "scatter-xi-overflow", "validate-nu-overflow"])
 def test_out_of_range_inputs_exit_2_with_one_error_line(tmp_path, capsys, argv):
-    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 2
-    err = capsys.readouterr().err.splitlines()
+    if argv[0] != "validate":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
     assert not list(tmp_path.iterdir())
 
 
@@ -256,7 +317,12 @@ IN_RANGE = {
     "xi": st.floats(0, 2), "x-min": st.floats(-1, 1), "x-max": st.floats(1, 3),
     "t-max": st.floats(0, 3), "xi-max": st.floats(0, 2),
 }
-COMMAND_FLAGS = {"bell-max": ["t-max"], "fidelity": ["t-max", "xi-max"]}
+# the drawn flags of each command, all among the flags it takes
+SWEEP_DRAWN = ["nu-perp", "nu-par", "nu-recoil", "theta0", "x-min", "x-max"]
+COMMAND_FLAGS = {
+    "tcrit": ["nu-perp", "nu-par", "nu-recoil"], "bell-sweep": SWEEP_DRAWN,
+    "bell-max": ["t-max"], "scatter": SWEEP_DRAWN, "fidelity": ["t-max", "xi-max"],
+}
 DOC_KEYS = {
     "trap": {"nu_perp_hz": "nu-perp", "nu_par_hz": "nu-par", "nu_recoil_hz": "nu-recoil",
              "temperature_k": "temperature-k", "t_over_tcr": "t-over-tcr"},
@@ -272,10 +338,13 @@ def _value(draw, flag):
 @st.composite
 def cli_calls(draw):
     command = draw(st.sampled_from(["tcrit", "bell-sweep", "bell-max", "scatter", "fidelity"]))
-    argv = [command, f"--grid-n={draw(st.integers(2, 12))}"]
-    flags = ["nu-perp", "nu-par", "nu-recoil", "theta0", "xi", "x-min", "x-max",
-             draw(st.sampled_from(["t-over-tcr", "temperature-k"]))]
-    for flag in flags + COMMAND_FLAGS.get(command, []):
+    argv = [command]
+    flags = list(COMMAND_FLAGS[command])
+    if command in ("tcrit", "bell-sweep", "scatter"):
+        argv.append(f"--grid-n={draw(st.integers(2, 12))}")
+    if command in ("bell-sweep", "scatter"):
+        flags.append(draw(st.sampled_from(["t-over-tcr", "temperature-k"])))
+    for flag in flags:
         if draw(st.booleans()):
             argv.append(f"--{flag}={_value(draw, flag)!r}")
     if command in ("bell-max", "fidelity"):
@@ -285,11 +354,11 @@ def cli_calls(draw):
         argv.append(f"--t-list=0.5,{_value(draw, 't-over-tcr')!r}")
     if command in ("scatter", "fidelity"):
         argv.append(f"--xi-list=0,{_value(draw, 'xi')!r}")
-    if draw(st.booleans()):
+    if command in ("bell-sweep", "bell-max") and draw(st.booleans()):
         argv.append(f"--pattern={draw(st.sampled_from(chsh.PATTERN_KINDS))}")
     doc = {}
     for section, keys in DOC_KEYS.items():
-        if draw(st.booleans()):
+        if command != "fidelity" and draw(st.booleans()):  # fidelity reads no config
             key = draw(st.sampled_from(sorted(keys)))
             doc[section] = {key: _value(draw, keys[key])}
     return argv, doc
