@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -137,6 +138,24 @@ def test_csv_deterministic(tmp_path):
     run(["bell-sweep", "--out", str(a)])
     run(["bell-sweep", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+REFERENCE_JSON = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize("argv, out, written", [
+    (["tcrit"], "tcrit.csv", ("tcrit.csv",)),
+    (["bell-sweep"], "bell_sweep.csv", ("bell_sweep.csv",)),
+    (["bell-max"], "bell_max.csv", ("bell_max.csv",)),
+    (["scatter"], "scatter.csv", ("scatter.csv",)),
+    (["fidelity"], "fidelity.csv", ("fidelity_vs_t.csv", "fidelity_vs_xi.csv")),
+], ids=["tcrit", "bell-sweep", "bell-max", "scatter", "fidelity"])
+def test_default_csvs_match_reference_digests(tmp_path, argv, out, written):
+    # the six default curve files, byte for byte, as the benchmark reference pins them
+    digests = json.loads(REFERENCE_JSON.read_text(encoding="utf-8"))["csv_sha256"]
+    assert run([*argv, "--out", str(tmp_path / out)]) == 0
+    for name in written:
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[name], name
 
 
 def test_config_file_and_flag_precedence(tmp_path):
