@@ -6,6 +6,9 @@ terms with weight (1 - d).  The compact trigonometric forms are kept next to
 it as transcription checks and as the fast path for curve sweeps; tests pin
 the two routes together entrywise.
 
+Every swept S(x) is a polynomial of degree <= 5 in cos 2x, so its maxima are
+exact: taken at the roots of the derivative, with no search.
+
 Outcome sign convention: an atom found in g counts +1, in e counts -1.
 """
 
@@ -143,38 +146,6 @@ def sweep_s(x_values, d: float, kind: str = "standard") -> dict[str, np.ndarray]
     return {state: chsh_s_curve(x, state, d, kind) for state in BASIS}
 
 
-def _golden_max(func, xa: float, xb: float, xc: float, xtol: float) -> float:
-    """Golden-section maximum of func on the bracket xa < xb < xc.
-
-    Step for step scipy's _minimize_scalar_golden on -func (same truncated
-    ratio, start rule, stopping test and 5000-step cap), so bit-identical to
-    it; ValueError unless func(xb) exceeds both func(xa) and func(xc).
-    """
-    fa, fb, fc = func(xa), func(xb), func(xc)
-    if not (fb > fa and fb > fc):
-        raise ValueError("bracket does not enclose a maximum")
-    g_r = 0.61803399
-    g_c = 1.0 - g_r
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, x2 = xb, xb + g_c * (xc - xb)
-    else:
-        x1, x2 = xb - g_c * (xb - xa), xb
-    f1, f2 = func(x1), func(x2)
-    for _ in range(5000):
-        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
-            break
-        if f2 > f1:
-            x0, x1 = x1, x2
-            x2 = g_r * x1 + g_c * x3
-            f1, f2 = f2, func(x2)
-        else:
-            x3, x2 = x2, x1
-            x1 = g_r * x2 + g_c * x0
-            f2, f1 = f1, func(x1)
-    return f1 if f1 > f2 else f2
-
-
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     """Root of f in [xa, xb], step for step scipy's brentq.c (rtol 4 eps, 100
     steps, sign tests, interpolate / extrapolate / bisect rule), so bit-identical
@@ -221,25 +192,31 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError(f"root search failed to converge after 100 iterations, value is {xcur}")
 
 
+#: Ends of the maximized range, pi/4002 in from each edge of (0, pi/2).
+_X_ENDS = np.linspace(0.0, np.pi / 2, 2002)[[1, -2]]
+#: Chebyshev nodes in c = cos 2x, enough to fix a polynomial of degree 5.
+_C_NODES = np.cos(np.pi * (np.arange(6) + 0.5) / 6)
+
+
 def _grid_max(curve) -> float:
-    """Largest |curve(x)| over x in (0, pi/2): scan of 2000 interior grid
-    points, then golden-section polish unless the maximum sits on the edge."""
-    xs = np.linspace(0.0, np.pi / 2, 2002)[1:-1]
-    values = np.abs(curve(xs))
-    i = int(np.argmax(values))
-    if i == 0 or i == len(xs) - 1:
-        return float(values[i])
-    best = _golden_max(lambda t: abs(float(curve(t))), xs[i - 1], xs[i], xs[i + 1], xtol=1e-8)
-    return float(max(values[i], best))
+    """Largest |curve(x)| for x between the _X_ENDS, for a curve of degree <= 5
+    in c = cos 2x: interpolated through _C_NODES, it is evaluated at the ends
+    and at the derivative's roots, real parts clipped into the range (a complex
+    or clipped root only adds a point inside it, which cannot raise the maximum).
+    """
+    coef = np.linalg.solve(np.vander(_C_NODES), curve(np.arccos(_C_NODES) / 2))
+    c = np.clip(np.roots(np.polyder(coef)).real, *np.cos(2 * _X_ENDS[::-1]))
+    return float(np.max(np.abs(curve(np.concatenate((_X_ENDS, np.arccos(c) / 2))))))
 
 
 def s_max(d: float, initial: str = "ge", kind: str = "standard") -> float:
     """Maximum of |S(x)| over the open interval x in (0, pi/2).
 
-    Grid scan followed by golden-section refinement.  Note the sweep has a
-    trivial x -> 0 limit where every S approaches 2 exactly (all four angle
-    pairs coincide), so once the interior peak decays below 2 this maximum
-    saturates just under 2 instead of dropping further.
+    Exact: S is a polynomial of degree 5 in cos 2x, so the maximum over
+    [pi/4002, pi/2 - pi/4002] sits at a root of its derivative or at an end.
+    Note the sweep has a trivial x -> 0 limit where every S approaches 2
+    exactly (all four angle pairs coincide), so once the interior peak decays
+    below 2 this maximum saturates just under 2 instead of dropping further.
     """
     return _grid_max(lambda x: chsh_s_curve(x, initial, d, kind))
 

@@ -392,9 +392,7 @@ def validation_checks(cfg: SimpleNamespace):
     s0 = chsh.chsh_s("ge", angles, 0.0)
     s5 = chsh.chsh_s("ge", angles, d_half)
     # the other (eg, ee) family stays classical at T/T_cr = 0.5
-    xs = np.linspace(0.0, np.pi / 2, 2001)
-    other = max(float(np.max(np.abs(chsh.chsh_s_curve(xs, state, d_half))))
-                for state in ("eg", "ee"))
+    other = max(chsh.s_max(d_half, state) for state in ("eg", "ee"))
     ok = (abs(s0 - 2 * sqrt2) <= 1e-9
           and abs(s5 - sqrt2 * (1 + np.exp(-0.5))) <= 1e-6 and other <= 2.0 + 1e-9)
     yield "chsh_standard_angle_values", ok, f"S(d=0)={s0:.9f} S(T/Tcr=0.5)={s5:.6f}"

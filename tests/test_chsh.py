@@ -284,38 +284,58 @@ def test_scatter_curve_no_violation_at_unit_xi():
     assert np.max(np.abs(chsh.s_gg_scatter_curve(xs, D_HALF, 1.0))) < 2.0
 
 
-def _grid_brackets():
-    """(func, bracket) pairs exactly as _grid_max forms them for s_max and s_gg_scatter_max."""
-    xs = np.linspace(0.0, np.pi / 2, 2002)[1:-1]
-    curves = [lambda x, d=d, s=s, k=k: chsh.chsh_s_curve(x, s, d, k)
-              for d in np.linspace(0.0, 1.0, 11) for s in BASIS
-              for k in chsh.PATTERN_KINDS]
-    curves += [lambda x, d=d, xi=xi, f=f: chsh.s_gg_scatter_curve(x, d, xi, f)
-               for d in (0.0, D_HALF, 0.8) for xi in (0.0, 0.05, 0.15, 1.0)
-               for f in ("closed_form", "branch")]
-    for curve in curves:
-        i = int(np.argmax(np.abs(curve(xs))))
-        if 0 < i < len(xs) - 1:
-            yield (lambda t, c=curve: abs(float(c(t)))), (xs[i - 1], xs[i], xs[i + 1])
-    # lopsided brackets take each branch of the start rule
-    yield (lambda t: -(t - 0.3) ** 2), (-1.0, 0.2, 0.5)
-    yield (lambda t: -(t - 0.3) ** 2), (0.1, 0.35, 2.0)
+#: (curve, its maximizer) for every curve family that chsh._grid_max maximizes.
+MAXIMIZED = (
+    [(lambda x, d=d, s=s, k=k: chsh.chsh_s_curve(x, s, d, k),
+      lambda d=d, s=s, k=k: chsh.s_max(d, s, k))
+     for d in np.linspace(0.0, 1.0, 11) for s in BASIS for k in chsh.PATTERN_KINDS]
+    + [(lambda x, d=d, xi=xi, f=f: chsh.s_gg_scatter_curve(x, d, xi, f),
+        lambda d=d, xi=xi, f=f: chsh.s_gg_scatter_max(d, xi, f))
+       for d in (0.0, D_HALF, 0.8) for xi in (0.0, 0.05, 0.15, 1.0, 3.0)
+       for f in ("closed_form", "branch")])
 
 
-def test_golden_max_bit_identical_to_scipy():
-    from scipy import optimize
-
-    cases = list(_grid_brackets())
-    assert len(cases) == 45
-    for func, bracket in cases:
-        ref = optimize.minimize_scalar(lambda t: -func(t), bracket=bracket,
-                                       method="golden", options={"xtol": 1e-8})
-        assert chsh._golden_max(func, *bracket, xtol=1e-8) == -ref.fun
+def test_maximized_curves_are_quintics_in_cos_2x():
+    # the exactness the maxima rest on: each curve is a degree-5 polynomial in cos 2x
+    x = np.random.default_rng(5).uniform(0.0, np.pi / 2, 64)
+    for curve, _ in MAXIMIZED:
+        y = curve(x)
+        fit = np.polyval(np.polyfit(np.cos(2 * x), y, 5), np.cos(2 * x))
+        assert np.max(np.abs(fit - y)) <= 1e-13
 
 
-def test_golden_max_rejects_bad_brackets():
+def test_maxima_bound_a_dense_grid_from_above():
+    ends = np.linspace(0.0, np.pi / 2, 2002)[[1, -2]]
+    xs = np.linspace(*ends, 20001)
+    for curve, maximize in MAXIMIZED:
+        maximum, dense = maximize(), np.max(np.abs(curve(xs)))
+        assert dense <= maximum + 1e-14
+        assert maximum <= dense + 1e-7
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chsh.s_max(2.0),
+    lambda: chsh.s_max(-0.1),
+    lambda: chsh.s_max(0.3, initial="gx"),
+    lambda: chsh.s_max(0.3, kind="spiral"),
+    lambda: chsh.s_gg_scatter_max(0.3, -1.0),
+], ids=["d>1", "d<0", "state", "pattern", "xi<0"])
+def test_maxima_reject_bad_args(call):
     with pytest.raises(ValueError):
-        chsh._golden_max(lambda t: -t * t, 0.5, 0.8, 1.0, xtol=1e-8)
+        call()
+
+
+@pytest.mark.parametrize("d", [0.0, D_HALF, 0.8, 1.0])
+@pytest.mark.parametrize("xi", [0.05, 0.5, 1.0, 3.0])
+def test_e_gg_scatter_branch_exact_values(d, xi):
+    # aligned analysis: detected branch -1 (weight 2), double branch +1 (weight 4 xi),
+    # so 0 at xi = 1/2 and 1/3 at xi = 1
+    assert abs(chsh.e_gg_scatter(d, xi, 0.0, 0.0, "branch")
+               - (-2.0 + 4.0 * xi) / (2.0 + 4.0 * xi)) <= 1e-15
+    # pi/4 analysis: the double branch drops out, the detected one reads d - 1
+    quarter = np.pi / 4
+    assert abs(chsh.e_gg_scatter(d, xi, quarter, quarter, "branch")
+               - (d - 1.0) / (1.0 + 2.0 * xi)) <= 1e-15
 
 
 def test_brentq_bit_identical_to_scipy():
