@@ -6,8 +6,8 @@ terms with weight (1 - d).  The compact trigonometric forms are kept next to
 it as transcription checks and as the fast path for curve sweeps; tests pin
 the two routes together entrywise.
 
-Every swept S(x) is a polynomial of degree <= 5 in cos 2x, so its maxima are
-exact: taken at the roots of the derivative, with no search.
+Every swept S(x) is a polynomial of degree <= 5 in cos 2x, so its maxima and
+the scattering threshold are exact: taken at polynomial roots, with no search.
 
 Outcome sign convention: an atom found in g counts +1, in e counts -1.
 """
@@ -56,7 +56,7 @@ def _check_d(d: float):
 
 
 def _check_xi(xi: float):
-    if xi < 0.0:
+    if not xi >= 0.0:
         raise ValueError(f"scattering ratio must be >= 0, got {xi}")
 
 
@@ -146,56 +146,17 @@ def sweep_s(x_values, d: float, kind: str = "standard") -> dict[str, np.ndarray]
     return {state: chsh_s_curve(x, state, d, kind) for state in BASIS}
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of f in [xa, xb], step for step scipy's brentq.c (rtol 4 eps, 100
-    steps, sign tests, interpolate / extrapolate / bisect rule), so bit-identical
-    to it; ValueError if f(xa), f(xb) share a sign, RuntimeError on the cap.
-    """
-    rtol = 4.0 * np.finfo(float).eps
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if np.signbit(fpre) == np.signbit(fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            # min(b, a) picks b on ties and NaN, like C's MIN(a, b)
-            if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"root search failed to converge after 100 iterations, value is {xcur}")
-
-
-#: Ends of the maximized range, pi/4002 in from each edge of (0, pi/2).
+#: Ends of the maximized range, pi/4002 in from each edge of (0, pi/2), and
+#: the same range in c = cos 2x, ascending.
 _X_ENDS = np.linspace(0.0, np.pi / 2, 2002)[[1, -2]]
+_C_ENDS = np.cos(2 * _X_ENDS[::-1])
 #: Chebyshev nodes in c = cos 2x, enough to fix a polynomial of degree 5.
 _C_NODES = np.cos(np.pi * (np.arange(6) + 0.5) / 6)
+
+
+def _power_coef(curve) -> np.ndarray:
+    """Power-basis coefficients in c = cos 2x of a curve of degree <= 5 in c."""
+    return np.linalg.solve(np.vander(_C_NODES), curve(np.arccos(_C_NODES) / 2))
 
 
 def _grid_max(curve) -> float:
@@ -204,8 +165,7 @@ def _grid_max(curve) -> float:
     and at the derivative's roots, real parts clipped into the range (a complex
     or clipped root only adds a point inside it, which cannot raise the maximum).
     """
-    coef = np.linalg.solve(np.vander(_C_NODES), curve(np.arccos(_C_NODES) / 2))
-    c = np.clip(np.roots(np.polyder(coef)).real, *np.cos(2 * _X_ENDS[::-1]))
+    c = np.clip(np.roots(np.polyder(_power_coef(curve))).real, *_C_ENDS)
     return float(np.max(np.abs(curve(np.concatenate((_X_ENDS, np.arccos(c) / 2))))))
 
 
@@ -269,23 +229,39 @@ def scatter_threshold(d: float, fixed_x: float | None = None) -> float:
     """Smallest xi at which the gg violation drops to the classical bound 2.
 
     With fixed_x given, the compact-form S at that angle is inverted in
-    closed form; otherwise |S| is maximized over x and the threshold is
-    located by Brent's method on [0, 4].
+    closed form.  Otherwise S = A(c) + a B(c) with a = 1/(1 + 2 xi) and
+    |A| <= 2 (1 - d), so at each c = cos 2x the violation ends at
+    1/a = v(c) = |B| / (2 - sign(B) A); 1 + 2 xi* is the largest v, at an end
+    or at a root of v', i.e. of A B' - A' B - 2 s B' for s = +-1 (as in
+    _grid_max, clipped real parts cannot raise the maximum).
     """
     _check_d(d)
     if fixed_x is not None:
         amp = np.cos(2 * fixed_x) - np.cos(6 * fixed_x)
         local = (1.0 - d) * (np.sin(2 * fixed_x) + np.sin(6 * fixed_x))
         denom = 2.0 - local
-        if denom <= 0 or amp <= 0:
+        if not (denom > 0 and amp > 0):
             raise ValueError("no threshold exists at this angle")
         ratio = amp / denom
         if ratio < 1.0:
             return 0.0
         return float(0.5 * (ratio - 1.0))
-    if s_gg_scatter_max(d, 0.0) <= 2.0:
-        return 0.0
-    return float(_brentq(lambda xi: s_gg_scatter_max(d, xi) - 2.0, 0.0, 4.0, xtol=1e-10))
+    full = _power_coef(lambda x: s_gg_scatter_curve(x, d, 0.0))  # A + B
+    half = _power_coef(lambda x: s_gg_scatter_curve(x, d, 0.5))  # A + B / 2
+    a, b = 2 * half - full, 2 * (full - half)
+    db = np.polyder(b)
+    cross = np.polysub(np.polymul(a, db), np.polymul(np.polyder(a), b))
+    c = [_C_ENDS]
+    for s in (1.0, -1.0):
+        p = np.polysub(cross, 2 * s * db)
+        # the c^9 and c^8 terms cancel (A, B are odd quintics); their round-off
+        # would make np.roots lose real roots
+        p = p[np.argmax(np.abs(p) > 1e-12 * np.abs(p).max()):]
+        c.append(np.clip(np.roots(p).real, *_C_ENDS))
+    c = np.concatenate(c)
+    a_c, b_c = np.polyval(a, c), np.polyval(b, c)
+    v = np.max(np.abs(b_c) / (2 - np.sign(b_c) * a_c))
+    return float(max(0.0, 0.5 * (v - 1.0)))
 
 
 __all__ = [

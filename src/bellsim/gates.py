@@ -188,7 +188,7 @@ def b2_matrix(xi: float) -> np.ndarray:
     missed, flipping both qubits; sqrt(2 xi) is the branch amplitude after
     averaging the missed-photon interference factor.
     """
-    if xi < 0:
+    if not xi >= 0:
         raise ValueError("double-excitation ratio xi must be >= 0")
     flip_both = np.array(
         [[0, 0, 0, 1],

@@ -212,24 +212,22 @@ def t_crit(trap: TrapParams, optics: OpticsParams) -> float:
 
 def d_approx(trap: TrapParams, optics: OpticsParams) -> float:
     """Exponential estimate of the decoherence parameter, 1 - exp(-T/T_cr)."""
-    return float(1.0 - np.exp(-trap.temperature / t_crit(trap, optics)))
+    return float(-np.expm1(-trap.temperature / t_crit(trap, optics)))
 
 
 def d_exact(trap: TrapParams, optics: OpticsParams) -> float:
     """Decoherence parameter by direct quadrature of the dephasing factor.
 
-    Integrates exp(-<(q.dr)^2>_T) against the collected dipole pattern; the
-    exponential estimate replaces the average of the exponential with the
-    exponential of the average, so this value is never larger (Jensen).
+    Integrates 1 - exp(-<(q.dr)^2>_T), as -expm1 so D keeps its digits far
+    below T_cr, against the collected dipole pattern; the exponential estimate
+    replaces the average of the exponential with the exponential of the
+    average, so this value is never larger (Jensen).
     """
-    c0 = angular_norm_const(optics.theta0)
-
     def integrand(theta, phi):
-        pattern = c0 * (1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2)
-        return pattern * np.exp(-mean_square_phase(theta, phi, trap))
+        return angular_pdf(theta, phi, optics) * -np.expm1(-mean_square_phase(theta, phi, trap))
 
-    coherence, _ = cap_quadrature(integrand, optics.theta0, tol=1e-10)
-    return float(1.0 - coherence)
+    decoherence, _ = cap_quadrature(integrand, optics.theta0, tol=1e-10)
+    return float(decoherence)
 
 
 __all__ = [

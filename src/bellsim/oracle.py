@@ -306,7 +306,7 @@ def _probabilities_part(theta1: float, theta2: float, cfg: McConfig) -> _Part:
 
 
 def _bell_measurement_part(xi: float, cfg: McConfig) -> _Part:
-    if xi < 0:
+    if not xi >= 0:
         raise ValueError("scattering ratio must be >= 0")
     norm = (1.0 + 2.0 * xi) ** 2
     # the 8 leak entries are 2 xi / norm in every sample; their sums are added

@@ -338,32 +338,32 @@ def test_e_gg_scatter_branch_exact_values(d, xi):
                - (d - 1.0) / (1.0 + 2.0 * xi)) <= 1e-15
 
 
-def test_brentq_bit_identical_to_scipy():
+#: A dense grid of decoherence levels and the threshold at each.
+THRESHOLD_DS = np.linspace(0.0, 1.0, 1001)
+
+
+@pytest.fixture(scope="module")
+def thresholds():
+    return np.array([chsh.scatter_threshold(d) for d in THRESHOLD_DS])
+
+
+def test_scatter_threshold_is_where_the_maximum_touches_2(thresholds):
+    for d, thr in zip(THRESHOLD_DS, thresholds):
+        assert (thr == 0.0) == (chsh.s_gg_scatter_max(d, 0.0) <= 2.0)
+        if thr > 0.0:
+            assert abs(chsh.s_gg_scatter_max(d, thr) - 2.0) <= 1e-14
+    assert np.count_nonzero(thresholds) > 500
+
+
+def test_scatter_threshold_matches_scipy_brentq(thresholds):
     from scipy import optimize
 
-    problems = [(lambda xi, d=d: chsh.s_gg_scatter_max(d, xi) - 2.0, 0.0, 4.0)
-                for d in np.linspace(0.0, 0.5, 6)]
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        r, c = rng.uniform(-2, 2), rng.uniform(0, 3)
-        lo, hi = r - rng.uniform(0.1, 5), r + rng.uniform(0.1, 5)
-        problems += [(lambda x, r=r, c=c: (x - r) ** 3 + c * (x - r), lo, hi),
-                     (lambda x, r=r, c=c: np.tanh(c * (x - r)), lo, hi),
-                     (lambda x, r=r: float(np.exp(x) - np.exp(r)), lo, hi)]
-    for f, a, b in problems:
-        assert chsh._brentq(f, a, b, xtol=1e-10) == optimize.brentq(f, a, b, xtol=1e-10)
+    for d, thr in zip(THRESHOLD_DS[::5], thresholds[::5]):
+        if thr > 0.0:
+            ref = optimize.brentq(lambda xi: chsh.s_gg_scatter_max(d, xi) - 2.0,
+                                  0.0, 4.0, xtol=1e-12)
+            assert abs(thr - ref) <= 1e-10
 
 
-def test_brentq_error_paths_match_scipy():
-    from scipy import optimize
-
-    with pytest.raises(ValueError):
-        chsh._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-10)
-
-    def step(x):
-        return 1.0 if x > 0.1 else -1.0
-
-    with pytest.raises(RuntimeError):
-        optimize.brentq(step, -1e300, 1e300, xtol=1e-300)
-    with pytest.raises(RuntimeError):
-        chsh._brentq(step, -1e300, 1e300, xtol=1e-300)
+def test_scatter_threshold_non_increasing_in_d(thresholds):
+    assert np.all(np.diff(thresholds) <= 0.0)

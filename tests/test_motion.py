@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import constants as const
 
 from bellsim import motion
@@ -26,9 +30,10 @@ def cap_integral(func, theta0, order=160):
     return float(np.einsum("i,j,ij->", wt, wp, func(th, ph)))
 
 
-def test_trap_params_validation():
+@pytest.mark.parametrize("frequency", ["nu_perp", "nu_par", "nu_recoil"])
+def test_trap_params_validation(frequency):
     with pytest.raises(ValueError):
-        TrapParams(0.0, 50e3, 3.6e3, 1e-6)
+        replace(DEFAULT_TRAP, **{frequency: 0.0})
     with pytest.raises(ValueError):
         TrapParams(200e3, 50e3, 3.6e3, -1e-9)
     trap = DEFAULT_TRAP.with_temperature(2e-5)
@@ -203,6 +208,24 @@ def test_d_approx_values():
 
 def test_d_exact_zero_at_t0():
     assert abs(motion.d_exact(DEFAULT_TRAP.with_temperature(0.0), DEFAULT_OPTICS)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta0", [motion.THETA0_MIN, 0.3, np.pi / 4, 1.2, motion.THETA0_MAX])
+def test_d_exact_exactly_zero_at_t0(theta0):
+    assert motion.d_exact(DEFAULT_TRAP.with_temperature(0.0), OpticsParams(theta0)) == 0.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(log_ratio=st.floats(-12.0, 1.0),
+       theta0=st.floats(motion.THETA0_MIN, motion.THETA0_MAX),
+       nu_par=st.sampled_from([5e3, 50e3, 500e3]))
+def test_d_exact_below_exponential_down_to_tiny_temperatures(log_ratio, theta0, nu_par):
+    # Jensen, with both routes keeping their digits far below T_cr
+    optics = OpticsParams(theta0)
+    trap = replace(DEFAULT_TRAP, nu_par=nu_par)
+    trap = trap.with_temperature(10.0**log_ratio * motion.t_crit(trap, optics))
+    exact, approx = motion.d_exact(trap, optics), motion.d_approx(trap, optics)
+    assert 0.0 <= exact <= approx * (1.0 + 1e-12)
 
 
 def test_d_exact_close_to_exponential_below_tcr():

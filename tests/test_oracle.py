@@ -31,6 +31,25 @@ def test_mc_config_rejects_unusable_values(args):
         oracle.McConfig(*args)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: protocol.bell_meas_fidelity(0.3, NAN),
+    lambda: protocol.cnot_fidelity(0.3, NAN),
+    lambda: gates.b2_matrix(NAN),
+    lambda: chsh.e_gg_scatter(0.3, NAN, 0.1, 0.2),
+    lambda: chsh.s_gg_scatter_max(0.3, NAN),
+    lambda: chsh.scatter_threshold(0.3, fixed_x=NAN),
+    lambda: oracle.mc_bell_measurement(TRAP_HALF, DEFAULT_OPTICS, NAN, CFG),
+    lambda: oracle.mc_thermal(TRAP_HALF, DEFAULT_OPTICS, 0.1, 0.2, (NAN,), CFG),
+], ids=["bell_meas_fidelity", "cnot_fidelity", "b2_matrix", "e_gg_scatter",
+        "s_gg_scatter_max", "scatter_threshold-fixed_x", "mc_bell_measurement", "mc_thermal"])
+def test_nan_scattering_ratio_is_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_mc_config_accepts_numpy_integers():
     cfg = oracle.McConfig(np.int64(300), np.uint32(7), np.int16(100))
     assert [type(v) for v in (cfg.n_samples, cfg.seed, cfg.chunk_size)] == [int] * 3
