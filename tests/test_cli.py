@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim import chsh, cli
+from bellsim import chsh, cli, motion
 
 SQRT2 = np.sqrt(2.0)
 
@@ -309,6 +309,48 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _modules_loaded_after(code: str, names) -> list[str]:
+    """Run `code` in a fresh interpreter; return which of `names` it left in sys.modules."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = f"{code}\nimport sys; print(','.join(m for m in {list(names)!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    return [m for m in proc.stdout.splitlines()[-1].split(",") if m]
+
+
+def test_cli_import_loads_neither_the_oracle_nor_its_dependencies():
+    names = ("bellsim.oracle", "concurrent.futures", "json", "numpy.ma")
+    assert _modules_loaded_after("import bellsim.cli", names) == []
+
+
+def test_curve_subcommands_load_neither_the_oracle_nor_numpy_ma(tmp_path):
+    calls = [["tcrit"], ["bell-sweep"], ["bell-max"], ["scatter"], ["fidelity"]]
+    code = ("import contextlib, io, bellsim.cli\n"
+            f"for argv in {calls!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert bellsim.cli.main([*argv, '--out', {str(tmp_path)!r} + '/'"
+            " + argv[0] + '.csv']) == 0")
+    assert _modules_loaded_after(code, ("bellsim.oracle", "numpy.ma")) == []
+    assert len(list(tmp_path.iterdir())) == 6
+
+
+def test_validate_loads_the_oracle():
+    code = ("import contextlib, io, bellsim.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert bellsim.cli.main(['validate', '--samples', '2000']) == 0")
+    assert _modules_loaded_after(code, ("bellsim.oracle",)) == ["bellsim.oracle"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 50, 101, 200, 201, 1000, 2001, 4999])
+def test_tcrit_grid_is_the_linspace_with_the_reference_aperture(tmp_path, monkeypatch, n):
+    written = []
+    monkeypatch.setattr(cli, "write_csv", lambda path, header, rows: written.extend(rows))
+    assert run(["tcrit", "--grid-n", str(n), "--out", str(tmp_path / "t.csv")]) == 0
+    grid = np.array([row[0] for row in written])
+    expected = np.union1d(np.linspace(motion.THETA0_MIN, np.pi / 2, n), [np.pi / 4])
+    assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
 
 
 def test_package_import_loads_no_submodule():
