@@ -17,7 +17,6 @@ resolves every setting once, defaults <- JSON config file <- command-line flags.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import chsh, gates, linalg, motion, oracle, protocol
+from . import chsh, gates, linalg, motion, protocol
 
 DEFAULT_SEED = 20240
 
@@ -113,6 +112,7 @@ _COMMANDS = {
 
 def _load_config(path: str) -> dict:
     """Read a JSON config; refuse a key no setting reads and a section that is no object."""
+    import json
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -209,6 +209,7 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
                 0.5 if ratio is None else ratio, "t_over_tcr", lo=0.0)
             values["trap"] = values["trap"].with_temperature(ratio * t_cr)
         if "seed" in values:
+            from . import oracle  # only validate samples
             values["mc"] = oracle.McConfig(
                 values.pop("samples"), values.pop("seed"), values.pop("chunk_size"))
     except ValueError as exc:
@@ -239,6 +240,10 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # mkstemp makes the file owner-only; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -248,8 +253,11 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 def cmd_tcrit(cfg: SimpleNamespace) -> int:
     # keep the reference aperture pi/4 on the grid so its row is quotable
-    grid = np.union1d(np.linspace(motion.THETA0_MIN, np.pi / 2, cfg.grid_n),
-                      [np.pi / 4])
+    # (np.union1d would give the same grid but loads numpy.ma)
+    grid = np.linspace(motion.THETA0_MIN, np.pi / 2, cfg.grid_n)
+    at = np.searchsorted(grid, np.pi / 4)
+    if grid[at] != np.pi / 4:
+        grid = np.insert(grid, at, np.pi / 4)
     rows = []
     for theta0 in grid:
         optics = motion.OpticsParams(theta0)
@@ -331,9 +339,8 @@ def cmd_fidelity(cfg: SimpleNamespace) -> int:
 
 def validation_checks(cfg: SimpleNamespace):
     """Yield (name, ok, detail) for every invariant of `bellsim validate`, in order."""
+    from . import oracle
     # before the first check: a trap out of range ends the run before any line
-    a_perp, a_par = motion.aperture_coefficients(cfg.optics)
-    nu = motion.nu_eff(cfg.trap, cfg.optics)
     tcr = motion.t_crit(cfg.trap, cfg.optics)
     rng = np.random.default_rng(cfg.mc.seed)
     sqrt2 = np.sqrt(2.0)
@@ -382,10 +389,14 @@ def validation_checks(cfg: SimpleNamespace):
     yield ("orthogonality_phase_condition", max(d1, d2) <= 1e-12,
            f"defects=({d1:.3e}, {d2:.3e})")
 
+    # the paper quotes these numbers for its own trap and aperture, whatever the flags say
+    a_perp, a_par = motion.aperture_coefficients(motion.DEFAULT_OPTICS)
+    nu = motion.nu_eff(motion.DEFAULT_TRAP, motion.DEFAULT_OPTICS)
+    t_cr = motion.t_crit(motion.DEFAULT_TRAP, motion.DEFAULT_OPTICS)
     ok = (abs(a_perp - 1.25) <= 0.02 and abs(a_par - 0.75) <= 0.02
-          and abs(nu - 55e3) <= 1e3 and 19e-6 <= tcr <= 21e-6)
+          and abs(nu - 55e3) <= 1e3 and 19e-6 <= t_cr <= 21e-6)
     yield ("aperture_and_tcrit_anchor", ok,
-           f"A_perp={a_perp:.4f} A_par={a_par:.4f} nu_eff={nu:.0f} Hz T_cr={tcr*1e6:.2f} uK")
+           f"A_perp={a_perp:.4f} A_par={a_par:.4f} nu_eff={nu:.0f} Hz T_cr={t_cr*1e6:.2f} uK")
 
     d_half = 1.0 - np.exp(-0.5)
     angles = chsh.pattern_angles("standard", np.pi / 8)

@@ -76,6 +76,19 @@ def test_validate_stdout_matches_golden_file(capsys):
     assert capsys.readouterr().out == GOLDEN_VALIDATE.read_text()
 
 
+def test_validate_checks_the_paper_anchor_at_the_papers_working_point(capsys):
+    # a non-default aperture breaks nothing: the quoted A_perp, A_par, nu_eff
+    # and T_cr belong to the paper's trap and aperture, so the line is the golden one
+    code = cli.main(["validate", "--theta0", "0.05", "--samples", "20000"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+
+    def anchor(text):
+        return next(ln for ln in text.splitlines() if "aperture_and_tcrit_anchor" in ln)
+
+    assert anchor(out) == anchor(GOLDEN_VALIDATE.read_text())
+
+
 def test_validate_flags_singular_variant(capsys, monkeypatch):
     singular = gates.h2_singular()
     monkeypatch.setattr(gates, "h2", lambda: singular)

@@ -158,6 +158,19 @@ def test_default_csvs_match_reference_digests(tmp_path, argv, out, written):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[name], name
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_csv_files_follow_the_umask(tmp_path, umask, mode):
+    digests = json.loads(REFERENCE_JSON.read_text(encoding="utf-8"))["csv_sha256"]
+    old = os.umask(umask)
+    try:
+        assert run(["tcrit", "--out", str(tmp_path / "tcrit.csv")]) == 0
+    finally:
+        os.umask(old)
+    path = tmp_path / "tcrit.csv"
+    assert path.stat().st_mode & 0o777 == mode
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digests["tcrit.csv"]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = {
         "trap": {"nu_perp_hz": 100e3, "nu_par_hz": 25e3, "nu_recoil_hz": 3.6e3,
