@@ -50,13 +50,14 @@ def pattern_angles(kind: str, x: float) -> ChshAngles:
     raise ValueError(f"pattern kind must be one of {PATTERN_KINDS}, got {kind!r}")
 
 
-def _check_d(d: float):
-    if not 0.0 <= d <= 1.0:
+def _check_d(d):
+    """Reject a decoherence level, or any element of an array of them, outside [0, 1] or NaN."""
+    if not ((d.min() >= 0.0 and d.max() <= 1.0) if isinstance(d, np.ndarray) else 0.0 <= d <= 1.0):
         raise ValueError(f"decoherence level must lie in [0, 1], got {d}")
 
 
-def _check_xi(xi: float):
-    if not xi >= 0.0:
+def _check_xi(xi):
+    if not (xi.min() >= 0.0 if isinstance(xi, np.ndarray) else xi >= 0.0):
         raise ValueError(f"scattering ratio must be >= 0, got {xi}")
 
 
@@ -155,22 +156,36 @@ _C_NODES = np.cos(np.pi * (np.arange(6) + 0.5) / 6)
 
 
 def _power_coef(curve) -> np.ndarray:
-    """Power-basis coefficients in c = cos 2x of a curve of degree <= 5 in c."""
-    return np.linalg.solve(np.vander(_C_NODES), curve(np.arccos(_C_NODES) / 2))
+    """Power-basis coefficients in c = cos 2x of a curve of degree <= 5 in c, or the
+    (m, 6) ones of m curves given as columns, each by its own single-column solve."""
+    y = curve(np.arccos(_C_NODES) / 2)
+    return np.linalg.solve(np.vander(_C_NODES), y.T[..., None])[..., 0]
 
 
-def _grid_max(curve) -> float:
-    """Largest |curve(x)| for x between the _X_ENDS, for a curve of degree <= 5
-    in c = cos 2x: interpolated through _C_NODES, it is evaluated at the ends
-    and at the derivative's roots, real parts clipped into the range (a complex
-    or clipped root only adds a point inside it, which cannot raise the maximum).
-    """
-    c = np.clip(np.roots(np.polyder(_power_coef(curve))).real, *_C_ENDS)
-    return float(np.max(np.abs(curve(np.concatenate((_X_ENDS, np.arccos(c) / 2))))))
+def _grid_max(curve, d):
+    """Largest |curve(x, d)| for x between the _X_ENDS, for d or each element of
+    an array d, where curve has degree <= 5 in c = cos 2x and broadcasts x of
+    shape (k, m) against the m values of d.  The m curves are interpolated
+    through _C_NODES and evaluated at the ends and at their derivatives' roots,
+    the eigenvalues of (m, 4, 4) companion matrices, real parts clipped into the
+    range (a complex or clipped root only adds a point inside it, which cannot
+    raise the maximum)."""
+    flat = np.ravel(d).astype(float)
+    der = _power_coef(lambda x: curve(x[:, None], flat))[:, :-1] * np.arange(5, 0, -1)
+    # an exactly zero leading coefficient (np.roots strips it) becomes round-off
+    # of the others: its extra root is huge and clipped, the rest stay put
+    tiny = np.maximum(np.finfo(float).eps * np.abs(der).max(axis=1), np.finfo(float).tiny)
+    top = -der[:, 1:] / np.where(der[:, 0] != 0, der[:, 0], tiny)[:, None]
+    companion = np.concatenate((top[:, None], np.broadcast_to(np.eye(3, 4), (flat.size, 3, 4))), 1)
+    c = np.clip(np.linalg.eigvals(companion).real.T, *_C_ENDS)
+    x = np.concatenate((np.broadcast_to(_X_ENDS[:, None], (2, flat.size)), np.arccos(c) / 2))
+    out = np.max(np.abs(curve(x, flat)), axis=0).reshape(np.shape(d))
+    return out if out.ndim else float(out)
 
 
-def s_max(d: float, initial: str = "ge", kind: str = "standard") -> float:
-    """Maximum of |S(x)| over the open interval x in (0, pi/2).
+def s_max(d, initial: str = "ge", kind: str = "standard"):
+    """Maximum of |S(x)| over the open interval x in (0, pi/2), for a decoherence
+    level d or elementwise for an array of them.
 
     Exact: S is a polynomial of degree 5 in cos 2x, so the maximum over
     [pi/4002, pi/2 - pi/4002] sits at a root of its derivative or at an end.
@@ -178,13 +193,13 @@ def s_max(d: float, initial: str = "ge", kind: str = "standard") -> float:
     exactly (all four angle pairs coincide), so once the interior peak decays
     below 2 this maximum saturates just under 2 instead of dropping further.
     """
-    return _grid_max(lambda x: chsh_s_curve(x, initial, d, kind))
+    return _grid_max(lambda x, d: chsh_s_curve(x, initial, d, kind), d)
 
 
-def s_at_standard_angle(d: float) -> float:
+def s_at_standard_angle(d):
     """Violating-family S at the d = 0 optimum x = pi/8: sqrt(2) (2 - d)."""
     _check_d(d)
-    return float(np.sqrt(2.0) * (2.0 - d))
+    return np.sqrt(2.0) * (2.0 - d)
 
 
 def e_gg_scatter(d: float, xi: float, theta1, theta2,
@@ -220,9 +235,9 @@ def s_gg_scatter_curve(x, d: float, xi: float, form: str = "closed_form") -> np.
                              pattern_angles("standard", np.asarray(x, dtype=float)))
 
 
-def s_gg_scatter_max(d: float, xi: float, form: str = "closed_form") -> float:
-    """Maximum of |S_gg(x)| with scattering over x in (0, pi/2)."""
-    return _grid_max(lambda x: s_gg_scatter_curve(x, d, xi, form))
+def s_gg_scatter_max(d, xi: float, form: str = "closed_form"):
+    """Maximum of |S_gg(x)| with scattering over x in (0, pi/2); d may be an array."""
+    return _grid_max(lambda x, d: s_gg_scatter_curve(x, d, xi, form), d)
 
 
 def scatter_threshold(d: float, fixed_x: float | None = None) -> float:

@@ -219,27 +219,29 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ConfigError(f"non-finite result {value}: an input is out of range")
-        return f"{value:.12g}"
-    return str(value)
+def _decoherence(ratio):
+    """Exponential decoherence level 1 - exp(-T/T_cr) of a ratio or an array of them."""
+    return 1.0 - np.exp(-ratio)
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write rows atomically: compose in a temp file, then rename into place.
+    """Write a table of floats (an array or a list of rows), each cell to 12
+    significant digits, atomically: compose in a temp file, then rename into place.
 
-    A non-finite float cell raises ConfigError before the rename, so no file is left.
+    A non-finite cell raises ConfigError before any file is made.
     """
+    table = np.asarray(rows, dtype=float)
+    finite = np.isfinite(table)
+    if np.count_nonzero(finite) < table.size:
+        raise ConfigError(f"non-finite result {table[~finite][0]}: an input is out of range")
+    line = ",".join(["%.12g"] * len(header)) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(line % tuple(row) for row in table.tolist())
         # mkstemp makes the file owner-only; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -271,23 +273,18 @@ def cmd_tcrit(cfg: SimpleNamespace) -> int:
 
 def cmd_bell_sweep(cfg: SimpleNamespace) -> int:
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.grid_n)
-    curves = chsh.sweep_s(xs, 1.0 - np.exp(-cfg.t_over_tcr), cfg.pattern)
-    rows = zip(xs, curves["gg"], curves["ge"], curves["eg"], curves["ee"])
-    write_csv(cfg.out, ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"], rows)
+    curves = chsh.sweep_s(xs, _decoherence(cfg.t_over_tcr), cfg.pattern)
+    write_csv(cfg.out, ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"],
+              np.column_stack((xs, curves["gg"], curves["ge"], curves["eg"], curves["ee"])))
     print(f"wrote {cfg.out}")
     return 0
 
 
 def cmd_bell_max(cfg: SimpleNamespace) -> int:
     ratios = np.linspace(0.0, cfg.t_max, cfg.t_n)
-    violating = "ge" if cfg.pattern == "standard" else "eg"
-    other = "eg" if cfg.pattern == "standard" else "ge"
-    rows = []
-    for ratio in ratios:
-        d = 1.0 - np.exp(-ratio)
-        rows.append((ratio,
-                     chsh.s_max(d, violating, cfg.pattern),
-                     chsh.s_max(d, other, cfg.pattern)))
+    families = ("ge", "eg") if cfg.pattern == "standard" else ("eg", "ge")
+    d = _decoherence(ratios)
+    rows = np.column_stack([ratios] + [chsh.s_max(d, state, cfg.pattern) for state in families])
     write_csv(cfg.out, ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"], rows)
     print(f"wrote {cfg.out}")
     return 0
@@ -295,7 +292,7 @@ def cmd_bell_max(cfg: SimpleNamespace) -> int:
 
 def cmd_scatter(cfg: SimpleNamespace) -> int:
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.grid_n)
-    d = 1.0 - np.exp(-cfg.t_over_tcr)
+    d = _decoherence(cfg.t_over_tcr)
     header = ["x_rad"]
     columns = [xs]
     for xi in cfg.xi_list:
@@ -303,7 +300,7 @@ def cmd_scatter(cfg: SimpleNamespace) -> int:
         columns.append(chsh.s_gg_scatter_curve(xs, d, xi, "closed_form"))
         header.append(f"S_gg_branch_xi_{xi:g}")
         columns.append(chsh.s_gg_scatter_curve(xs, d, xi, "branch"))
-    write_csv(cfg.out, header, zip(*columns))
+    write_csv(cfg.out, header, np.column_stack(columns))
     print(f"wrote {cfg.out}")
     return 0
 
@@ -318,13 +315,13 @@ def cmd_fidelity(cfg: SimpleNamespace) -> int:
     path_xi = Path(f"{stem}_vs_xi{suffix}")
 
     def cells(ratio, xi):
-        d = 1.0 - np.exp(-ratio)
+        d = _decoherence(ratio)
         return [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
 
     header_t = ["T_over_Tcr"] + [f"{f}_xi_{xi:g}" for xi in cfg.xi_list for f in ("F_B", "F")]
-    rows_t = [[ratio] + [c for xi in cfg.xi_list for c in cells(ratio, xi)] for ratio in ratios]
+    rows_t = np.column_stack([ratios] + [c for xi in cfg.xi_list for c in cells(ratios, xi)])
     header_xi = ["xi"] + [f"{f}_t_{ratio:g}" for ratio in cfg.t_list for f in ("F_B", "F")]
-    rows_xi = [[xi] + [c for ratio in cfg.t_list for c in cells(ratio, xi)] for xi in xis]
+    rows_xi = np.column_stack([xis] + [c for ratio in cfg.t_list for c in cells(ratio, xis)])
 
     write_csv(path_t, header_t, rows_t)
     try:
@@ -398,7 +395,7 @@ def validation_checks(cfg: SimpleNamespace):
     yield ("aperture_and_tcrit_anchor", ok,
            f"A_perp={a_perp:.4f} A_par={a_par:.4f} nu_eff={nu:.0f} Hz T_cr={t_cr*1e6:.2f} uK")
 
-    d_half = 1.0 - np.exp(-0.5)
+    d_half = _decoherence(0.5)
     angles = chsh.pattern_angles("standard", np.pi / 8)
     s0 = chsh.chsh_s("ge", angles, 0.0)
     s5 = chsh.chsh_s("ge", angles, d_half)
@@ -409,8 +406,9 @@ def validation_checks(cfg: SimpleNamespace):
     yield "chsh_standard_angle_values", ok, f"S(d=0)={s0:.9f} S(T/Tcr=0.5)={s5:.6f}"
 
     ratios = np.linspace(0.0, 2.0, 41)
-    smax_curve = np.array([chsh.s_max(1.0 - np.exp(-r)) for r in ratios])
-    std_curve = np.array([chsh.s_at_standard_angle(1.0 - np.exp(-r)) for r in ratios])
+    levels = _decoherence(ratios)
+    smax_curve = chsh.s_max(levels)
+    std_curve = chsh.s_at_standard_angle(levels)
     monotone = bool(np.all(np.diff(smax_curve) <= 1e-9))
     start = abs(smax_curve[0] - 2 * sqrt2) <= 1e-6
     std_cross = float(np.interp(2.0, std_curve[::-1], ratios[::-1]))
@@ -426,11 +424,10 @@ def validation_checks(cfg: SimpleNamespace):
     yield ("scatter_threshold", abs(thr_fixed - 0.119) <= 0.005 and 0.10 <= thr_opt <= 0.20,
            f"xi*(pi/8)={thr_fixed:.4f} xi*(optimized)={thr_opt:.4f}")
 
-    f_anchor = protocol.cnot_fidelity(1.0 - np.exp(-1.0), 0.0)
+    f_anchor = protocol.cnot_fidelity(_decoherence(1.0), 0.0)
     fb_d1 = protocol.bell_meas_fidelity(1.0, 0.0)
     fb_xi1 = protocol.bell_meas_fidelity(0.0, 1.0)
-    curves = [[fidelity(1.0 - np.exp(-r), xi) for r in ratios]
-              for xi in (0.0, 0.05, 0.15, 1.0)
+    curves = [fidelity(levels, xi) for xi in (0.0, 0.05, 0.15, 1.0)
               for fidelity in (protocol.bell_meas_fidelity, protocol.cnot_fidelity)]
     ok = (abs(f_anchor - np.exp(-1.0)) <= 1e-12 and abs(fb_d1 - 0.5) <= 1e-12
           and abs(fb_xi1 - 5.0 / 9.0) <= 1e-12

@@ -4,6 +4,7 @@ Both protocols chain two photon-detection stages (or one stage wrapped in
 local operations).  Atom motion during different stages is uncorrelated, so
 each stage contributes its own interference-damping factor; the two-stage
 sequence therefore dephases through f1 = d - d^2/2 rather than d itself.
+The fidelities and f1 take scalars or arrays that broadcast.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .chsh import _check_d, _check_xi
 from .linalg import elementwise_sqmod
 
 
-def two_stage_dephasing(d: float) -> float:
+def two_stage_dephasing(d):
     """Cross-term damping of a prepare-then-measure sequence: d - d^2/2."""
     _check_d(d)
     return d - 0.5 * d * d
@@ -41,7 +42,7 @@ def bell_meas_matrix(d: float, xi: float) -> np.ndarray:
     return m / (1.0 + 2.0 * xi) ** 2
 
 
-def bell_meas_fidelity(d: float, xi: float) -> float:
+def bell_meas_fidelity(d, xi):
     """Probability of recovering the prepared state; the diagonal of the
     measurement matrix, 1 - (4 xi + f1) / (1 + 2 xi)^2.
 
@@ -52,7 +53,8 @@ def bell_meas_fidelity(d: float, xi: float) -> float:
     _check_d(d)
     _check_xi(xi)
     f1 = two_stage_dephasing(d)
-    return float(1.0 - (4.0 * xi + f1) / (1.0 + 2.0 * xi) ** 2)
+    out = 1.0 - (4.0 * xi + f1) / np.square(1.0 + 2.0 * xi)
+    return out if np.ndim(out) else float(out)
 
 
 def cnot_prob_matrix(d: float, xi: float) -> np.ndarray:
@@ -74,11 +76,12 @@ def cnot_prob_matrix(d: float, xi: float) -> np.ndarray:
     return (detected + double) / (1.0 + 2.0 * xi)
 
 
-def cnot_fidelity(d: float, xi: float) -> float:
+def cnot_fidelity(d, xi):
     """Truth-table fidelity of the conditional CNOT, (1 - d) / (1 + 2 xi)."""
     _check_d(d)
     _check_xi(xi)
-    return float((1.0 - d) / (1.0 + 2.0 * xi))
+    out = (1.0 - d) / (1.0 + 2.0 * xi)
+    return out if np.ndim(out) else float(out)
 
 
 __all__ = [

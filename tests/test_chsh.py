@@ -367,3 +367,75 @@ def test_scatter_threshold_matches_scipy_brentq(thresholds):
 
 def test_scatter_threshold_non_increasing_in_d(thresholds):
     assert np.all(np.diff(thresholds) <= 0.0)
+
+
+#: Decoherence levels of the array-versus-scalar comparisons, both ends included.
+LEVEL_GRID = np.linspace(0.0, 1.0, 401)
+
+
+def _roots_max(curve) -> float:
+    """One curve's maximum from np.roots of its derivative, the per-curve reference."""
+    c = np.clip(np.roots(np.polyder(chsh._power_coef(curve))).real, *chsh._C_ENDS)
+    return float(np.max(np.abs(curve(np.concatenate((chsh._X_ENDS, np.arccos(c) / 2))))))
+
+
+@pytest.mark.parametrize("kind", chsh.PATTERN_KINDS)
+@pytest.mark.parametrize("state", BASIS)
+def test_s_max_over_an_array_matches_the_scalar_calls(state, kind):
+    batched = chsh.s_max(LEVEL_GRID, state, kind)
+    assert batched.shape == LEVEL_GRID.shape
+    # each curve gets its own single-column solve and the companion matrix np.roots
+    # would build, so the batch equals both references to the bit
+    np.testing.assert_array_equal(batched, [chsh.s_max(d, state, kind) for d in LEVEL_GRID])
+    np.testing.assert_array_equal(batched, [
+        _roots_max(lambda x, d=d: chsh.chsh_s_curve(x, state, d, kind)) for d in LEVEL_GRID])
+    assert type(chsh.s_max(0.3, state, kind)) is float
+
+
+@pytest.mark.parametrize("form", ["closed_form", "branch"])
+@pytest.mark.parametrize("xi", [0.0, 0.05, 1.0])
+def test_s_gg_scatter_max_over_an_array_matches_the_scalar_calls(xi, form):
+    batched = chsh.s_gg_scatter_max(LEVEL_GRID, xi, form)
+    np.testing.assert_array_equal(batched,
+                                  [chsh.s_gg_scatter_max(d, xi, form) for d in LEVEL_GRID])
+    np.testing.assert_array_equal(batched, [
+        _roots_max(lambda x, d=d: chsh.s_gg_scatter_curve(x, d, xi, form)) for d in LEVEL_GRID])
+    assert type(chsh.s_gg_scatter_max(0.3, xi, form)) is float
+
+
+def test_maxima_keep_the_shape_of_d():
+    grid = LEVEL_GRID[:6].reshape(2, 3)
+    np.testing.assert_array_equal(chsh.s_max(grid), chsh.s_max(grid.ravel()).reshape(2, 3))
+    assert chsh.s_max([0.0]).shape == (1,)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+@pytest.mark.parametrize("maximize", [chsh.s_max, lambda d: chsh.s_gg_scatter_max(d, 0.05)],
+                         ids=["s_max", "s_gg_scatter_max"])
+def test_maxima_reject_one_bad_element(maximize, bad):
+    with pytest.raises(ValueError):
+        maximize(np.array([0.0, 0.5, bad, 1.0]))
+
+
+def test_maxima_reject_a_bad_scattering_ratio():
+    with pytest.raises(ValueError):
+        chsh.s_gg_scatter_max(LEVEL_GRID, float("nan"))
+
+
+def test_grid_max_takes_a_derivative_with_an_exactly_zero_leading_coefficient(monkeypatch):
+    # np.roots strips such a coefficient; the companion matrix must not divide by it
+    interpolate = chsh._power_coef
+    monkeypatch.setattr(chsh, "_power_coef",
+                        lambda curve: interpolate(curve) * np.array([0.0, 1, 1, 1, 1, 1]))
+
+    def cubic(x, d):  # d T3(cos 2x): |T3| peaks at 1 where cos 2x = +-1/2, inside the range
+        return d * np.cos(6 * x)
+
+    def flat(x, d):
+        return 0.0 * x * d
+
+    with np.errstate(all="raise"):
+        np.testing.assert_allclose(chsh._grid_max(cubic, np.array([0.5, 1.0])), [0.5, 1.0],
+                                   rtol=1e-14)
+        assert chsh._grid_max(cubic, 0.25) == pytest.approx(0.25, rel=1e-14)
+        assert chsh._grid_max(flat, 0.5) == 0.0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim import chsh, cli, motion
+from bellsim import chsh, cli, motion, protocol
 
 SQRT2 = np.sqrt(2.0)
 
@@ -156,6 +156,43 @@ def test_default_csvs_match_reference_digests(tmp_path, argv, out, written):
     assert run([*argv, "--out", str(tmp_path / out)]) == 0
     for name in written:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[name], name
+
+
+def _scalar_csv(header, rows) -> bytes:
+    """A CSV composed cell by cell from scalar calls, as the curve commands once wrote it."""
+    lines = [",".join(header)] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("argv, t_max, t_n, families", [
+    (["--pattern", "mirrored", "--t-max", "10", "--t-n", "301"], 10.0, 301, ("eg", "ge")),
+    (["--t-n", "1"], 2.0, 1, ("ge", "eg")),
+], ids=["mirrored-301", "one-point"])
+def test_bell_max_non_default_grid_matches_scalar_calls(tmp_path, argv, t_max, t_n, families):
+    kind = "mirrored" if "mirrored" in argv else "standard"
+    rows = []
+    for ratio in np.linspace(0.0, t_max, t_n):
+        d = 1.0 - np.exp(-ratio)
+        rows.append([ratio] + [chsh.s_max(d, state, kind) for state in families])
+    out = tmp_path / "bmax.csv"
+    assert run(["bell-max", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == _scalar_csv(
+        ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"], rows)
+
+
+def test_fidelity_non_default_grids_match_scalar_calls(tmp_path):
+    def cells(ratio, xi):
+        d = 1.0 - np.exp(-ratio)
+        return [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
+
+    assert run(["fidelity", "--xi-list", "0,0.3", "--t-list", "0.7", "--t-n", "5",
+                "--xi-n", "3", "--out", str(tmp_path / "fid.csv")]) == 0
+    rows_t = [[r, *cells(r, 0.0), *cells(r, 0.3)] for r in np.linspace(0.0, 2.0, 5)]
+    assert (tmp_path / "fid_vs_t.csv").read_bytes() == _scalar_csv(
+        ["T_over_Tcr", "F_B_xi_0", "F_xi_0", "F_B_xi_0.3", "F_xi_0.3"], rows_t)
+    rows_xi = [[xi, *cells(0.7, xi)] for xi in np.linspace(0.0, 1.0, 3)]
+    assert (tmp_path / "fid_vs_xi.csv").read_bytes() == _scalar_csv(
+        ["xi", "F_B_t_0.7", "F_t_0.7"], rows_xi)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -151,3 +151,37 @@ def test_rejects_out_of_range_parameters():
         protocol.bell_meas_fidelity(0.5, -1.0)
     with pytest.raises(ValueError):
         protocol.cnot_fidelity(1.5, 0.0)
+
+
+#: Exponential decoherence levels on the validate T grid, and a xi grid.
+LEVELS = 1.0 - np.exp(-np.linspace(0.0, 2.0, 41))
+XIS = np.linspace(0.0, 3.0, 31)
+
+
+@pytest.mark.parametrize("fidelity", [protocol.bell_meas_fidelity, protocol.cnot_fidelity])
+def test_fidelities_over_arrays_match_the_scalar_calls_bitwise(fidelity):
+    batched = fidelity(LEVELS[:, None], XIS)
+    assert batched.shape == (LEVELS.size, XIS.size)
+    np.testing.assert_array_equal(
+        batched, [[fidelity(float(d), float(xi)) for xi in XIS] for d in LEVELS])
+    assert type(fidelity(0.3, 0.05)) is float
+
+
+def test_two_stage_dephasing_over_an_array_matches_the_scalar_calls_bitwise():
+    np.testing.assert_array_equal(protocol.two_stage_dephasing(LEVELS),
+                                  [protocol.two_stage_dephasing(float(d)) for d in LEVELS])
+
+
+@pytest.mark.parametrize("fidelity", [protocol.bell_meas_fidelity, protocol.cnot_fidelity])
+@pytest.mark.parametrize("d, xi", [
+    (np.array([0.0, 1.5]), 0.1), (np.array([0.2, float("nan")]), 0.1),
+    (0.2, np.array([0.0, -1.0])), (0.2, np.array([0.0, float("nan")])),
+], ids=["d>1", "d-nan", "xi<0", "xi-nan"])
+def test_fidelities_reject_one_bad_element(fidelity, d, xi):
+    with pytest.raises(ValueError):
+        fidelity(d, xi)
+
+
+def test_two_stage_dephasing_rejects_one_bad_element():
+    with pytest.raises(ValueError):
+        protocol.two_stage_dephasing(np.array([0.5, -0.1]))
