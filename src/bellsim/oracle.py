@@ -30,8 +30,8 @@ mc_decoherence and mc_probabilities read the first stage of each chunk and
 mc_bell_measurement the first two, drawn in that order from the same
 substream, so with one cfg and trap they all see the same stage phases.
 mc_thermal returns all three (one Bell table per xi) from one draw of each
-stage.  mc_f_squared draws a different stream (photon, missed photon,
-displacements) and is separate.
+stage.  mc_f_squared draws a different stream (photon, missed photon from
+the full sphere, displacements) and is separate.
 
 The draws do not depend on the temperature: under the equipartition law each
 axis's thermal spread is proportional to sqrt(T), so the stage phase at T is
@@ -42,10 +42,10 @@ for bit (the scale rounds differently from the per-axis spreads).
 
 Reproducibility contract: sampling is split into chunks of cfg.chunk_size;
 chunk i uses the substream SeedSequence(cfg.seed, spawn_key=(i,)) and the
-partial sums are reduced in chunk order.  Results are therefore bit-identical
-for a fixed (seed, chunk_size, n_samples) no matter how many workers run the
-chunks, and each estimate of mc_thermal at trap.temperature is bit-identical
-to the separate estimator's.
+partial sums are folded in chunk order as the chunks arrive.  Results are
+therefore bit-identical for a fixed (seed, chunk_size, n_samples) no matter
+how many workers run the chunks, and each estimate of mc_thermal at
+trap.temperature is bit-identical to the separate estimator's.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ import operator
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -115,35 +117,30 @@ class MatrixEstimate:
     row_sum_max_dev: float | None = None
 
 
-def _chunk_counts(cfg: McConfig) -> list[int]:
-    full, rem = divmod(cfg.n_samples, cfg.chunk_size)
-    return [cfg.chunk_size] * full + ([rem] if rem else [])
-
-
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
-    tasks = list(enumerate(_chunk_counts(cfg)))
-    if workers <= 1:
-        return [fn(_chunk_rng(cfg.seed, i), count) for i, count in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: fn(_chunk_rng(cfg.seed, t[0]), t[1]), tasks))
-
-
 def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None) -> list:
-    """Fold the fields fn returns per chunk, in chunk order, each from 0.
+    """Fold the fields fn(rng, count) returns per chunk, in chunk order, each from 0.
 
-    Fields are added unless ops gives another binary function per field.
-    The order is fixed, so the result is bit-identical for any worker count.
+    Chunk i holds cfg.chunk_size samples (the last one the remainder) and
+    draws from the substream SeedSequence(cfg.seed, spawn_key=(i,)).  Fields
+    are added unless ops gives another binary function per field.  Each
+    chunk is folded as it arrives, so no list of partial sums is kept, and
+    the order is fixed, so the result is bit-identical for any worker count.
     """
-    parts = _map_chunks(fn, cfg, workers)
-    ops = ops or (operator.add,) * len(parts[0])
-    totals = [0.0] * len(ops)
-    for part in parts:
-        totals = [op(t, p) for op, t, p in zip(ops, totals, part)]
-    return totals
+    full, rem = divmod(cfg.n_samples, cfg.chunk_size)
+    counts = chain(repeat(cfg.chunk_size, full), [rem] if rem else [])
+    ops = ops or repeat(operator.add)
+
+    def chunk(index, size):
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
+        return fn(np.random.default_rng(seq), size)
+
+    def fold(totals, part):
+        return [op(t, p) for op, t, p in zip(ops, totals, part)]
+
+    if workers <= 1:
+        return reduce(fold, map(chunk, count(), counts), repeat(0.0))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return reduce(fold, pool.map(chunk, count(), counts), repeat(0.0))
 
 
 def _moments(total, total_sq, n: int):
@@ -167,26 +164,23 @@ def sample_displacement(trap: TrapParams, rng: np.random.Generator, size: int) -
     return dr
 
 
-def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float,
-                           theta_min: float | None = None) -> np.ndarray:
+def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float) -> np.ndarray:
     """Rejection sampling of the x-dipole pattern 1 - sin^2(theta) cos^2(phi).
 
     Proposals u = cos(theta) are uniform on [cos_lo, 1), the cap
-    cos(theta) >= cos_lo; with theta_min set, directions with
-    theta <= theta_min (u >= cos(theta_min)) are rejected too.  Returns
-    (size, 3) unit vectors (sin(theta) cos(phi), sin(theta) sin(phi), u);
-    sin(phi) and sin(theta) are evaluated for accepted proposals only.
+    cos(theta) >= cos_lo.  Returns (size, 3) unit vectors
+    (sin(theta) cos(phi), sin(theta) sin(phi), u); sin(phi) and sin(theta)
+    are evaluated for accepted proposals only.
 
-    The pattern is >= u^2, so w < u^2 (outside the excluded cone) is a sure
-    accept; on a cap (cos_lo >= 0) cos(phi) and the exact test run only up
-    to the sure accept that completes the batch (on the whole batch if it
-    holds too few).  With cos_lo < 0 about E[u^2] = 1/3 of the proposals
-    are sure accepts, too few to complete a batch of 2 (size - have) except
-    in the small last rounds, so the test is skipped.  Every batch is still
-    drawn in full, so the draws and accepts are unchanged.
+    The pattern is >= u^2, so w < u^2 is a sure accept; on a cap
+    (cos_lo >= 0) cos(phi) and the exact test run only up to the sure
+    accept that completes the batch (on the whole batch if it holds too few).
+    With cos_lo < 0 about E[u^2] = 1/3 of the proposals are sure accepts,
+    too few to complete a batch of 2 (size - have) except in the small last
+    rounds, so the test is skipped.  Every batch is still drawn in full, so
+    the draws and accepts are unchanged.
     """
     k = np.empty((size, 3))
-    u_max = None if theta_min is None else np.cos(theta_min)
     have = 0
     while have < size:
         need = size - have
@@ -198,16 +192,12 @@ def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float,
             # sure accepts; the margin of 16 units of 2^-53 exceeds the
             # round-off of this bound and of the exact test below
             sure = w < u * u - 2.0**-49
-            if u_max is not None:
-                sure &= u < u_max
             if np.count_nonzero(sure) >= need:
                 end = np.flatnonzero(sure)[need - 1] + 1
                 u, phi, w = u[:end], phi[:end], w[:end]
         cos_phi = np.cos(phi)
         sin2 = (1.0 - u) * (1.0 + u)
         keep = w < 1.0 - sin2 * cos_phi * cos_phi
-        if u_max is not None:
-            keep &= u < u_max
         idx = np.flatnonzero(keep)[:need]
         rows = k[have:have + idx.size]
         sin_theta = np.sqrt(sin2[idx])
@@ -224,14 +214,9 @@ def sample_photon_direction(optics: OpticsParams, rng: np.random.Generator,
     return _sample_dipole_pattern(rng, size, np.cos(optics.theta0))
 
 
-def sample_dipole_direction(rng: np.random.Generator, size: int,
-                            exclude_theta0: float | None = None) -> np.ndarray:
-    """(size, 3) unit vectors from the full-sphere x-dipole pattern (missed photons).
-
-    With exclude_theta0 set, directions inside that cone are rejected too,
-    restricting the missed photon to the complement of the collection cone.
-    """
-    return _sample_dipole_pattern(rng, size, -1.0, exclude_theta0)
+def sample_dipole_direction(rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, 3) unit vectors from the full-sphere x-dipole pattern (missed photons)."""
+    return _sample_dipole_pattern(rng, size, -1.0)
 
 
 def momentum_kick(direction: np.ndarray) -> np.ndarray:
@@ -313,7 +298,8 @@ def _bell_measurement_part(xi: float, cfg: McConfig) -> _Part:
     # one sample at a time, the order whose round-off bench/reference.json pins
     leak = 2.0 * xi / norm
     leak_sums = {count: [np.cumsum(np.full(count, v))[-1] for v in (leak, leak * leak)]
-                 for count in set(_chunk_counts(cfg))}
+                 for count in {min(cfg.chunk_size, cfg.n_samples),
+                               cfg.n_samples % cfg.chunk_size} - {0}}
 
     def sums(count, dp, dq):
         diag = (0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm
@@ -374,21 +360,19 @@ def mc_probabilities(trap: TrapParams, optics: OpticsParams,
 
 
 def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
-                 missed_outside_cone: bool = False, workers: int = 1) -> McEstimate:
+                 workers: int = 1) -> McEstimate:
     """Mean squared modulus of the double-emission interference factor.
 
     f = e^{i(q.dr1 + q_miss.dr2)} + e^{i(q.dr2 + q_miss.dr1)} adds the two
     assignments of (registered, missed) photons to the two atoms.  |f|^2 is
     4 for frozen atoms and decays to 2 once motion scrambles the relative
-    phase.  The missed photon is drawn from the full-sphere dipole pattern
-    by default (it is unobserved); missed_outside_cone restricts it to the
-    complement of the collection cone instead.
+    phase.  Nobody observes the missed photon, so the average runs over
+    every direction it can take: it is drawn from the full-sphere dipole
+    pattern, the average behind b2_matrix's branch weight sqrt(2 xi).
     """
-    exclude = optics.theta0 if missed_outside_cone else None
-
     def chunk(rng, count):
         k = sample_photon_direction(optics, rng, count)
-        dk = sample_dipole_direction(rng, count, exclude)
+        dk = sample_dipole_direction(rng, count)
         dk -= k  # q - q_miss = k_miss - k
         dr = sample_displacement(trap, rng, count)
         dr -= sample_displacement(trap, rng, count)
