@@ -228,7 +228,8 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write a table of floats (an array or a list of rows), each cell to 12
     significant digits, atomically: compose in a temp file, then rename into place.
 
-    A non-finite cell raises ConfigError before any file is made.
+    A non-finite cell raises ConfigError before any file is made, and so
+    does a path that cannot be written, after the temp file is removed.
     """
     table = np.asarray(rows, dtype=float)
     finite = np.isfinite(table)
@@ -236,21 +237,24 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         raise ConfigError(f"non-finite result {table[~finite][0]}: an input is out of range")
     line = ",".join(["%.12g"] * len(header)) + "\n"
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(line % tuple(row) for row in table.tolist())
-        # mkstemp makes the file owner-only; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(",".join(header) + "\n")
+                fh.writelines(line % tuple(row) for row in table.tolist())
+            # mkstemp makes the file owner-only; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp_name, 0o666 & ~umask)
+            os.replace(tmp_name, path)
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_tcrit(cfg: SimpleNamespace) -> int:
@@ -296,9 +300,9 @@ def cmd_scatter(cfg: SimpleNamespace) -> int:
     header = ["x_rad"]
     columns = [xs]
     for xi in cfg.xi_list:
-        header.append(f"S_gg_closed_xi_{xi:g}")
+        header.append(f"S_gg_closed_xi_{xi:.12g}")
         columns.append(chsh.s_gg_scatter_curve(xs, d, xi, "closed_form"))
-        header.append(f"S_gg_branch_xi_{xi:g}")
+        header.append(f"S_gg_branch_xi_{xi:.12g}")
         columns.append(chsh.s_gg_scatter_curve(xs, d, xi, "branch"))
     write_csv(cfg.out, header, np.column_stack(columns))
     print(f"wrote {cfg.out}")
@@ -318,9 +322,9 @@ def cmd_fidelity(cfg: SimpleNamespace) -> int:
         d = _decoherence(ratio)
         return [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
 
-    header_t = ["T_over_Tcr"] + [f"{f}_xi_{xi:g}" for xi in cfg.xi_list for f in ("F_B", "F")]
+    header_t = ["T_over_Tcr"] + [f"{f}_xi_{xi:.12g}" for xi in cfg.xi_list for f in ("F_B", "F")]
     rows_t = np.column_stack([ratios] + [c for xi in cfg.xi_list for c in cells(ratios, xi)])
-    header_xi = ["xi"] + [f"{f}_t_{ratio:g}" for ratio in cfg.t_list for f in ("F_B", "F")]
+    header_xi = ["xi"] + [f"{f}_t_{ratio:.12g}" for ratio in cfg.t_list for f in ("F_B", "F")]
     rows_xi = np.column_stack([xis] + [c for ratio in cfg.t_list for c in cells(ratio, xis)])
 
     write_csv(path_t, header_t, rows_t)

@@ -105,27 +105,20 @@ def axis_variance(trap: TrapParams, axis: str) -> float:
     return 2.0 * trap.nu_recoil * K_B * trap.temperature / (H * nu**2)
 
 
-def direction_weights(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis weights of the momentum-kick direction (q/k) squared.
-
-    q = k_laser - k_photon with the laser along x and the photon at
-    (theta, phi) measured from the cone axis z.
-    """
-    st, ct = np.sin(theta), np.cos(theta)
-    return ((1.0 - st * np.cos(phi)) ** 2, (st * np.sin(phi)) ** 2, ct**2)
-
-
 def mean_square_phase(theta, phi, trap: TrapParams):
     """Thermal variance of the motional phase q . dr for one atom.
 
-    Vanishes identically in the forward-scattering direction
-    (theta = pi/2, phi = 0) where the photon recoil cancels the laser kick.
+    q = k_laser - k_photon with the laser along x and the photon at
+    (theta, phi) measured from the cone axis z; each axis's variance is
+    weighted by that component of q/k squared.  Vanishes identically in the
+    forward-scattering direction (theta = pi/2, phi = 0) where the photon
+    recoil cancels the laser kick.
     """
-    wx, wy, wz = direction_weights(theta, phi)
+    st, ct = np.sin(theta), np.cos(theta)
     return (
-        wx * axis_variance(trap, "x")
-        + wy * axis_variance(trap, "y")
-        + wz * axis_variance(trap, "z")
+        (1.0 - st * np.cos(phi)) ** 2 * axis_variance(trap, "x")
+        + (st * np.sin(phi)) ** 2 * axis_variance(trap, "y")
+        + ct**2 * axis_variance(trap, "z")
     )
 
 
@@ -243,7 +236,6 @@ __all__ = [
     "cap_quadrature",
     "d_approx",
     "d_exact",
-    "direction_weights",
     "mean_square_phase",
     "nu_eff",
     "t_crit",

@@ -97,6 +97,22 @@ def test_scatter_csv(tmp_path):
     assert np.max(np.abs(xi0)) > 2.0
 
 
+def test_list_values_distinct_to_12_digits_label_distinct_columns(tmp_path):
+    # labels carry the 12 significant digits of the cells, so nearby values
+    # no longer share a column name
+    assert run(["scatter", "--xi-list", "0.1234567,0.1234568", "--grid-n", "3",
+                "--out", str(tmp_path / "s.csv")]) == 0
+    assert read_csv(tmp_path / "s.csv")[0] == [
+        "x_rad", "S_gg_closed_xi_0.1234567", "S_gg_branch_xi_0.1234567",
+        "S_gg_closed_xi_0.1234568", "S_gg_branch_xi_0.1234568"]
+    assert run(["fidelity", "--xi-list", "0.1234567,0.1234568", "--t-list", "1.0000001,1.0000002",
+                "--t-n", "2", "--xi-n", "2", "--out", str(tmp_path / "f.csv")]) == 0
+    assert read_csv(tmp_path / "f_vs_t.csv")[0] == [
+        "T_over_Tcr", "F_B_xi_0.1234567", "F_xi_0.1234567", "F_B_xi_0.1234568", "F_xi_0.1234568"]
+    assert read_csv(tmp_path / "f_vs_xi.csv")[0] == [
+        "xi", "F_B_t_1.0000001", "F_t_1.0000001", "F_B_t_1.0000002", "F_t_1.0000002"]
+
+
 def test_fidelity_csvs(tmp_path):
     out = tmp_path / "fid.csv"
     assert run(["fidelity", "--out", str(out)]) == 0
@@ -269,6 +285,24 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, doc):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, out, made", [
+    (["tcrit"], "taken.csv", "taken.csv"),
+    (["tcrit"], "plain/x.csv", None),
+    (["fidelity"], "fid.csv", "fid_vs_t.csv"),
+    (["fidelity"], "fid.csv", "fid_vs_xi.csv"),
+], ids=["tcrit-out-is-a-directory", "tcrit-out-under-a-file", "fidelity-first-table-is-a-directory",
+        "fidelity-second-table-is-a-directory"])
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, argv, out, made):
+    # made is an existing directory in the way of a table; plain is a file
+    (tmp_path / "plain").write_text("")
+    if made is not None:
+        (tmp_path / made).mkdir()
+    assert run([*argv, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {tmp_path / (made or out)}: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(filter(None, ["plain", made]))
 
 
 @pytest.mark.parametrize("argv, doc, key", [
