@@ -1,3 +1,4 @@
+import operator
 import os
 import subprocess
 import sys
@@ -157,7 +158,31 @@ def _row_check_chunk(theta1, theta2):
     return chunk
 
 
-REDUCTION_CASES = [(300, 300), (10_500, 4_000), (7, 7)]
+# (n, chunk_size): one full chunk; full chunks and a remainder; a tiny run;
+# one chunk shorter than chunk_size; full chunks only; chunks of one sample;
+# a one-sample remainder after longer chunks
+REDUCTION_CASES = [(300, 300), (10_500, 4_000), (7, 7), (5, 8), (600, 200), (5, 1), (9, 4)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("n, chunk_size", REDUCTION_CASES)
+def test_reduce_chunks_folds_each_chunk_once_in_chunk_order(n, chunk_size, workers):
+    # chunk i holds chunk_size samples (the last one the remainder) and draws
+    # from substream i; an order-keeping fold sees the chunks as 0, 1, 2, ...
+    cfg = oracle.McConfig(n, 53, chunk_size)
+
+    def fn(rng, size):
+        return size, [(size, rng.random())]
+
+    def append(total, part):
+        return [*total, *part] if total else part
+
+    total, chunks = oracle._reduce_chunks(fn, cfg, workers, (operator.add, append))
+    sizes = [chunk_size] * (n // chunk_size) + ([n % chunk_size] if n % chunk_size else [])
+    draws = [np.random.default_rng(np.random.SeedSequence(53, spawn_key=(i,))).random()
+             for i in range(len(sizes))]
+    assert total == n
+    assert chunks == list(zip(sizes, draws))
 
 
 @pytest.mark.parametrize("n, chunk_size", REDUCTION_CASES)
