@@ -4,7 +4,8 @@ Ground truth is the operator pipeline: compose the Bell operator with the
 Raman analysis rotation, square entry moduli, and average the motional cross
 terms with weight (1 - d).  The compact trigonometric forms are kept next to
 it as transcription checks and as the fast path for curve sweeps; tests pin
-the two routes together entrywise.
+the two routes together entrywise.  Both probability matrices take (d, theta1,
+theta2) as scalars or arrays that broadcast and return a (..., 4, 4) stack.
 
 Every swept S(x) is a polynomial of degree <= 5 in cos 2x, so its maxima and
 the scattering threshold are exact: taken at polynomial roots, with no search.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import BRANCH_ATOM1, BRANCH_ATOM2, raman_matrix
-from .linalg import BASIS, STATE_INDEX
+from .linalg import BASIS, STATE_INDEX, stack_matrix
 
 PATTERN_KINDS = ("standard", "mirrored")
 
@@ -61,25 +62,32 @@ def _check_xi(xi):
         raise ValueError(f"scattering ratio must be >= 0, got {xi}")
 
 
-def probabilities_closed_form(d: float, theta1: float, theta2: float) -> np.ndarray:
+def _per_matrix(value) -> np.ndarray:
+    """A scalar or an array of them, shaped to scale a (..., 4, 4) stack."""
+    return np.asarray(value)[..., None, None]
+
+
+def probabilities_closed_form(d, theta1, theta2) -> np.ndarray:
     """Initial-state -> final-state probability matrix, compact trig form.
 
     Row order and column order both follow (gg, ge, eg, ee).
     """
     _check_d(d)
+    # float_power squares through libm pow as a scalar ** 2 does; an array's
+    # ** 2 multiplies and can round the other way
     q = d * np.sin(2.0 * theta1) * np.sin(2.0 * theta2)
-    sin_m = 0.5 * (np.sin(theta1 - theta2) ** 2 + 0.5 * q)
-    cos_m = 0.5 * (np.cos(theta1 - theta2) ** 2 - 0.5 * q)
-    cos_p = 0.5 * (np.cos(theta1 + theta2) ** 2 + 0.5 * q)
-    sin_p = 0.5 * (np.sin(theta1 + theta2) ** 2 - 0.5 * q)
-    return np.array(
+    sin_m = 0.5 * (np.float_power(np.sin(theta1 - theta2), 2) + 0.5 * q)
+    cos_m = 0.5 * (np.float_power(np.cos(theta1 - theta2), 2) - 0.5 * q)
+    cos_p = 0.5 * (np.float_power(np.cos(theta1 + theta2), 2) + 0.5 * q)
+    sin_p = 0.5 * (np.float_power(np.sin(theta1 + theta2), 2) - 0.5 * q)
+    return stack_matrix(
         [[sin_m, cos_m, cos_m, sin_m],
          [cos_m, sin_m, sin_m, cos_m],
          [cos_p, sin_p, sin_p, cos_p],
          [sin_p, cos_p, cos_p, sin_p]])
 
 
-def probabilities_first_principles(d: float, theta1: float, theta2: float) -> np.ndarray:
+def probabilities_first_principles(d, theta1, theta2) -> np.ndarray:
     """Same probability matrix from the composed operator.
 
     Each entry of Bell @ Raman is x e^{i p1} + y e^{i p2}; the thermal
@@ -89,7 +97,7 @@ def probabilities_first_principles(d: float, theta1: float, theta2: float) -> np
     r = raman_matrix(theta1, theta2).real
     x = BRANCH_ATOM1 @ r / np.sqrt(2.0)
     y = BRANCH_ATOM2 @ r / np.sqrt(2.0)
-    return x**2 + y**2 + 2.0 * (1.0 - d) * x * y
+    return x**2 + y**2 + _per_matrix(2.0 * (1.0 - d)) * x * y
 
 
 def correlation(p_row) -> float:
@@ -278,22 +286,3 @@ def scatter_threshold(d: float, fixed_x: float | None = None) -> float:
     v = np.max(np.abs(b_c) / (2 - np.sign(b_c) * a_c))
     return float(max(0.0, 0.5 * (v - 1.0)))
 
-
-__all__ = [
-    "ChshAngles",
-    "PATTERN_KINDS",
-    "chsh_s",
-    "chsh_s_curve",
-    "correlation",
-    "correlation_closed_form",
-    "e_gg_scatter",
-    "pattern_angles",
-    "probabilities_closed_form",
-    "probabilities_first_principles",
-    "s_at_standard_angle",
-    "s_gg_scatter_curve",
-    "s_gg_scatter_max",
-    "s_max",
-    "scatter_threshold",
-    "sweep_s",
-]

@@ -354,35 +354,26 @@ def validation_checks(cfg: SimpleNamespace):
     yield ("flawed_second_local_detected", bad >= 0.5 and np.linalg.matrix_rank(singular) < 4,
            f"defect with singular variant={bad:.3f}")
 
-    worst = 0.0
-    for _ in range(50):
-        t1, t2 = rng.uniform(-np.pi, np.pi, 2)
-        xis = rng.uniform(-np.pi, np.pi, 4)
-        worst = max(worst, linalg.unitarity_defect(gates.local_matrix(t1, t2, *xis)))
+    # each block of draws is the stream that one scalar draw per quantity per
+    # sample would take, row by row, and is checked in one array call
+    t1, t2, *xis = rng.uniform(-np.pi, np.pi, (50, 6)).T
+    worst = linalg.unitarity_defect(gates.local_matrix(t1, t2, *xis))
     yield "local_operations_unitary", worst <= 1e-13, f"max defect={worst:.3e}"
 
-    worst = max(linalg.unitarity_defect(gates.bell_matrix(p, p))
-                for p in rng.uniform(-np.pi, np.pi, 20))
+    p = rng.uniform(-np.pi, np.pi, 20)
+    worst = linalg.unitarity_defect(gates.bell_matrix(p, p))
     yield "bell_matrix_unitary_at_equal_phases", worst <= 1e-13, f"max defect={worst:.3e}"
 
-    gap = 0.0
-    for _ in range(100):
-        d = rng.uniform(0, 1)
-        t1, t2 = rng.uniform(-np.pi, np.pi, 2)
-        gap = max(gap, float(np.max(np.abs(
-            chsh.probabilities_closed_form(d, t1, t2)
-            - chsh.probabilities_first_principles(d, t1, t2)))))
+    d, t1, t2 = rng.uniform([0, -np.pi, -np.pi], [1, np.pi, np.pi], (100, 3)).T
+    gap = float(np.max(np.abs(chsh.probabilities_closed_form(d, t1, t2)
+                              - chsh.probabilities_first_principles(d, t1, t2))))
     yield "closed_vs_first_principles_probabilities", gap <= 1e-12, f"max entry gap={gap:.3e}"
 
-    worst = 0.0
-    for _ in range(100):
-        d = rng.uniform(0, 1)
-        xi = rng.uniform(0, 1)
-        t1, t2 = rng.uniform(-np.pi, np.pi, 2)
-        for m in (chsh.probabilities_closed_form(d, t1, t2),
-                  protocol.bell_meas_matrix(d, xi),
-                  protocol.cnot_prob_matrix(d, xi)):
-            worst = max(worst, float(np.max(np.abs(m.sum(axis=1) - 1.0))))
+    d, xi, t1, t2 = rng.uniform([0, 0, -np.pi, -np.pi], [1, 1, np.pi, np.pi], (100, 4)).T
+    worst = max(float(np.max(np.abs(m.sum(axis=-1) - 1.0)))
+                for m in (chsh.probabilities_closed_form(d, t1, t2),
+                          protocol.bell_meas_matrix(d, xi),
+                          protocol.cnot_prob_matrix(d, xi)))
     yield "probability_rows_stochastic", worst <= 1e-12, f"max row defect={worst:.3e}"
 
     config = gates.GeneralBellConfig(geometry_phase=np.pi)
@@ -458,8 +449,8 @@ def validation_checks(cfg: SimpleNamespace):
            f"correlation gap(xi=0.05)={gap05:.4f} gap(xi=1e-6)={gap0:.2e} "
            f"S-column gap={s_gap:.4f}")
 
-    d_exact = {frac: motion.d_exact(cfg.trap.with_temperature(frac * tcr), cfg.optics)
-               for frac in (0.1, 0.2, 0.25, 0.5, 0.75, 1.0)}
+    fracs = (0.1, 0.2, 0.25, 0.5, 0.75, 1.0)
+    d_exact = dict(zip(fracs, motion.d_exact(cfg.trap, cfg.optics, np.multiply(fracs, tcr))))
     worst = 0.0
     for frac in (0.1, 0.25, 0.5, 0.75, 1.0):
         trap = cfg.trap.with_temperature(frac * tcr)

@@ -5,7 +5,9 @@ photon from the atom pair maps each factorized basis state onto an entangled
 state whose two branches carry the motional phases p_i = q . dr_i of the atom
 that scattered.  Raman rotations and diagonal phase shifts supply the local
 (single-atom) operations; specific combinations of the two turn the Bell
-operation into a controlled-NOT.
+operation into a controlled-NOT.  The Bell, Raman, phase, local and
+double-excitation builders take scalars or arrays that broadcast and return
+one 4x4 matrix per element, as a (..., 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 # unitarity_defect is not used here: bench/tests/test_bench.py traces it as an
 # example of a `from ... import` rebinding; callers use linalg.unitarity_defect
-from .linalg import matrix4, unitarity_defect  # noqa: F401
+from .linalg import matrix4, stack_matrix, unitarity_defect  # noqa: F401
 
 SQRT2 = np.sqrt(2.0)
 
@@ -35,7 +37,7 @@ BRANCH_ATOM2 = np.array(
      [0, 0, 1, 0]], dtype=float)
 
 
-def bell_matrix(p1: float = 0.0, p2: float = 0.0) -> np.ndarray:
+def bell_matrix(p1=0.0, p2=0.0) -> np.ndarray:
     """Conditional Bell operator for motional phases (p1, p2).
 
     Row i is the expansion of the state prepared from basis state i once a
@@ -43,9 +45,10 @@ def bell_matrix(p1: float = 0.0, p2: float = 0.0) -> np.ndarray:
     orthogonal; unequal phases break unitarity because the two scattering
     branches no longer interfere perfectly.
     """
-    if not (np.isfinite(p1) and np.isfinite(p2)):
+    if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
         raise ValueError("motional phases must be finite")
-    return (np.exp(1j * p1) * BRANCH_ATOM1 + np.exp(1j * p2) * BRANCH_ATOM2) / SQRT2
+    return (np.exp(1j * p1)[..., None, None] * BRANCH_ATOM1
+            + np.exp(1j * p2)[..., None, None] * BRANCH_ATOM2) / SQRT2
 
 
 @dataclass(frozen=True)
@@ -121,21 +124,29 @@ def orthogonality_defect(b) -> tuple[float, float]:
     return (abs(ip1), abs(ip2))
 
 
-def raman_single(theta: float) -> np.ndarray:
+def raman_single(theta) -> np.ndarray:
     """Single-atom Raman rotation in the (g, e) basis, row = initial state."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=float)
+    return stack_matrix([[c, -s], [s, c]])
 
 
-def raman_matrix(theta1: float, theta2: float) -> np.ndarray:
-    """Two-atom Raman rotation; the tensor product of two single-atom rotations."""
-    return np.kron(raman_single(theta1), raman_single(theta2)).astype(complex)
+def raman_matrix(theta1, theta2) -> np.ndarray:
+    """Two-atom Raman rotation; the tensor product of two single-atom rotations.
+
+    Entry (2i + k, 2j + l) is a[i, j] * b[k, l], the one product np.kron forms.
+    """
+    a, b = raman_single(theta1), raman_single(theta2)
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (4, 4)).astype(complex)
 
 
-def phase_matrix(xi_g1: float, xi_e1: float, xi_g2: float, xi_e2: float) -> np.ndarray:
+def phase_matrix(xi_g1, xi_e1, xi_g2, xi_e2) -> np.ndarray:
     """Diagonal phase shift exp(i(xi_{a1} + xi_{b2})) per basis state (a b)."""
-    total = np.array([xi_g1 + xi_g2, xi_g1 + xi_e2, xi_e1 + xi_g2, xi_e1 + xi_e2])
-    return np.diag(np.exp(1j * total))
+    total = np.stack(np.broadcast_arrays(
+        xi_g1 + xi_g2, xi_g1 + xi_e2, xi_e1 + xi_g2, xi_e1 + xi_e2), axis=-1)
+    out = np.zeros(total.shape + (4,), dtype=complex)
+    out[..., range(4), range(4)] = np.exp(1j * total)
+    return out
 
 
 def local_matrix(theta1, theta2, xi_g1, xi_e1, xi_g2, xi_e2) -> np.ndarray:
@@ -181,21 +192,21 @@ def cnot_target() -> np.ndarray:
          [0, 0, 1, 0]], dtype=complex)
 
 
-def b2_matrix(xi: float) -> np.ndarray:
+def b2_matrix(xi) -> np.ndarray:
     """Double-excitation branch operator for scattering weight xi = (b/a)^2.
 
     Both atoms get excited, one photon is registered and the second is
     missed, flipping both qubits; sqrt(2 xi) is the branch amplitude after
     averaging the missed-photon interference factor.
     """
-    if not xi >= 0:
+    if not np.all(np.asarray(xi) >= 0):
         raise ValueError("double-excitation ratio xi must be >= 0")
     flip_both = np.array(
         [[0, 0, 0, 1],
          [0, 0, 1, 0],
          [0, 1, 0, 0],
          [1, 0, 0, 0]], dtype=complex)
-    return np.sqrt(2.0 * xi) * flip_both
+    return np.sqrt(2.0 * xi)[..., None, None] * flip_both
 
 
 def verify_cnot_identity(second_local=None, bell=None) -> float:
@@ -208,23 +219,3 @@ def verify_cnot_identity(second_local=None, bell=None) -> float:
     second = h2() if second_local is None else matrix4(second_local)
     return float(np.max(np.abs(h1() @ b @ second - cnot_target())))
 
-
-__all__ = [
-    "BRANCH_ATOM1",
-    "BRANCH_ATOM2",
-    "GeneralBellConfig",
-    "b2_matrix",
-    "bell_matrix",
-    "bell_matrix_general",
-    "cnot_target",
-    "h1",
-    "h2",
-    "h2_singular",
-    "local_matrix",
-    "orthogonality_defect",
-    "orthogonality_inner_products",
-    "phase_matrix",
-    "raman_matrix",
-    "raman_single",
-    "verify_cnot_identity",
-]

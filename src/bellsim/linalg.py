@@ -18,19 +18,26 @@ STATE_INDEX = {state: i for i, state in enumerate(BASIS)}
 
 
 def matrix4(entries) -> np.ndarray:
-    """Return a validated 4x4 complex matrix (finite entries, fixed basis)."""
+    """Return a validated 4x4 complex matrix, or a (..., 4, 4) stack of them
+    (finite entries, fixed basis)."""
     m = np.asarray(entries, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m.copy()
 
 
+def stack_matrix(rows) -> np.ndarray:
+    """(..., n, n) array from an n x n nested list of entries that broadcast."""
+    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows)))
+
+
 def unitarity_defect(a) -> float:
-    """Max-norm of A @ A^dagger - I; zero exactly when A is unitary."""
+    """Max-norm of A @ A^dagger - I, the largest over a stack; zero exactly when A is unitary."""
     m = matrix4(a)
-    return float(np.max(np.abs(m @ m.conj().T - np.eye(4))))
+    return float(np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(4))))
 
 
 def elementwise_sqmod(a) -> np.ndarray:

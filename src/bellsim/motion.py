@@ -95,30 +95,33 @@ def _axis_frequency(trap: TrapParams, axis: str) -> float:
         raise ValueError(f"axis must be x, y or z, got {axis!r}") from None
 
 
-def axis_variance(trap: TrapParams, axis: str) -> float:
+def axis_variance(trap: TrapParams, axis: str, temperature=None):
     """Thermal position variance along one axis, in units of 1/k^2.
 
     The paper's equipartition law, k^2 <dr^2> = 2 nu_R k_B T / (h nu^2), the
-    same law that defines T_cr; exactly zero at T = 0.
+    same law that defines T_cr; exactly zero at T = 0.  A temperature (K), a
+    scalar or an array, replaces trap.temperature when given.
     """
     nu = _axis_frequency(trap, axis)
-    return 2.0 * trap.nu_recoil * K_B * trap.temperature / (H * nu**2)
+    temperature = trap.temperature if temperature is None else temperature
+    return 2.0 * trap.nu_recoil * K_B * temperature / (H * nu**2)
 
 
-def mean_square_phase(theta, phi, trap: TrapParams):
+def mean_square_phase(theta, phi, trap: TrapParams, temperature=None):
     """Thermal variance of the motional phase q . dr for one atom.
 
     q = k_laser - k_photon with the laser along x and the photon at
     (theta, phi) measured from the cone axis z; each axis's variance is
     weighted by that component of q/k squared.  Vanishes identically in the
     forward-scattering direction (theta = pi/2, phi = 0) where the photon
-    recoil cancels the laser kick.
+    recoil cancels the laser kick.  A temperature replaces trap.temperature
+    as in axis_variance and broadcasts against the angles.
     """
     st, ct = np.sin(theta), np.cos(theta)
     return (
-        (1.0 - st * np.cos(phi)) ** 2 * axis_variance(trap, "x")
-        + (st * np.sin(phi)) ** 2 * axis_variance(trap, "y")
-        + ct**2 * axis_variance(trap, "z")
+        (1.0 - st * np.cos(phi)) ** 2 * axis_variance(trap, "x", temperature)
+        + (st * np.sin(phi)) ** 2 * axis_variance(trap, "y", temperature)
+        + ct**2 * axis_variance(trap, "z", temperature)
     )
 
 
@@ -145,14 +148,19 @@ def angular_pdf(theta, phi, optics: OpticsParams):
 
 
 def cap_quadrature(func, theta0: float, tol: float = 1e-9,
-                   start_order: int = 16, max_order: int = 512) -> tuple[float, float]:
+                   start_order: int = 16, max_order: int = 512):
     """Integrate func(theta, phi) * sin(theta) over the spherical cap.
 
     Tensor-product Gauss-Legendre with the order doubled until two successive
-    estimates differ by less than tol.  Returns (value, error estimate);
-    raises QuadratureError when max_order is reached without convergence.
+    estimates differ by less than tol.  func may return a stack of values,
+    shape (..., n_theta, n_phi), for one integral per leading index: each keeps
+    the estimate of the first order at which it converges, so it reads as if
+    integrated alone, and every one must converge.  Returns (value, error
+    estimate): a float, or an array of integrals beside the largest error.
+    Raises QuadratureError, naming the worst element of a stack, when max_order
+    is reached without convergence.
     """
-    previous, err = None, float("inf")
+    previous, gap = None, None
     order = start_order
     while order <= max_order:
         nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -161,16 +169,23 @@ def cap_quadrature(func, theta0: float, tol: float = 1e-9,
         phi = np.pi * (nodes + 1.0)
         wp = np.pi * weights
         th_grid, ph_grid = np.meshgrid(theta, phi, indexing="ij")
-        value = float(np.einsum("i,j,ij->", wt, wp, np.asarray(func(th_grid, ph_grid), dtype=float)))
-        if previous is not None:
-            err = abs(value - previous)
-            if err < tol:
-                return value, err
+        value = np.einsum("i,j,...ij->...", wt, wp, np.asarray(func(th_grid, ph_grid), dtype=float))
+        if previous is None:
+            result, error, pending = value, np.full(value.shape, np.inf), np.ones(value.shape, bool)
+        else:
+            gap = np.abs(value - previous)
+            done = pending & (gap < tol)
+            result, error = np.where(done, value, result), np.where(done, gap, error)
+            pending = pending & ~done
+            if not pending.any():
+                return (result if result.ndim else float(result)), float(error.max())
         previous = value
         order *= 2
+    gap = np.where(pending, np.inf if gap is None else gap, -1.0)
+    where = f" (worst element {int(np.argmax(gap))})" if gap.ndim else ""
     raise QuadratureError(
-        f"cone quadrature did not converge below {tol} by order {max_order}",
-        estimate=previous, error=err)
+        f"cone quadrature did not converge below {tol} by order {max_order}{where}",
+        estimate=previous if previous.ndim else float(previous), error=float(gap.max()))
 
 
 def aperture_coefficients(optics: OpticsParams) -> tuple[float, float]:
@@ -208,35 +223,28 @@ def d_approx(trap: TrapParams, optics: OpticsParams) -> float:
     return float(-np.expm1(-trap.temperature / t_crit(trap, optics)))
 
 
-def d_exact(trap: TrapParams, optics: OpticsParams) -> float:
+def d_exact(trap: TrapParams, optics: OpticsParams, temperatures=None):
     """Decoherence parameter by direct quadrature of the dephasing factor.
 
     Integrates 1 - exp(-<(q.dr)^2>_T), as -expm1 so D keeps its digits far
     below T_cr, against the collected dipole pattern; the exponential estimate
     replaces the average of the exponential with the exponential of the
     average, so this value is never larger (Jensen).
+
+    Returns D at trap.temperature as a float, or, given an array of
+    temperatures (K), an array of D for the same trap and aperture from one
+    angular grid per quadrature order.
     """
+    temps = np.asarray(trap.temperature if temperatures is None else temperatures, dtype=float)
+    if not np.all(np.isfinite(temps) & (temps >= 0)):
+        raise ValueError("temperatures must be finite and >= 0")
+    # one temperature axis ahead of the (theta, phi) grid
+    per_grid = temps[..., None, None]
+
     def integrand(theta, phi):
-        return angular_pdf(theta, phi, optics) * -np.expm1(-mean_square_phase(theta, phi, trap))
+        return (angular_pdf(theta, phi, optics)
+                * -np.expm1(-mean_square_phase(theta, phi, trap, per_grid)))
 
     decoherence, _ = cap_quadrature(integrand, optics.theta0, tol=1e-10)
-    return float(decoherence)
+    return decoherence
 
-
-__all__ = [
-    "DEFAULT_OPTICS",
-    "DEFAULT_TRAP",
-    "OpticsParams",
-    "QuadratureError",
-    "TrapParams",
-    "angular_norm_const",
-    "angular_pdf",
-    "aperture_coefficients",
-    "axis_variance",
-    "cap_quadrature",
-    "d_approx",
-    "d_exact",
-    "mean_square_phase",
-    "nu_eff",
-    "t_crit",
-]

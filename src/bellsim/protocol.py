@@ -4,7 +4,8 @@ Both protocols chain two photon-detection stages (or one stage wrapped in
 local operations).  Atom motion during different stages is uncorrelated, so
 each stage contributes its own interference-damping factor; the two-stage
 sequence therefore dephases through f1 = d - d^2/2 rather than d itself.
-The fidelities and f1 take scalars or arrays that broadcast.
+The fidelities and f1 take scalars or arrays that broadcast; the two
+probability matrices take arrays of (d, xi) and return a (..., 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import gates
-from .chsh import _check_d, _check_xi
-from .linalg import elementwise_sqmod
+from .chsh import _check_d, _check_xi, _per_matrix
+from .linalg import elementwise_sqmod, stack_matrix
 
 
 def two_stage_dephasing(d):
@@ -22,7 +23,7 @@ def two_stage_dephasing(d):
     return d - 0.5 * d * d
 
 
-def bell_meas_matrix(d: float, xi: float) -> np.ndarray:
+def bell_meas_matrix(d, xi) -> np.ndarray:
     """Probability matrix of preparing a Bell state and measuring it back.
 
     Symmetric and doubly stochastic: the diagonal is the success probability,
@@ -32,14 +33,15 @@ def bell_meas_matrix(d: float, xi: float) -> np.ndarray:
     _check_d(d)
     _check_xi(xi)
     f1 = two_stage_dephasing(d)
-    diag = 1.0 - f1 + 4.0 * xi**2
+    # float_power squares through libm pow, as a scalar ** 2 does
+    diag = 1.0 - f1 + 4.0 * np.float_power(xi, 2)
     leak = 2.0 * xi
-    m = np.array(
+    m = stack_matrix(
         [[diag, leak, leak, f1],
          [leak, diag, f1, leak],
          [leak, f1, diag, leak],
          [f1, leak, leak, diag]])
-    return m / (1.0 + 2.0 * xi) ** 2
+    return m / _per_matrix(np.float_power(1.0 + 2.0 * xi, 2))
 
 
 def bell_meas_fidelity(d, xi):
@@ -57,7 +59,7 @@ def bell_meas_fidelity(d, xi):
     return out if np.ndim(out) else float(out)
 
 
-def cnot_prob_matrix(d: float, xi: float) -> np.ndarray:
+def cnot_prob_matrix(d, xi) -> np.ndarray:
     """Motion-averaged CNOT truth table from the composed operators.
 
     The detected branch decomposes into the two scattering paths
@@ -71,9 +73,9 @@ def cnot_prob_matrix(d: float, xi: float) -> np.ndarray:
     x = left @ (gates.BRANCH_ATOM1 / np.sqrt(2.0)) @ right
     y = left @ (gates.BRANCH_ATOM2 / np.sqrt(2.0)) @ right
     detected = (np.abs(x) ** 2 + np.abs(y) ** 2
-                + 2.0 * (1.0 - d) * (x * y.conj()).real)
+                + _per_matrix(2.0 * (1.0 - d)) * (x * y.conj()).real)
     double = elementwise_sqmod(left @ gates.b2_matrix(xi) @ right)
-    return (detected + double) / (1.0 + 2.0 * xi)
+    return (detected + double) / _per_matrix(1.0 + 2.0 * xi)
 
 
 def cnot_fidelity(d, xi):
@@ -83,11 +85,3 @@ def cnot_fidelity(d, xi):
     out = (1.0 - d) / (1.0 + 2.0 * xi)
     return out if np.ndim(out) else float(out)
 
-
-__all__ = [
-    "bell_meas_fidelity",
-    "bell_meas_matrix",
-    "cnot_fidelity",
-    "cnot_prob_matrix",
-    "two_stage_dephasing",
-]
