@@ -30,6 +30,10 @@ import numpy as np
 from . import chsh, gates, linalg, motion, protocol
 
 DEFAULT_SEED = 20240
+#: Fixed ceilings, so the exit code of a call does not depend on the machine:
+#: one thread per worker, and a chunk's arrays grow with its size.
+MAX_WORKERS = 256
+MAX_CHUNK_SIZE = 1_000_000
 
 
 class ConfigError(Exception):
@@ -38,14 +42,15 @@ class ConfigError(Exception):
 
 class _Setting(NamedTuple):
     """A setting's kind (float, int, str, or list: comma-separated floats >= 0),
-    flag help, default, (section, key) in the config file if any, lower bound
-    and allowed values."""
+    flag help, default, (section, key) in the config file if any, lower and
+    upper bounds and allowed values."""
     kind: type
     help: str
     default: object = None
     key: tuple[str, str] | None = None
     lo: float | None = None
     choices: tuple[str, ...] | None = None
+    hi: int | None = None
 
 
 _SETTINGS = {
@@ -72,8 +77,9 @@ _SETTINGS = {
     "--seed": _Setting(int, "Monte-Carlo seed", DEFAULT_SEED, ("mc", "seed"), lo=0),
     # one sample has no standard error
     "--samples": _Setting(int, "Monte-Carlo sample count", 100_000, ("mc", "n_samples"), lo=2),
-    "--chunk-size": _Setting(int, "Monte-Carlo chunk size", 10_000, ("mc", "chunk_size"), lo=1),
-    "--workers": _Setting(int, "parallel chunk workers", 1, lo=1),
+    "--chunk-size": _Setting(int, "Monte-Carlo chunk size", 10_000, ("mc", "chunk_size"), lo=1,
+                             hi=MAX_CHUNK_SIZE),
+    "--workers": _Setting(int, "parallel chunk workers", 1, lo=1, hi=MAX_WORKERS),
     "--xi-list": _Setting(list, "comma-separated xi values", "0,0.05,0.15,1"),
     "--t-list": _Setting(list, "T/T_cr values for the xi table", "0,0.2,0.5,1"),
     "--t-max": _Setting(float, "largest T/T_cr", 2.0, lo=0.0),
@@ -133,16 +139,18 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _number(value, name: str, lo: float | None = None, integer: bool = False):
-    """Typed parse of every numeric setting: a finite number, >= lo when given,
-    integral when asked; anything else raises ConfigError."""
+def _number(value, name: str, lo: float | None = None, integer: bool = False,
+            hi: int | None = None):
+    """Typed parse of every numeric setting: a finite number, >= lo and <= hi
+    when given, integral when asked; anything else raises ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     number = float(value) if abs(value) <= sys.float_info.max else math.inf
     if (not np.isfinite(number) or (lo is not None and number < lo)
-            or (integer and not number.is_integer())):
+            or (hi is not None and value > hi) or (integer and not number.is_integer())):
         kind = "an integer" if integer else "a finite number"
         bound = f" >= {lo:g}" if lo is not None else ""
+        bound += f" and <= {hi}" if hi is not None else ""
         raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
     return int(value) if integer else number
 
@@ -189,7 +197,7 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
         if setting.kind is list:
             value = _parse_float_list(value, name)
         elif setting.kind is not str and value is not None:
-            value = _number(value, name, setting.lo, integer=setting.kind is int)
+            value = _number(value, name, setting.lo, setting.kind is int, setting.hi)
         values[dest] = value
 
     try:
@@ -254,7 +262,10 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
                 os.unlink(tmp_name)
             raise
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        # mkdir reports a file in the way of the parent as "File exists"
+        blocking = [parent for parent in path.parents if parent.exists() and not parent.is_dir()]
+        reason = f"{blocking[0]} is not a directory" if blocking else exc.strerror or exc
+        raise ConfigError(f"cannot write {path}: {reason}") from exc
 
 
 def cmd_tcrit(cfg: SimpleNamespace) -> int:
@@ -529,8 +540,11 @@ def main(argv=None) -> int:
         # an overflow or an undefined value inside numpy is an out-of-range input too
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return handler(build_config(args))
-    except (ConfigError, OverflowError, ZeroDivisionError, FloatingPointError) as exc:
-        reason = exc if isinstance(exc, ConfigError) else f"an input is out of range ({exc})"
+    # so is a size that does not fit in memory
+    except (ConfigError, OverflowError, ZeroDivisionError, FloatingPointError,
+            MemoryError) as exc:
+        reason = (exc if isinstance(exc, ConfigError)
+                  else f"an input is out of range ({str(exc) or type(exc).__name__})")
         print(f"error: {reason}", file=sys.stderr)
         return 2
 

@@ -125,9 +125,11 @@ def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None) -> list:
     are added unless ops gives another binary function per field.  Each
     chunk is folded as it arrives, so no list of partial sums is kept, and
     the order is fixed, so the result is bit-identical for any worker count.
+    No more threads are started than there are chunks.
     """
     full, rem = divmod(cfg.n_samples, cfg.chunk_size)
     counts = chain(repeat(cfg.chunk_size, full), [rem] if rem else [])
+    workers = min(workers, full + bool(rem))
     ops = ops or repeat(operator.add)
 
     def chunk(index, size):
@@ -448,20 +450,3 @@ def mc_thermal(trap: TrapParams, optics: OpticsParams, theta1: float, theta2: fl
     return ThermalEstimate(decoherence, probabilities, tuple(rest[:len(bell)]),
                            tuple(rest[len(bell):]))
 
-
-__all__ = [
-    "DecoherenceEstimate",
-    "MatrixEstimate",
-    "McConfig",
-    "McEstimate",
-    "ThermalEstimate",
-    "mc_bell_measurement",
-    "mc_decoherence",
-    "mc_f_squared",
-    "mc_probabilities",
-    "mc_thermal",
-    "momentum_kick",
-    "sample_dipole_direction",
-    "sample_displacement",
-    "sample_photon_direction",
-]

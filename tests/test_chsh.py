@@ -439,3 +439,46 @@ def test_grid_max_takes_a_derivative_with_an_exactly_zero_leading_coefficient(mo
                                    rtol=1e-14)
         assert chsh._grid_max(cubic, 0.25) == pytest.approx(0.25, rel=1e-14)
         assert chsh._grid_max(flat, 0.5) == 0.0
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _closed_form_reference(d, theta1, theta2):
+    """The scalar closed form as first written: np.array of scalar ** 2 terms."""
+    q = d * np.sin(2.0 * theta1) * np.sin(2.0 * theta2)
+    sin_m = 0.5 * (np.sin(theta1 - theta2) ** 2 + 0.5 * q)
+    cos_m = 0.5 * (np.cos(theta1 - theta2) ** 2 - 0.5 * q)
+    cos_p = 0.5 * (np.cos(theta1 + theta2) ** 2 + 0.5 * q)
+    sin_p = 0.5 * (np.sin(theta1 + theta2) ** 2 - 0.5 * q)
+    return np.array([[sin_m, cos_m, cos_m, sin_m], [cos_m, sin_m, sin_m, cos_m],
+                     [cos_p, sin_p, sin_p, cos_p], [sin_p, cos_p, cos_p, sin_p]])
+
+
+def test_probability_matrices_over_arrays_equal_scalar_calls_bit_for_bit():
+    # 2000 draws: an array's x ** 2 and a scalar's pow(x, 2) differ in about
+    # one draw in a thousand, so a multiply in the array path would show here
+    rng = np.random.default_rng(21)
+    d = rng.uniform(0, 1, 2000)
+    t1, t2 = rng.uniform(-np.pi, np.pi, (2, 2000))
+    closed = chsh.probabilities_closed_form(d, t1, t2)
+    first = chsh.probabilities_first_principles(d, t1, t2)
+    assert closed.shape == first.shape == (2000, 4, 4)
+    for i in range(2000):
+        args = (float(d[i]), float(t1[i]), float(t2[i]))
+        scalar = chsh.probabilities_closed_form(*args)
+        assert _same_bits(scalar, _closed_form_reference(*args))
+        assert _same_bits(closed[i], scalar)
+        assert _same_bits(first[i], chsh.probabilities_first_principles(*args))
+
+
+def test_probability_matrices_broadcast_a_scalar_level_against_angle_arrays():
+    t = np.linspace(-1.0, 1.0, 7)
+    stack = chsh.probabilities_first_principles(0.3, t, 0.2)
+    assert stack.shape == (7, 4, 4)
+    for row, t1 in zip(stack, t):
+        assert _same_bits(row, chsh.probabilities_first_principles(0.3, t1, 0.2))
+    with pytest.raises(ValueError):
+        chsh.probabilities_closed_form(np.array([0.5, 1.5]), t[:2], t[:2])

@@ -531,3 +531,52 @@ def test_exit_code_contract_over_drawn_inputs(tmp_path_factory, call):
         for path in csvs:
             _, data = read_csv(path)
             assert np.all(np.isfinite(data))
+
+
+def test_out_under_a_file_names_the_file_that_is_not_a_directory(tmp_path, capsys):
+    (tmp_path / "plain").write_text("")
+    for out in ("plain/x.csv", "plain/sub/x.csv"):
+        assert run(["tcrit", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write {tmp_path / out}: "
+                       f"{tmp_path / 'plain'} is not a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["plain"]
+
+
+@pytest.mark.parametrize("flag, key, ceiling", [
+    ("--workers", None, cli.MAX_WORKERS),
+    ("--chunk-size", "chunk_size", cli.MAX_CHUNK_SIZE),
+])
+def test_workers_and_chunk_size_have_fixed_ceilings(tmp_path, capsys, flag, key, ceiling):
+    # resolved only, never run: the ceiling itself is accepted, one more is not
+    parser = cli._make_parser()
+    cfg = cli.build_config(parser.parse_args(["validate", flag, str(ceiling)]))
+    assert (cfg.workers if key is None else cfg.mc.chunk_size) == ceiling
+    with pytest.raises(cli.ConfigError, match=f"<= {ceiling}"):
+        cli.build_config(parser.parse_args(["validate", flag, str(ceiling + 1)]))
+    if key is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps({"mc": {key: 10 * ceiling}}))
+        with pytest.raises(cli.ConfigError, match=f"mc.{key}"):
+            cli.build_config(parser.parse_args(["validate", "--config", str(tmp_path / "cfg.json")]))
+    assert run(["validate", flag, str(ceiling + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("error, reason", [
+    (MemoryError("Unable to allocate 72.8 TiB for an array"),
+     "Unable to allocate 72.8 TiB for an array"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy-message", "bare"])
+def test_memory_error_exits_2_with_one_error_line(monkeypatch, capsys, error, reason):
+    # a stand-in estimator raises; nothing large is allocated
+    from bellsim import oracle
+
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(oracle, "mc_thermal", out_of_memory)
+    assert run(["validate", "--samples", "2000", "--chunk-size", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: an input is out of range ({reason})"]
+    assert "[  ok] d_exact_vs_exponential" in captured.out

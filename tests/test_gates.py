@@ -256,3 +256,51 @@ def test_cnot_identity_breaks_with_common_motion_phase():
 def test_cnot_cornerstone_entrywise():
     product = gates.h1() @ gates.bell_matrix(0, 0) @ gates.h2()
     np.testing.assert_allclose(product, gates.cnot_target(), atol=1e-12)
+
+
+def _same_bits(a, b):
+    """Equal shape, dtype and bits, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def test_raman_matrix_is_np_kron_of_the_single_rotations_bit_for_bit():
+    t = np.random.default_rng(11).uniform(-2 * np.pi, 2 * np.pi, (200, 2))
+    stack = gates.raman_matrix(t[:, 0], t[:, 1])
+    for row, (t1, t2) in zip(stack, t):
+        kron = np.kron(gates.raman_single(t1), gates.raman_single(t2)).astype(complex)
+        assert _same_bits(gates.raman_matrix(t1, t2), kron)
+        assert _same_bits(row, kron)
+
+
+def test_array_builders_equal_their_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(12)
+    t = rng.uniform(-np.pi, np.pi, (100, 6))
+    xi = rng.uniform(0, 2, 100)
+    local = gates.local_matrix(*t.T)
+    phase = gates.phase_matrix(*t[:, 2:].T)
+    bell = gates.bell_matrix(t[:, 0], t[:, 1])
+    double = gates.b2_matrix(xi)
+    assert local.shape == phase.shape == bell.shape == double.shape == (100, 4, 4)
+    for i, row in enumerate(t):
+        assert _same_bits(local[i], gates.local_matrix(*row))
+        assert _same_bits(phase[i], gates.phase_matrix(*row[2:]))
+        assert _same_bits(bell[i], gates.bell_matrix(row[0], row[1]))
+        assert _same_bits(double[i], gates.b2_matrix(xi[i]))
+
+
+def test_unitarity_defect_of_a_stack_is_the_largest_scalar_defect():
+    p = np.random.default_rng(13).uniform(-np.pi, np.pi, (30, 2))
+    stack = gates.bell_matrix(p[:, 0], p[:, 1])
+    assert unitarity_defect(stack) == max(unitarity_defect(m) for m in stack)
+    assert type(unitarity_defect(stack)) is float
+
+
+def test_matrix_builders_reject_bad_elements_of_an_array():
+    with pytest.raises(ValueError):
+        gates.bell_matrix(np.array([0.0, np.nan]), 0.0)
+    with pytest.raises(ValueError):
+        gates.b2_matrix(np.array([0.1, -0.1]))
+    with pytest.raises(ValueError):
+        unitarity_defect(np.zeros((3, 4)))

@@ -270,3 +270,51 @@ def test_cap_quadrature_single_order_has_no_error_estimate():
 def test_planck_and_boltzmann_constants_are_the_si_values():
     assert motion.H == const.h
     assert motion.K_B == const.k
+
+
+def _ulps(a, b):
+    return np.abs(np.asarray(a) - b) / np.spacing(np.abs(b))
+
+
+@pytest.mark.parametrize("nu_par, theta0, scale", [
+    (50e3, np.pi / 4, 1.0), (5e3, 0.3, 3.0), (500e3, 1.5, 1e-6), (50e3, motion.THETA0_MIN, 0.2),
+])
+def test_d_exact_over_temperatures_matches_the_scalar_calls(nu_par, theta0, scale):
+    optics = OpticsParams(theta0)
+    trap = replace(DEFAULT_TRAP, nu_par=nu_par)
+    temps = scale * motion.t_crit(trap, optics) * np.array([0.1, 0.2, 0.25, 0.5, 0.75, 1.0])
+    values = motion.d_exact(trap, optics, temps)
+    scalars = [motion.d_exact(trap.with_temperature(t), optics) for t in temps]
+    assert values.shape == (6,)
+    assert np.all(_ulps(values, scalars) <= 4)
+    assert all(type(v) is float for v in scalars)
+
+
+def test_d_exact_over_temperatures_keeps_zero_and_rejects_bad_ones():
+    values = motion.d_exact(DEFAULT_TRAP, DEFAULT_OPTICS, [0.0, TCR_DEFAULT, 0.0])
+    assert values[0] == values[2] == 0.0
+    assert values[1] == motion.d_exact(DEFAULT_TRAP.with_temperature(TCR_DEFAULT), DEFAULT_OPTICS)
+    for bad in ([TCR_DEFAULT, -1e-9], [np.nan], [np.inf]):
+        with pytest.raises(ValueError):
+            motion.d_exact(DEFAULT_TRAP, DEFAULT_OPTICS, bad)
+
+
+def test_cap_quadrature_stack_keeps_each_integral_at_its_own_order():
+    # the smooth integrand converges at the first comparison, the sharp one
+    # later; each element reads as if integrated alone
+    smooth = lambda th, ph: np.cos(th) ** 2
+    sharp = lambda th, ph: np.exp(-30.0 * np.sin(th) ** 2 * np.cos(ph) ** 2)
+    both = lambda th, ph: np.stack([smooth(th, ph), sharp(th, ph)])
+    values, err = motion.cap_quadrature(both, np.pi / 2, tol=1e-12)
+    alone = [motion.cap_quadrature(f, np.pi / 2, tol=1e-12) for f in (smooth, sharp)]
+    assert np.all(_ulps(values, [v for v, _ in alone]) <= 4)
+    assert err == max(e for _, e in alone)
+
+
+def test_cap_quadrature_stack_names_the_worst_element():
+    rough = lambda th, ph: np.abs(np.sin(200.0 * th * np.cos(3 * ph)))
+    both = lambda th, ph: np.stack([np.ones_like(th), rough(th, ph)])
+    with pytest.raises(QuadratureError, match="worst element 1") as err:
+        motion.cap_quadrature(both, np.pi / 2, tol=1e-14, start_order=8, max_order=32)
+    assert err.value.estimate.shape == (2,)
+    assert err.value.error > 1e-14

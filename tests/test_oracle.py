@@ -655,3 +655,37 @@ def test_partial_final_chunk_counted_once():
     cfg = oracle.McConfig(n_samples=10_500, seed=3, chunk_size=4_000)
     est = oracle.mc_decoherence(TRAP_HALF, DEFAULT_OPTICS, cfg)
     assert est.estimate.n == 10_500
+
+
+class _RecordingPool:
+    """Stand-in for ThreadPoolExecutor: records max_workers, runs map in this thread."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("n, chunk_size, workers, pool", [
+    (5, 2, 64, 3), (5, 2, 2, 2), (6, 2, 200, 3), (8, 8, 16, None), (1, 1_000, 256, None),
+], ids=["more-workers-than-chunks", "fewer-workers-than-chunks", "full-chunks-only",
+        "one-full-chunk", "one-short-chunk"])
+def test_reduce_chunks_starts_no_more_threads_than_chunks(monkeypatch, n, chunk_size, workers,
+                                                         pool):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", _RecordingPool)
+    cfg = oracle.McConfig(n, 7, chunk_size)
+
+    def fn(rng, size):
+        return size, rng.random()
+
+    assert oracle._reduce_chunks(fn, cfg, workers) == oracle._reduce_chunks(fn, cfg, 1)
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])

@@ -185,3 +185,38 @@ def test_fidelities_reject_one_bad_element(fidelity, d, xi):
 def test_two_stage_dephasing_rejects_one_bad_element():
     with pytest.raises(ValueError):
         protocol.two_stage_dephasing(np.array([0.5, -0.1]))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _bell_meas_reference(d, xi):
+    """The scalar Bell-measurement matrix as first written, with Python ** 2."""
+    f1 = d - 0.5 * d * d
+    diag, leak = 1.0 - f1 + 4.0 * xi**2, 2.0 * xi
+    m = np.array([[diag, leak, leak, f1], [leak, diag, f1, leak],
+                  [leak, f1, diag, leak], [f1, leak, leak, diag]])
+    return m / (1.0 + 2.0 * xi) ** 2
+
+
+def test_probability_matrices_over_arrays_equal_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(22)
+    d, xi = rng.uniform(0, 1, (2, 2000))
+    bell = protocol.bell_meas_matrix(d, xi)
+    cnot = protocol.cnot_prob_matrix(d, xi)
+    assert bell.shape == cnot.shape == (2000, 4, 4)
+    for i in range(2000):
+        args = (float(d[i]), float(xi[i]))
+        scalar = protocol.bell_meas_matrix(*args)
+        assert _same_bits(scalar, _bell_meas_reference(*args))
+        assert _same_bits(bell[i], scalar)
+        assert _same_bits(cnot[i], protocol.cnot_prob_matrix(*args))
+
+
+def test_cnot_prob_matrix_over_arrays_rejects_a_bad_element():
+    with pytest.raises(ValueError):
+        protocol.cnot_prob_matrix(np.array([0.2, 0.4]), np.array([0.1, -1.0]))
+    with pytest.raises(ValueError):
+        protocol.bell_meas_matrix(np.array([0.2, np.nan]), 0.0)
