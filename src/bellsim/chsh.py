@@ -285,4 +285,3 @@ def scatter_threshold(d: float, fixed_x: float | None = None) -> float:
     a_c, b_c = np.polyval(a, c), np.polyval(b, c)
     v = np.max(np.abs(b_c) / (2 - np.sign(b_c) * a_c))
     return float(max(0.0, 0.5 * (v - 1.0)))
-

@@ -365,8 +365,8 @@ def validation_checks(cfg: SimpleNamespace):
     yield ("flawed_second_local_detected", bad >= 0.5 and np.linalg.matrix_rank(singular) < 4,
            f"defect with singular variant={bad:.3f}")
 
-    # each block of draws is the stream that one scalar draw per quantity per
-    # sample would take, row by row, and is checked in one array call
+    # each check draws its samples as one block, row by row the same stream as
+    # one scalar draw per quantity, and checks them in one array call
     t1, t2, *xis = rng.uniform(-np.pi, np.pi, (50, 6)).T
     worst = linalg.unitarity_defect(gates.local_matrix(t1, t2, *xis))
     yield "local_operations_unitary", worst <= 1e-13, f"max defect={worst:.3e}"
@@ -537,10 +537,10 @@ def main(argv=None) -> int:
     # looked up at call time, so a rebound cmd_* (a tracing wrapper) is the one run
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        # an overflow or an undefined value inside numpy is an out-of-range input too
+        # an overflow or an undefined value inside numpy is an out-of-range input
+        # too, and so is a size that does not fit in memory
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return handler(build_config(args))
-    # so is a size that does not fit in memory
     except (ConfigError, OverflowError, ZeroDivisionError, FloatingPointError,
             MemoryError) as exc:
         reason = (exc if isinstance(exc, ConfigError)

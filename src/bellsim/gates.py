@@ -112,6 +112,8 @@ def orthogonality_inner_products(b) -> tuple[complex, complex]:
     (ge, eg); both must vanish for the four prepared states to be a basis.
     """
     m = matrix4(b)
+    if m.ndim != 2:
+        raise ValueError(f"expected one 4x4 matrix, got shape {m.shape}")
     return (
         complex(np.vdot(m[3], m[0])),
         complex(np.vdot(m[2], m[1])),
@@ -218,4 +220,3 @@ def verify_cnot_identity(second_local=None, bell=None) -> float:
     b = bell_matrix(0.0, 0.0) if bell is None else matrix4(bell)
     second = h2() if second_local is None else matrix4(second_local)
     return float(np.max(np.abs(h1() @ b @ second - cnot_target())))
-

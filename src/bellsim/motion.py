@@ -160,7 +160,7 @@ def cap_quadrature(func, theta0: float, tol: float = 1e-9,
     Raises QuadratureError, naming the worst element of a stack, when max_order
     is reached without convergence.
     """
-    previous, gap = None, None
+    previous, gap, pending = None, None, np.True_
     order = start_order
     while order <= max_order:
         nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -185,7 +185,8 @@ def cap_quadrature(func, theta0: float, tol: float = 1e-9,
     where = f" (worst element {int(np.argmax(gap))})" if gap.ndim else ""
     raise QuadratureError(
         f"cone quadrature did not converge below {tol} by order {max_order}{where}",
-        estimate=previous if previous.ndim else float(previous), error=float(gap.max()))
+        estimate=previous if previous is None or previous.ndim else float(previous),
+        error=float(gap.max()))
 
 
 def aperture_coefficients(optics: OpticsParams) -> tuple[float, float]:
@@ -247,4 +248,3 @@ def d_exact(trap: TrapParams, optics: OpticsParams, temperatures=None):
 
     decoherence, _ = cap_quadrature(integrand, optics.theta0, tol=1e-10)
     return decoherence
-

@@ -449,4 +449,3 @@ def mc_thermal(trap: TrapParams, optics: OpticsParams, theta1: float, theta2: fl
     decoherence, probabilities, *rest = _sample_parts(trap, optics, cfg, parts, workers)
     return ThermalEstimate(decoherence, probabilities, tuple(rest[:len(bell)]),
                            tuple(rest[len(bell):]))
-

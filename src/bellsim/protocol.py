@@ -84,4 +84,3 @@ def cnot_fidelity(d, xi):
     _check_xi(xi)
     out = (1.0 - d) / (1.0 + 2.0 * xi)
     return out if np.ndim(out) else float(out)
-

@@ -304,3 +304,6 @@ def test_matrix_builders_reject_bad_elements_of_an_array():
         gates.b2_matrix(np.array([0.1, -0.1]))
     with pytest.raises(ValueError):
         unitarity_defect(np.zeros((3, 4)))
+    # the row overlaps are defined for one matrix; a stack is not taken for one
+    with pytest.raises(ValueError):
+        gates.orthogonality_inner_products(gates.bell_matrix(np.zeros(4), 0.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellsim import gates
-from bellsim.linalg import BASIS, elementwise_sqmod, matrix4, unitarity_defect
+from bellsim.linalg import BASIS, elementwise_sqmod, matrix4, stack_matrix, unitarity_defect
 
 I4 = np.eye(4, dtype=complex)
 
@@ -20,6 +20,27 @@ def test_basis_order():
 def test_matrix4_rejects_bad_shape():
     with pytest.raises(ValueError):
         matrix4(np.zeros((3, 3)))
+
+
+def test_matrix4_takes_a_stack_and_checks_every_matrix():
+    stack = np.zeros((2, 3, 4, 4), dtype=complex)
+    assert matrix4(stack).shape == (2, 3, 4, 4)
+    for shape in [(4,), (2, 4, 3), (16,)]:
+        with pytest.raises(ValueError):
+            matrix4(np.zeros(shape))
+    stack[1, 2, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        matrix4(stack)
+
+
+def test_stack_matrix_broadcasts_scalar_and_array_entries():
+    x = np.array([1.0, 2.0, 3.0])
+    m = stack_matrix([[x, 0.5], [-x, 7.0]])
+    assert m.shape == (3, 2, 2) and m.flags.c_contiguous
+    np.testing.assert_array_equal(m[:, 0, 0], x)
+    np.testing.assert_array_equal(m[:, 0, 1], 0.5)
+    np.testing.assert_array_equal(m[:, 1, 0], -x)
+    np.testing.assert_array_equal(stack_matrix([[1.0, 2.0], [3.0, 4.0]]), [[1, 2], [3, 4]])
 
 
 def test_matrix4_rejects_nonfinite():
