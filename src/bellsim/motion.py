@@ -219,9 +219,10 @@ def t_crit(trap: TrapParams, optics: OpticsParams) -> float:
                  (2.0 * trap.nu_recoil * K_B))
 
 
-def d_approx(trap: TrapParams, optics: OpticsParams) -> float:
-    """Exponential estimate of the decoherence parameter, 1 - exp(-T/T_cr)."""
-    return float(-np.expm1(-trap.temperature / t_crit(trap, optics)))
+def d_approx(ratio):
+    """Exponential estimate 1 - exp(-T/T_cr) of the decoherence parameter from a
+    ratio T/T_cr or an array of them; -expm1 keeps its digits far below T_cr."""
+    return -np.expm1(-ratio)
 
 
 def d_exact(trap: TrapParams, optics: OpticsParams, temperatures=None):

@@ -10,15 +10,15 @@ and the draws are those of the earlier (theta, phi) sampler, which
 tests/test_oracle.py keeps as the reference); the kick is q = e_x - k, and a
 stage enters every estimator only through delta = q . (dr1 - dr2).
 
-The per-sample Bell operator is (e^{ip1} BRANCH_ATOM1 + e^{ip2} BRANCH_ATOM2)
-/ sqrt(2) with fixed real branches, so every per-sample probability reduces
-exactly (sample by sample, not in the thermal average) to a cosine of the
-drawn phases:
-  mc_probabilities     X^2 + Y^2 + 2 X Y cos(p1 - p2), with the real
-                       X = BRANCH_ATOM1 R / sqrt(2), Y = BRANCH_ATOM2 R / sqrt(2)
-  mc_bell_measurement  BRANCH_ATOMa BRANCH_ATOMb^T is +-I or +-K (K the signed
-                       anti-diagonal), so with dp = p1 - p2, dq = q1 - q2 and
-                       norm = (1 + 2 xi)^2 the diagonal is
+The per-sample Bell operator is (e^{ip1} B1 + e^{ip2} B2) / sqrt(2) with the
+fixed real branches B1, B2 of gates.bell_matrix, so every per-sample
+probability reduces exactly (sample by sample, not in the thermal average)
+to a cosine of the drawn phases:
+  mc_probabilities     X^2 + Y^2 + 2 X Y cos(p1 - p2), with the real paths
+                       (X, Y) = gates.bell_paths(R) = (B1 R, B2 R) / sqrt(2)
+  mc_bell_measurement  Ba Bb^T is +-I or +-K (K the signed anti-diagonal;
+                       gates.BELL_MEAS_KIND marks which), so with dp = p1 - p2,
+                       dq = q1 - q2 and norm = (1 + 2 xi)^2 the diagonal is
                        (1/2 (1 + cos(dp - dq)) + 4 xi^2) / norm, the
                        anti-diagonal 1/2 (1 - cos(dp + dq)) / norm and the
                        other eight entries 2 xi / norm; a chunk sums these
@@ -51,23 +51,17 @@ trap.temperature is bit-identical to the separate estimator's.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
-from .gates import BRANCH_ATOM1, BRANCH_ATOM2, raman_matrix
+from .gates import BELL_MEAS_KIND, _check_xi, bell_paths, raman_matrix
 from .motion import OpticsParams, TrapParams, axis_variance
-
-SQRT2 = np.sqrt(2.0)
-
-# Kinds of Bell-measurement entry: 0 on the support of I, 1 on that of
-# K = BRANCH_ATOM1 BRANCH_ATOM2^T (the clean/clean bracket), 2 for the 8
-# single-sided double leaks
-_ENTRY_KIND = np.where(np.eye(4, dtype=bool), 0, np.where(BRANCH_ATOM1 @ BRANCH_ATOM2.T, 1, 2))
 
 
 def _index(name: str, value) -> int:
@@ -125,7 +119,9 @@ def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None) -> list:
     are added unless ops gives another binary function per field.  Each
     chunk is folded as it arrives, so no list of partial sums is kept, and
     the order is fixed, so the result is bit-identical for any worker count.
-    No more threads are started than there are chunks.
+    No more threads are started than there are chunks, and at most two
+    chunks per thread are submitted ahead of the fold: enough to keep every
+    thread busy, few enough that memory does not grow with the chunk count.
     """
     full, rem = divmod(cfg.n_samples, cfg.chunk_size)
     counts = chain(repeat(cfg.chunk_size, full), [rem] if rem else [])
@@ -139,10 +135,18 @@ def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None) -> list:
     def fold(totals, part):
         return [op(t, p) for op, t, p in zip(ops, totals, part)]
 
+    def in_order(pool):
+        jobs = map(pool.submit, repeat(chunk), count(), counts)
+        window = deque(islice(jobs, 2 * workers))
+        while window:
+            part = window.popleft().result()
+            window.extend(islice(jobs, 1))
+            yield part
+
     if workers <= 1:
         return reduce(fold, map(chunk, count(), counts), repeat(0.0))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return reduce(fold, pool.map(chunk, count(), counts), repeat(0.0))
+        return reduce(fold, in_order(pool), repeat(0.0))
 
 
 def _moments(total, total_sq, n: int):
@@ -268,9 +272,7 @@ def _decoherence_part(cfg: McConfig, scale: float = 1.0) -> _Part:
 
 
 def _probabilities_part(theta1: float, theta2: float, cfg: McConfig) -> _Part:
-    r = raman_matrix(theta1, theta2).real
-    x = BRANCH_ATOM1 @ r / SQRT2
-    y = BRANCH_ATOM2 @ r / SQRT2
+    x, y = bell_paths(raman_matrix(theta1, theta2).real)
     constant, cross = x * x + y * y, 2.0 * x * y
     row_constant, row_cross = constant.sum(axis=1), cross.sum(axis=1)
 
@@ -293,8 +295,7 @@ def _probabilities_part(theta1: float, theta2: float, cfg: McConfig) -> _Part:
 
 
 def _bell_measurement_part(xi: float, cfg: McConfig) -> _Part:
-    if not xi >= 0:
-        raise ValueError("scattering ratio must be >= 0")
+    _check_xi(xi)
     norm = (1.0 + 2.0 * xi) ** 2
     # the 8 leak entries are 2 xi / norm in every sample; their sums are added
     # one sample at a time, the order whose round-off bench/reference.json pins
@@ -309,7 +310,7 @@ def _bell_measurement_part(xi: float, cfg: McConfig) -> _Part:
         s1, s2 = leak_sums[count]
         table = np.array([[diag.sum(), anti.sum(), s1],
                           [(diag * diag).sum(), (anti * anti).sum(), s2]])
-        return tuple(table[:, _ENTRY_KIND])
+        return tuple(table[:, BELL_MEAS_KIND])
 
     def finish(totals):
         return MatrixEstimate(*_moments(*totals, cfg.n_samples), cfg.n_samples)
@@ -396,7 +397,7 @@ def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
     probabilities add; the double-excitation brackets carry the mean branch
     weight sqrt(2 xi) and the whole table is normalized by (1 + 2 xi)^2.
     Per sample, clean/clean is 1/2 ((e^{i(p1-q1)} + e^{i(p2-q2)}) I +
-    (e^{i(p1-q2)} - e^{i(p2-q1)}) K) with K = BRANCH_ATOM1 BRANCH_ATOM2^T.
+    (e^{i(p1-q2)} - e^{i(p2-q1)}) K) with K = B1 B2^T.
 
     Row sums equal 1 on average (exactly 1 at T = 0); per sample they
     fluctuate with the overlap of the two stages' decorated bases.

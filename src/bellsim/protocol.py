@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import gates
-from .chsh import _check_d, _check_xi, _per_matrix
-from .linalg import elementwise_sqmod, stack_matrix
+from .gates import _check_d, _check_xi, _per_matrix
+from .linalg import elementwise_sqmod
 
 
 def two_stage_dephasing(d):
@@ -35,12 +35,7 @@ def bell_meas_matrix(d, xi) -> np.ndarray:
     f1 = two_stage_dephasing(d)
     # float_power squares through libm pow, as a scalar ** 2 does
     diag = 1.0 - f1 + 4.0 * np.float_power(xi, 2)
-    leak = 2.0 * xi
-    m = stack_matrix(
-        [[diag, leak, leak, f1],
-         [leak, diag, f1, leak],
-         [leak, f1, diag, leak],
-         [f1, leak, leak, diag]])
+    m = np.stack(np.broadcast_arrays(diag, f1, 2.0 * xi), -1)[..., gates.BELL_MEAS_KIND]
     return m / _per_matrix(np.float_power(1.0 + 2.0 * xi, 2))
 
 
@@ -70,8 +65,9 @@ def cnot_prob_matrix(d, xi) -> np.ndarray:
     _check_d(d)
     _check_xi(xi)
     left, right = gates.h1(), gates.h2()
-    x = left @ (gates.BRANCH_ATOM1 / np.sqrt(2.0)) @ right
-    y = left @ (gates.BRANCH_ATOM2 / np.sqrt(2.0)) @ right
+    # left @ gates.bell_paths(right) rounds differently and changes validate's output
+    x = left @ (gates.BRANCH_ATOM1 / gates.SQRT2) @ right
+    y = left @ (gates.BRANCH_ATOM2 / gates.SQRT2) @ right
     detected = (np.abs(x) ** 2 + np.abs(y) ** 2
                 + _per_matrix(2.0 * (1.0 - d)) * (x * y.conj()).real)
     double = elementwise_sqmod(left @ gates.b2_matrix(xi) @ right)

@@ -228,6 +228,21 @@ def test_cnot_target_action():
     np.testing.assert_array_equal(c @ c, np.eye(4))
 
 
+def test_bell_measurement_layout_follows_the_branches():
+    k = gates.BRANCH_ATOM1 @ gates.BRANCH_ATOM2.T
+    kind = np.where(np.eye(4, dtype=bool), 0, np.where(k, 1, 2))
+    np.testing.assert_array_equal(gates.BELL_MEAS_KIND, kind)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(ANGLES, ANGLES, ANGLES, ANGLES)
+def test_bell_paths_split_the_bell_operator(p1, p2, theta1, theta2):
+    r = gates.raman_matrix(theta1, theta2).real
+    x, y = gates.bell_paths(r)
+    np.testing.assert_allclose(gates.bell_matrix(p1, p2) @ r,
+                               np.exp(1j * p1) * x + np.exp(1j * p2) * y, rtol=0, atol=1e-15)
+
+
 def test_b2_matrix():
     np.testing.assert_array_equal(gates.b2_matrix(0.0), np.zeros((4, 4)))
     anti = np.fliplr(np.eye(4))

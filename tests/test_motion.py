@@ -196,14 +196,26 @@ def test_t_crit_curve_shape():
 
 
 def test_d_approx_values():
-    assert motion.d_approx(DEFAULT_TRAP.with_temperature(0.0), DEFAULT_OPTICS) == 0.0
-    at_tcr = motion.d_approx(DEFAULT_TRAP.with_temperature(TCR_DEFAULT), DEFAULT_OPTICS)
-    assert at_tcr == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
+    assert motion.d_approx(0.0) == 0.0
+    assert motion.d_approx(TCR_DEFAULT / TCR_DEFAULT) == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
     temps = np.linspace(0, 5 * TCR_DEFAULT, 30)
-    values = [motion.d_approx(DEFAULT_TRAP.with_temperature(t), DEFAULT_OPTICS)
-              for t in temps]
+    values = [motion.d_approx(t / TCR_DEFAULT) for t in temps]
     assert np.all(np.diff(values) > 0)
     assert values[-1] < 1.0
+
+
+def test_d_approx_array_equals_scalar_calls_bit_for_bit():
+    ratios = np.concatenate(([0.0, 1e-300, 1e-12, 0.5, 1.0], np.linspace(0.0, 5.0, 41)))
+    got = motion.d_approx(ratios)
+    assert got.shape == ratios.shape
+    assert got.tobytes() == np.array([motion.d_approx(float(r)) for r in ratios]).tobytes()
+
+
+@pytest.mark.parametrize("ratio", [1e-12, 1e-300])
+def test_d_approx_keeps_its_digits_far_below_tcr(ratio):
+    # D = r - r^2/2 + O(r^3): d / r - 1 is -r/2, not 0, so compare with the
+    # series; 1 - exp(-r) would be 0 at 1e-300 and off by 2e-5 at 1e-12
+    assert abs(motion.d_approx(ratio) / (ratio - ratio * ratio / 2) - 1.0) <= 1e-15
 
 
 def test_d_exact_zero_at_t0():
@@ -224,14 +236,15 @@ def test_d_exact_below_exponential_down_to_tiny_temperatures(log_ratio, theta0, 
     optics = OpticsParams(theta0)
     trap = replace(DEFAULT_TRAP, nu_par=nu_par)
     trap = trap.with_temperature(10.0**log_ratio * motion.t_crit(trap, optics))
-    exact, approx = motion.d_exact(trap, optics), motion.d_approx(trap, optics)
+    exact = motion.d_exact(trap, optics)
+    approx = motion.d_approx(trap.temperature / motion.t_crit(trap, optics))
     assert 0.0 <= exact <= approx * (1.0 + 1e-12)
 
 
 def test_d_exact_close_to_exponential_below_tcr():
     for frac in (0.1, 0.25, 0.5, 0.75, 1.0):
         trap = DEFAULT_TRAP.with_temperature(frac * TCR_DEFAULT)
-        gap = motion.d_exact(trap, DEFAULT_OPTICS) - motion.d_approx(trap, DEFAULT_OPTICS)
+        gap = motion.d_exact(trap, DEFAULT_OPTICS) - motion.d_approx(frac)
         assert abs(gap) <= 0.05
 
 
@@ -240,7 +253,7 @@ def test_d_exact_never_exceeds_exponential():
     for frac in (0.2, 0.5, 1.0, 2.0, 5.0):
         trap = DEFAULT_TRAP.with_temperature(frac * TCR_DEFAULT)
         assert (motion.d_exact(trap, DEFAULT_OPTICS)
-                <= motion.d_approx(trap, DEFAULT_OPTICS) + 1e-12)
+                <= motion.d_approx(frac) + 1e-12)
 
 
 def test_d_exact_monotone_and_bounded():

@@ -40,19 +40,28 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("call", [
-    lambda: protocol.bell_meas_fidelity(0.3, NAN),
-    lambda: protocol.cnot_fidelity(0.3, NAN),
-    lambda: gates.b2_matrix(NAN),
-    lambda: chsh.e_gg_scatter(0.3, NAN, 0.1, 0.2),
-    lambda: chsh.s_gg_scatter_max(0.3, NAN),
-    lambda: chsh.scatter_threshold(0.3, fixed_x=NAN),
-    lambda: oracle.mc_bell_measurement(TRAP_HALF, DEFAULT_OPTICS, NAN, CFG),
-    lambda: oracle.mc_thermal(TRAP_HALF, DEFAULT_OPTICS, 0.1, 0.2, (NAN,), CFG),
-], ids=["bell_meas_fidelity", "cnot_fidelity", "b2_matrix", "e_gg_scatter",
-        "s_gg_scatter_max", "scatter_threshold-fixed_x", "mc_bell_measurement", "mc_thermal"])
+    lambda xi: protocol.bell_meas_fidelity(0.3, xi),
+    lambda xi: protocol.cnot_fidelity(0.3, xi),
+    lambda xi: protocol.bell_meas_matrix(0.3, xi),
+    lambda xi: protocol.cnot_prob_matrix(0.3, xi),
+    lambda xi: gates.b2_matrix(xi),
+    lambda xi: chsh.e_gg_scatter(0.3, xi, 0.1, 0.2),
+    lambda xi: chsh.s_gg_scatter_max(0.3, xi),
+    lambda xi: oracle.mc_bell_measurement(TRAP_HALF, DEFAULT_OPTICS, xi, CFG),
+    lambda xi: oracle.mc_thermal(TRAP_HALF, DEFAULT_OPTICS, 0.1, 0.2, (xi,), CFG),
+], ids=["bell_meas_fidelity", "cnot_fidelity", "bell_meas_matrix", "cnot_prob_matrix",
+        "b2_matrix", "e_gg_scatter", "s_gg_scatter_max", "mc_bell_measurement", "mc_thermal"])
 def test_nan_scattering_ratio_is_rejected(call):
-    with pytest.raises(ValueError):
-        call()
+    # every entry point that takes xi rejects NaN and a negative value with
+    # the one message of gates._check_xi
+    for xi in (NAN, -0.1):
+        with pytest.raises(ValueError, match="^scattering ratio must be >= 0, got "):
+            call(xi)
+
+
+def test_nan_angle_has_no_scatter_threshold():
+    with pytest.raises(ValueError, match="no threshold exists at this angle"):
+        chsh.scatter_threshold(0.3, fixed_x=NAN)
 
 
 def test_mc_config_accepts_numpy_integers():
@@ -148,7 +157,7 @@ def _table_chunk(xi):
 def _row_check_chunk(theta1, theta2):
     # reference: the largest deviation from 1 of each sample's (count, 4) row sums
     r = gates.raman_matrix(theta1, theta2).real
-    x, y = gates.BRANCH_ATOM1 @ r / oracle.SQRT2, gates.BRANCH_ATOM2 @ r / oracle.SQRT2
+    x, y = gates.BRANCH_ATOM1 @ r / gates.SQRT2, gates.BRANCH_ATOM2 @ r / gates.SQRT2
     row_constant, row_cross = (x * x + y * y).sum(axis=1), (2.0 * x * y).sum(axis=1)
 
     def chunk(rng, count):
@@ -388,29 +397,49 @@ import resource, sys
 from bellsim import oracle
 from bellsim.motion import DEFAULT_OPTICS, DEFAULT_TRAP
 trap = DEFAULT_TRAP.with_temperature(1e-6)
-oracle.mc_probabilities(trap, DEFAULT_OPTICS, 0.3, 1.1, oracle.McConfig(200, 1, 1))
+workers = int(sys.argv[2])
+oracle.mc_probabilities(trap, DEFAULT_OPTICS, 0.3, 1.1, oracle.McConfig(200, 1, 1), workers)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-oracle.mc_probabilities(trap, DEFAULT_OPTICS, 0.3, 1.1, oracle.McConfig(int(sys.argv[1]), 1, 1))
+oracle.mc_probabilities(trap, DEFAULT_OPTICS, 0.3, 1.1, oracle.McConfig(int(sys.argv[1]), 1, 1),
+                        workers)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
+
+
+def _peak_rss_growth_kb(workers):
+    """Peak RSS growth (KB) of a run of 2 000 and of 20 000 one-sample chunks.
+
+    Linux carries the peak RSS of the process that calls exec into the new
+    program's ru_maxrss, so each probe starts from a small launcher, not
+    from pytest.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+    children = [subprocess.Popen([sys.executable, "-c", launch, "-c", _RSS_PROBE, str(n),
+                                  str(workers)],
+                                 stdout=subprocess.PIPE, text=True,
+                                 env=dict(os.environ, PYTHONPATH=str(src)))
+                for n in (2_000, 20_000)]
+    outputs = [child.communicate(timeout=300)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    return map(int, outputs)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB is Linux's")
 def test_single_worker_fold_keeps_peak_memory_flat_in_the_chunk_count():
     # a kept list of partial sums costs about 0.85 KB per 4x4 chunk, some
     # 15 MB more at 20 000 chunks than at 2 000; folding as the chunks arrive
-    # keeps the peak RSS growth of the two runs alike.  Linux carries the
-    # peak RSS of the process that calls exec into the new program's
-    # ru_maxrss, so each probe starts from a small launcher, not from pytest
-    src = Path(__file__).resolve().parents[1] / "src"
-    launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
-    children = [subprocess.Popen([sys.executable, "-c", launch, "-c", _RSS_PROBE, str(n)],
-                                 stdout=subprocess.PIPE, text=True,
-                                 env=dict(os.environ, PYTHONPATH=str(src)))
-                for n in (2_000, 20_000)]
-    outputs = [child.communicate(timeout=300)[0] for child in children]
-    assert [child.returncode for child in children] == [0, 0]
-    small, large = map(int, outputs)
+    # keeps the peak RSS growth of the two runs alike
+    small, large = _peak_rss_growth_kb(1)
+    assert large - small < 4 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB is Linux's")
+def test_two_worker_fold_keeps_peak_memory_flat_in_the_chunk_count():
+    # submitting every chunk up front holds a future and its partial sums per
+    # chunk until the fold reaches it, some 38 MB at 20 000 chunks; the window
+    # of a few chunks per worker keeps the two runs alike
+    small, large = _peak_rss_growth_kb(2)
     assert large - small < 4 * 1024
 
 
@@ -658,11 +687,15 @@ def test_partial_final_chunk_counted_once():
 
 
 class _RecordingPool:
-    """Stand-in for ThreadPoolExecutor: records max_workers, runs map in this thread."""
+    """Stand-in for ThreadPoolExecutor: records max_workers and the most chunks
+    submitted but not yet taken by the fold; runs each chunk in this thread."""
     sizes: list = []
+    peaks: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.peaks.append(0)
+        self.pending = 0
 
     def __enter__(self):
         return self
@@ -670,17 +703,28 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        pool, value = self, fn(*args)
+        self.pending += 1
+        self.peaks[-1] = max(self.peaks[-1], self.pending)
+
+        class Done:
+            def result(self):
+                pool.pending -= 1
+                return value
+
+        return Done()
 
 
 @pytest.mark.parametrize("n, chunk_size, workers, pool", [
     (5, 2, 64, 3), (5, 2, 2, 2), (6, 2, 200, 3), (8, 8, 16, None), (1, 1_000, 256, None),
+    (1_000, 10, 3, 3),
 ], ids=["more-workers-than-chunks", "fewer-workers-than-chunks", "full-chunks-only",
-        "one-full-chunk", "one-short-chunk"])
+        "one-full-chunk", "one-short-chunk", "many-chunks"])
 def test_reduce_chunks_starts_no_more_threads_than_chunks(monkeypatch, n, chunk_size, workers,
                                                          pool):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "peaks", [])
     monkeypatch.setattr(oracle, "ThreadPoolExecutor", _RecordingPool)
     cfg = oracle.McConfig(n, 7, chunk_size)
 
@@ -689,3 +733,6 @@ def test_reduce_chunks_starts_no_more_threads_than_chunks(monkeypatch, n, chunk_
 
     assert oracle._reduce_chunks(fn, cfg, workers) == oracle._reduce_chunks(fn, cfg, 1)
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
+    # at most two chunks per thread are submitted ahead of the fold
+    chunks = -(-n // chunk_size)
+    assert _RecordingPool.peaks == ([] if pool is None else [min(2 * pool, chunks)])

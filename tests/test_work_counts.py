@@ -1,37 +1,49 @@
-"""Work that `bellsim validate` does at the layer boundaries, pinned as counts.
+"""Work that the `bellsim` subcommands do at the layer boundaries, pinned as counts.
 
-Counts are exact on any machine, unlike timings.  Each test runs the command
-in-process with the named module attributes wrapped by counters.  A change
-that lowers a count on purpose re-pins it here; none may rise silently.
+Counts are exact on any machine, unlike timings.  Each test runs a command
+in-process, at its defaults, with the named module attributes wrapped by
+counters.  A change that lowers a count on purpose re-pins it here; none may
+rise silently.
 """
 
 import contextlib
 import functools
 import io
+import threading
 
 import pytest
 
-from bellsim import chsh, cli, gates, linalg, motion, protocol
+from bellsim import chsh, cli, gates, linalg, motion, oracle, protocol
 
 
 class Counter:
-    """Wraps module attributes and counts calls per "module.name"."""
+    """Wraps module attributes and counts calls per "module.name", and the rows
+    of the results of those wrapped with rows=True.  Calls from the oracle's
+    worker threads count too."""
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
         self.calls = {}
+        self.rows = {}
+        self.lock = threading.Lock()
 
-    def wrap(self, module, name, before=None):
+    def wrap(self, module, name, before=None, rows=False):
         original = getattr(module, name)
         key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
         self.calls[key] = 0
+        if rows:
+            self.rows[key] = 0
 
         @functools.wraps(original)
         def counted(*args, **kwargs):
-            self.calls[key] += 1
             if before is not None:
                 args = before(*args)
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            with self.lock:
+                self.calls[key] += 1
+                if rows:
+                    self.rows[key] += len(result)
+            return result
 
         self.monkeypatch.setattr(module, name, counted)
 
@@ -53,11 +65,15 @@ def validate_counts():
         for module, name in [(motion, "d_exact"), (protocol, "cnot_prob_matrix"),
                              (protocol, "bell_meas_matrix"), (gates, "local_matrix"),
                              (gates, "bell_matrix"), (linalg, "unitarity_defect"),
-                             (chsh, "probabilities_closed_form")]:
+                             (chsh, "probabilities_closed_form"), (chsh, "s_max"),
+                             (chsh, "scatter_threshold"), (oracle, "mc_thermal"),
+                             (oracle, "mc_decoherence")]:
             counter.wrap(module, name)
+        for name in ("sample_photon_direction", "sample_displacement"):
+            counter.wrap(oracle, name, rows=True)
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["validate", "--samples", "2000", "--chunk-size", "1000"]) == 0
-    return counter.calls, evaluations
+            assert cli.main(["validate"]) == 0
+    return counter.calls, evaluations, counter.rows
 
 
 @pytest.mark.parametrize("name, count", [
@@ -75,11 +91,42 @@ def validate_counts():
     # the equal-phase check and the motionless operator of the two CNOT
     # identity checks
     ("gates.bell_matrix", 3),
+    # the other family at T/T_cr = 0.5 (two states) and the smax_curve_shape grid
+    ("chsh.s_max", 3),
+    # at pi/8 and optimized
+    ("chsh.scatter_threshold", 2),
+    # one draw for every T/T_cr = 0.5 check, then the reproducibility pair
+    ("oracle.mc_thermal", 1),
+    ("oracle.mc_decoherence", 2),
+    # 10 chunks of two stages in mc_thermal and 2 chunks of one stage in each
+    # of the pair: one direction and two displacement draws per stage
+    ("oracle.sample_photon_direction", 24),
+    ("oracle.sample_displacement", 48),
 ])
 def test_validate_calls(validate_counts, name, count):
     assert validate_counts[0][name] == count
 
 
+@pytest.mark.parametrize("name, rows", [
+    # 2 x 100 000 stage samples in mc_thermal and 2 x 20 000 in the pair
+    ("oracle.sample_photon_direction", 240_000),
+    ("oracle.sample_displacement", 480_000),
+])
+def test_validate_samples(validate_counts, name, rows):
+    assert validate_counts[2][name] == rows
+
+
 def test_validate_quadrature_evaluates_one_grid_per_order(validate_counts):
     # orders 16 and 32, each grid evaluated once for all six temperatures
     assert validate_counts[1] == {"calls": 2, "points": 16**2 + 32**2}
+
+
+def test_curve_subcommands_take_two_s_max_calls(tmp_path):
+    # bell-max takes one array call per state family; the other curves need none
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counter = Counter(monkeypatch)
+        counter.wrap(chsh, "s_max")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("tcrit", "bell-sweep", "bell-max", "scatter", "fidelity"):
+                assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
+    assert counter.calls == {"chsh.s_max": 2}
