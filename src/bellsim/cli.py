@@ -36,6 +36,15 @@ MAX_WORKERS = 256
 MAX_CHUNK_SIZE = 1_000_000
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on, at most MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
+
+
 class ConfigError(Exception):
     pass
 
@@ -79,7 +88,8 @@ _SETTINGS = {
     "--samples": _Setting(int, "Monte-Carlo sample count", 100_000, ("mc", "n_samples"), lo=2),
     "--chunk-size": _Setting(int, "Monte-Carlo chunk size", 10_000, ("mc", "chunk_size"), lo=1,
                              hi=MAX_CHUNK_SIZE),
-    "--workers": _Setting(int, "parallel chunk workers", 1, lo=1, hi=MAX_WORKERS),
+    "--workers": _Setting(int, "parallel chunk workers (default: the CPUs this process may use)",
+                          _available_cpus(), lo=1, hi=MAX_WORKERS),
     "--xi-list": _Setting(list, "comma-separated xi values", "0,0.05,0.15,1"),
     "--t-list": _Setting(list, "T/T_cr values for the xi table", "0,0.2,0.5,1"),
     "--t-max": _Setting(float, "largest T/T_cr", 2.0, lo=0.0),

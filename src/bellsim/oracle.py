@@ -122,15 +122,20 @@ def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None) -> list:
     No more threads are started than there are chunks, and at most two
     chunks per thread are submitted ahead of the fold: enough to keep every
     thread busy, few enough that memory does not grow with the chunk count.
+    Every chunk runs under the caller's numpy error state, which worker
+    threads do not inherit, so an overflow that raises in the caller raises
+    at any worker count.
     """
     full, rem = divmod(cfg.n_samples, cfg.chunk_size)
     counts = chain(repeat(cfg.chunk_size, full), [rem] if rem else [])
     workers = min(workers, full + bool(rem))
     ops = ops or repeat(operator.add)
+    err = np.geterr()
 
     def chunk(index, size):
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
-        return fn(np.random.default_rng(seq), size)
+        with np.errstate(**err):
+            return fn(np.random.default_rng(seq), size)
 
     def fold(totals, part):
         return [op(t, p) for op, t, p in zip(ops, totals, part)]

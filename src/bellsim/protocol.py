@@ -23,6 +23,16 @@ def two_stage_dephasing(d):
     return d - 0.5 * d * d
 
 
+def _bell_meas_terms(d, xi):
+    """The success numerator 1 - f1 + 4 xi^2, the motional error f1 and the
+    norm (1 + 2 xi)^2 of the Bell-measurement table."""
+    _check_d(d)
+    _check_xi(xi)
+    f1 = two_stage_dephasing(d)
+    # float_power squares through libm pow, as a scalar ** 2 does
+    return 1.0 - f1 + 4.0 * np.float_power(xi, 2), f1, np.float_power(1.0 + 2.0 * xi, 2)
+
+
 def bell_meas_matrix(d, xi) -> np.ndarray:
     """Probability matrix of preparing a Bell state and measuring it back.
 
@@ -30,27 +40,21 @@ def bell_meas_matrix(d, xi) -> np.ndarray:
     the anti-diagonal carries the motional error f1, and the remaining
     entries the single-sided double-excitation leaks 2 xi.
     """
-    _check_d(d)
-    _check_xi(xi)
-    f1 = two_stage_dephasing(d)
-    # float_power squares through libm pow, as a scalar ** 2 does
-    diag = 1.0 - f1 + 4.0 * np.float_power(xi, 2)
-    m = np.stack(np.broadcast_arrays(diag, f1, 2.0 * xi), -1)[..., gates.BELL_MEAS_KIND]
-    return m / _per_matrix(np.float_power(1.0 + 2.0 * xi, 2))
+    success, f1, norm = _bell_meas_terms(d, xi)
+    m = np.stack(np.broadcast_arrays(success, f1, 2.0 * xi), -1)[..., gates.BELL_MEAS_KIND]
+    return m / _per_matrix(norm)
 
 
 def bell_meas_fidelity(d, xi):
-    """Probability of recovering the prepared state; the diagonal of the
-    measurement matrix, 1 - (4 xi + f1) / (1 + 2 xi)^2.
+    """Probability of recovering the prepared state: the diagonal of the
+    measurement matrix, (1 - f1 + 4 xi^2) / (1 + 2 xi)^2, bit for bit.
 
     Non-monotone in xi at fixed motion: for d = 0 it dips to 1/2 at
     xi = 1/2 and climbs back because double-double scattering events
     return the pair to its initial state.
     """
-    _check_d(d)
-    _check_xi(xi)
-    f1 = two_stage_dephasing(d)
-    out = 1.0 - (4.0 * xi + f1) / np.square(1.0 + 2.0 * xi)
+    success, _, norm = _bell_meas_terms(d, xi)
+    out = success / norm
     return out if np.ndim(out) else float(out)
 
 

@@ -67,11 +67,13 @@ def test_validate_passes_by_default(tmp_path, capsys):
     assert "std_error" in out  # Monte-Carlo checks report their triples
 
 
-def test_validate_stdout_matches_golden_file(capsys):
-    # every printed digit, round-off-level defects included; a change meant to
-    # alter the printed lines re-records the file with
+@pytest.mark.parametrize("workers", [[], ["--workers", "1"]], ids=["default", "workers-1"])
+def test_validate_stdout_matches_golden_file(capsys, workers):
+    # every printed digit, round-off-level defects included, at the default
+    # worker count (the CPUs available) and on the serial path; a change meant
+    # to alter the printed lines re-records the file with
     # `bellsim validate --seed 424242 --samples 20000 > tests/validate_seed424242_n20000.txt`
-    code = cli.main(["validate", "--seed", "424242", "--samples", "20000"])
+    code = cli.main(["validate", "--seed", "424242", "--samples", "20000", *workers])
     assert code == 0
     assert capsys.readouterr().out == GOLDEN_VALIDATE.read_text()
 

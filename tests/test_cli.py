@@ -563,6 +563,20 @@ def test_workers_and_chunk_size_have_fixed_ceilings(tmp_path, capsys, flag, key,
     assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+def test_workers_default_to_the_cpus_this_process_may_use():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cfg = cli.build_config(cli._make_parser().parse_args(["validate"]))
+    assert cfg.workers == min(cpus or 1, cli.MAX_WORKERS)
+
+
+def test_available_cpus_are_capped_at_max_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
+    assert cli._available_cpus() == cli.MAX_WORKERS
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._available_cpus() == 1
+
+
 @pytest.mark.parametrize("error, reason", [
     (MemoryError("Unable to allocate 72.8 TiB for an array"),
      "Unable to allocate 72.8 TiB for an array"),

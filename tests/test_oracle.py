@@ -194,6 +194,19 @@ def test_reduce_chunks_folds_each_chunk_once_in_chunk_order(n, chunk_size, worke
     assert chunks == list(zip(sizes, draws))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reduce_chunks_runs_every_chunk_under_the_callers_error_state(workers):
+    # worker threads start from numpy's default state, where an overflow only
+    # warns; the "raise" that cli.main sets must reach them
+    cfg = oracle.McConfig(4, 3, 1)
+
+    def fn(rng, size):
+        return (float(np.exp(np.full(size, 1000.0)).sum()),)
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        oracle._reduce_chunks(fn, cfg, workers)
+
+
 @pytest.mark.parametrize("n, chunk_size", REDUCTION_CASES)
 @pytest.mark.parametrize("xi", [0.0, 0.05, 1.0])
 def test_bell_measurement_reduces_like_the_per_sample_table(xi, n, chunk_size):

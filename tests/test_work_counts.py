@@ -1,9 +1,9 @@
 """Work that the `bellsim` subcommands do at the layer boundaries, pinned as counts.
 
 Counts are exact on any machine, unlike timings.  Each test runs a command
-in-process, at its defaults, with the named module attributes wrapped by
-counters.  A change that lowers a count on purpose re-pins it here; none may
-rise silently.
+in-process at its defaults, or the four estimators of the benchmark's
+mc_oracle workload, with the named module attributes wrapped by counters.  A
+change that lowers a count on purpose re-pins it here; none may rise silently.
 """
 
 import contextlib
@@ -11,6 +11,7 @@ import functools
 import io
 import threading
 
+import numpy as np
 import pytest
 
 from bellsim import chsh, cli, gates, linalg, motion, oracle, protocol
@@ -114,6 +115,36 @@ def test_validate_calls(validate_counts, name, count):
 ])
 def test_validate_samples(validate_counts, name, rows):
     assert validate_counts[2][name] == rows
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["workers-1", "workers-2"])
+def mc_oracle_counts(request):
+    # the four estimators as the benchmark's mc_oracle workload calls them
+    optics = motion.DEFAULT_OPTICS
+    trap = motion.DEFAULT_TRAP.with_temperature(0.5 * motion.t_crit(motion.DEFAULT_TRAP, optics))
+    cfg, workers = oracle.McConfig(100_000, 1, 10_000), request.param
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counter = Counter(monkeypatch)
+        for name in ("sample_photon_direction", "sample_dipole_direction", "sample_displacement"):
+            counter.wrap(oracle, name, rows=True)
+        oracle.mc_decoherence(trap, optics, cfg, workers=workers)
+        oracle.mc_probabilities(trap, optics, np.pi / 7, np.pi / 5, cfg, workers=workers)
+        oracle.mc_f_squared(trap, optics, cfg, workers=workers)
+        oracle.mc_bell_measurement(trap, optics, 0.05, cfg, workers=workers)
+    return counter.calls, counter.rows
+
+
+@pytest.mark.parametrize("name, calls, rows", [
+    # 10 chunks: one stage in mc_decoherence, mc_probabilities and
+    # mc_f_squared, two in mc_bell_measurement
+    ("oracle.sample_photon_direction", 50, 500_000),
+    # the missed photon of mc_f_squared
+    ("oracle.sample_dipole_direction", 10, 100_000),
+    # both atoms in every stage
+    ("oracle.sample_displacement", 100, 1_000_000),
+])
+def test_mc_oracle_draws(mc_oracle_counts, name, calls, rows):
+    assert (mc_oracle_counts[0][name], mc_oracle_counts[1][name]) == (calls, rows)
 
 
 def test_validate_quadrature_evaluates_one_grid_per_order(validate_counts):
