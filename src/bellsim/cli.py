@@ -17,10 +17,10 @@ resolves every setting once, defaults <- JSON config file <- command-line flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -34,6 +34,9 @@ DEFAULT_SEED = 20240
 #: one thread per worker, and a chunk's arrays grow with its size.
 MAX_WORKERS = 256
 MAX_CHUNK_SIZE = 1_000_000
+#: Chunk samples the default worker count holds at once: 4 workers at the
+#: largest chunk, the CPU count at the default one.
+DEFAULT_WORKER_SAMPLES = 2**22
 
 
 def _available_cpus() -> int:
@@ -88,8 +91,9 @@ _SETTINGS = {
     "--samples": _Setting(int, "Monte-Carlo sample count", 100_000, ("mc", "n_samples"), lo=2),
     "--chunk-size": _Setting(int, "Monte-Carlo chunk size", 10_000, ("mc", "chunk_size"), lo=1,
                              hi=MAX_CHUNK_SIZE),
-    "--workers": _Setting(int, "parallel chunk workers (default: the CPUs this process may use)",
-                          _available_cpus(), lo=1, hi=MAX_WORKERS),
+    # no default here: build_config bounds the CPU count by the chunk size
+    "--workers": _Setting(int, "parallel chunk workers (default: the CPUs this process may use,"
+                          " at most 2**22 // chunk size)", lo=1, hi=MAX_WORKERS),
     "--xi-list": _Setting(list, "comma-separated xi values", "0,0.05,0.15,1"),
     "--t-list": _Setting(list, "T/T_cr values for the xi table", "0,0.2,0.5,1"),
     "--t-max": _Setting(float, "largest T/T_cr", 2.0, lo=0.0),
@@ -209,6 +213,9 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
         elif setting.kind is not str and value is not None:
             value = _number(value, name, setting.lo, setting.kind is int, setting.hi)
         values[dest] = value
+    if "workers" in values and values["workers"] is None:
+        values["workers"] = min(_available_cpus(),
+                                max(1, DEFAULT_WORKER_SAMPLES // values["chunk_size"]))
 
     try:
         if "nu_perp" in values:
@@ -237,6 +244,18 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
+def _create_temp(directory: Path) -> tuple[int, str]:
+    """Open a new file under a random unused name in `directory`, as mkstemp
+    does, but with the mode open() would give it: 0o666 less the umask."""
+    for _ in range(10_000):
+        name = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no unused temporary file name in {directory}")
+
+
 def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write a table of floats (an array or a list of rows), each cell to 12
     significant digits, atomically: compose in a temp file, then rename into place.
@@ -252,15 +271,11 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp_name = _create_temp(path.parent)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(",".join(header) + "\n")
                 fh.writelines(line % tuple(row) for row in table.tolist())
-            # mkstemp makes the file owner-only; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp_name, 0o666 & ~umask)
             os.replace(tmp_name, path)
         except BaseException:
             if os.path.exists(tmp_name):
@@ -280,12 +295,10 @@ def cmd_tcrit(cfg: SimpleNamespace) -> int:
     at = np.searchsorted(grid, np.pi / 4)
     if grid[at] != np.pi / 4:
         grid = np.insert(grid, at, np.pi / 4)
-    rows = []
-    for theta0 in grid:
-        optics = motion.OpticsParams(theta0)
-        a_perp, a_par = motion.aperture_coefficients(optics)
-        rows.append((theta0, a_perp, a_par,
-                     motion.nu_eff(cfg.trap, optics), motion.t_crit(cfg.trap, optics)))
+    optics = motion.OpticsParams(grid)
+    a_perp, a_par = motion.aperture_coefficients(optics)
+    rows = np.column_stack((grid, a_perp, a_par, motion.nu_eff(cfg.trap, optics),
+                            motion.t_crit(cfg.trap, optics)))
     write_csv(cfg.out, ["theta0_rad", "A_perp", "A_par", "nu_eff_Hz", "T_cr_K"], rows)
     print(f"wrote {cfg.out}")
     return 0
@@ -518,7 +531,10 @@ def cmd_validate(cfg: SimpleNamespace) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """Built once per process, so `main` may be called repeatedly: the parser
+    holds no per-call state (build_config resolves defaults, main the handler)."""
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Conditional two-qubit logic simulator: figures as CSV plus validation")

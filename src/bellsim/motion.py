@@ -59,24 +59,33 @@ class TrapParams:
 
 @dataclass(frozen=True)
 class OpticsParams:
-    """Collection-cone half-angle (radians).
+    """Collection-cone half-angle (radians), or an array of them for the
+    aperture functions (`aperture_coefficients`, `nu_eff`, `t_crit`), which
+    broadcast over it.
 
     Angles below 0.05 rad are rejected: the angular normalization constant
     diverges as the cone closes and the closed forms lose accuracy there,
     while real collection optics sit near theta0 ~ pi/4.
     """
 
-    theta0: float
+    theta0: float | np.ndarray
 
     def __post_init__(self):
-        if not (THETA0_MIN <= self.theta0 <= THETA0_MAX):
+        theta0 = np.asarray(self.theta0)
+        inside = (THETA0_MIN <= theta0) & (theta0 <= THETA0_MAX)
+        if not np.all(inside):
             raise ValueError(
-                f"theta0 must lie in [{THETA0_MIN}, pi/2], got {self.theta0}")
+                f"theta0 must lie in [{THETA0_MIN}, pi/2], got {theta0[~inside].flat[0]}")
 
 
 #: Rubidium-87 microtrap ballpark used by every reproduction command.
 DEFAULT_TRAP = TrapParams(nu_perp=200e3, nu_par=50e3, nu_recoil=3.6e3, temperature=0.0)
 DEFAULT_OPTICS = OpticsParams(theta0=np.pi / 4)
+
+
+def _float_or_array(value):
+    """A 0-d result as a float; an array result as it is."""
+    return value if np.ndim(value) else float(value)
 
 
 class QuadratureError(RuntimeError):
@@ -143,8 +152,7 @@ def angular_pdf(theta, phi, optics: OpticsParams):
     if np.any(theta < 0) or np.any(theta > optics.theta0):
         raise ValueError("theta outside the collection cone")
     c0 = angular_norm_const(optics.theta0)
-    out = c0 * (1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2)
-    return out if out.shape else float(out)
+    return _float_or_array(c0 * (1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2))
 
 
 def cap_quadrature(func, theta0: float, tol: float = 1e-9,
@@ -178,7 +186,7 @@ def cap_quadrature(func, theta0: float, tol: float = 1e-9,
             result, error = np.where(done, value, result), np.where(done, gap, error)
             pending = pending & ~done
             if not pending.any():
-                return (result if result.ndim else float(result)), float(error.max())
+                return _float_or_array(result), float(error.max())
         previous = value
         order *= 2
     gap = np.where(pending, np.inf if gap is None else gap, -1.0)
@@ -189,34 +197,39 @@ def cap_quadrature(func, theta0: float, tol: float = 1e-9,
         error=float(gap.max()))
 
 
-def aperture_coefficients(optics: OpticsParams) -> tuple[float, float]:
+def aperture_coefficients(optics: OpticsParams):
     """Aperture factors (A_perp, A_par) weighting the two trap frequencies.
 
     A_perp = 1 + <sin^2 theta> and A_par = <cos^2 theta> over the collected
-    pattern; both evaluated in closed form.
+    pattern; both evaluated in closed form, as floats, or as arrays for an
+    array of theta0.
     """
-    c = np.cos(optics.theta0)
-    c0 = angular_norm_const(optics.theta0)
+    # a scalar takes the array path too, so a table row equals the scalar call
+    # bit for bit (numpy's array powers may round apart from its scalar ones)
+    shape, theta0 = np.shape(optics.theta0), np.reshape(optics.theta0, -1)
+    c = np.cos(theta0)
+    c0 = angular_norm_const(theta0)
     a_perp = 1.0 + (4.0 * np.pi * c0 / 5.0) * (1.0 - (5.0 * c - c**5) / 4.0)
     a_par = (8.0 * np.pi * c0 / 15.0) * (1.0 - (5.0 * c**3 + 3.0 * c**5) / 8.0)
-    return float(a_perp), float(a_par)
+    return _float_or_array(a_perp.reshape(shape)), _float_or_array(a_par.reshape(shape))
 
 
-def nu_eff(trap: TrapParams, optics: OpticsParams) -> float:
-    """Effective trap frequency combining both axes with the aperture factors."""
+def nu_eff(trap: TrapParams, optics: OpticsParams):
+    """Effective trap frequency combining both axes with the aperture factors;
+    an array for an array of theta0."""
     a_perp, a_par = aperture_coefficients(optics)
     inv_sq = a_perp / trap.nu_perp**2 + a_par / trap.nu_par**2
-    return float(1.0 / np.sqrt(inv_sq))
+    return _float_or_array(1.0 / np.sqrt(inv_sq))
 
 
-def t_crit(trap: TrapParams, optics: OpticsParams) -> float:
+def t_crit(trap: TrapParams, optics: OpticsParams):
     """Temperature scale (K) at which motional dephasing saturates.
 
     k_B T_cr = h nu_eff^2 / (2 nu_R); above it the interference cross terms
-    are essentially gone.
+    are essentially gone.  An array for an array of theta0.
     """
-    return float(H * nu_eff(trap, optics) ** 2 /
-                 (2.0 * trap.nu_recoil * K_B))
+    return _float_or_array(H * np.square(nu_eff(trap, optics)) /
+                           (2.0 * trap.nu_recoil * K_B))
 
 
 def d_approx(ratio):

@@ -211,6 +211,20 @@ def test_fidelity_non_default_grids_match_scalar_calls(tmp_path):
         ["xi", "F_B_t_0.7", "F_t_0.7"], rows_xi)
 
 
+def test_tcrit_non_default_grid_matches_scalar_calls(tmp_path):
+    trap = motion.TrapParams(120e3, 30e3, 2.5e3, 0.0)
+    rows = []
+    for theta0 in np.union1d(np.linspace(motion.THETA0_MIN, np.pi / 2, 500), [np.pi / 4]):
+        optics = motion.OpticsParams(theta0)
+        rows.append([theta0, *motion.aperture_coefficients(optics),
+                     motion.nu_eff(trap, optics), motion.t_crit(trap, optics)])
+    out = tmp_path / "tcrit.csv"
+    assert run(["tcrit", "--grid-n", "500", "--nu-perp", "120e3", "--nu-par", "30e3",
+                "--nu-recoil", "2.5e3", "--out", str(out)]) == 0
+    assert out.read_bytes() == _scalar_csv(
+        ["theta0_rad", "A_perp", "A_par", "nu_eff_Hz", "T_cr_K"], rows)
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_csv_files_follow_the_umask(tmp_path, umask, mode):
     digests = json.loads(REFERENCE_JSON.read_text(encoding="utf-8"))["csv_sha256"]
@@ -222,6 +236,27 @@ def test_csv_files_follow_the_umask(tmp_path, umask, mode):
     path = tmp_path / "tcrit.csv"
     assert path.stat().st_mode & 0o777 == mode
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digests["tcrit.csv"]
+
+
+def test_write_csv_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # another thread's files never see a changed umask: write_csv does not touch it
+    def no_umask(mask):
+        raise AssertionError("write_csv changed the process umask")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    cli.write_csv(tmp_path / "t.csv", ["a"], [(1.0,)])
+    assert (tmp_path / "t.csv").read_text() == "a\n1\n"
+
+
+def test_write_csv_retries_a_taken_temp_name(tmp_path, monkeypatch):
+    taken = tmp_path / f"tmp{bytes(6).hex()}.tmp"
+    taken.write_text("someone else's")
+    draws = iter([bytes(6), bytes(6), b"\x01" * 6])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    cli.write_csv(tmp_path / "t.csv", ["a"], [(1.0,)])
+    assert (tmp_path / "t.csv").read_text() == "a\n1\n"
+    assert taken.read_text() == "someone else's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", taken.name]
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -569,6 +604,27 @@ def test_workers_default_to_the_cpus_this_process_may_use():
     assert cfg.workers == min(cpus or 1, cli.MAX_WORKERS)
 
 
+@pytest.mark.parametrize("argv, workers", [
+    ([], 64),
+    (["--chunk-size", "100000"], 41),
+    (["--chunk-size", str(cli.MAX_CHUNK_SIZE)], 4),
+    (["--chunk-size", str(cli.MAX_CHUNK_SIZE), "--workers", "8"], 8),
+], ids=["default-chunk", "chunk-1e5", "chunk-ceiling", "explicit-workers"])
+def test_workers_default_is_bounded_by_the_chunk_size(monkeypatch, argv, workers):
+    # on a 64-CPU host a large chunk caps the default at 2**22 chunk samples
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 64)
+    cfg = cli.build_config(cli._make_parser().parse_args(["validate", *argv]))
+    assert cfg.workers == workers
+
+
+def test_workers_default_reads_the_chunk_size_of_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 64)
+    (tmp_path / "cfg.json").write_text(json.dumps({"mc": {"chunk_size": 2**19}}))
+    cfg = cli.build_config(cli._make_parser().parse_args(
+        ["validate", "--config", str(tmp_path / "cfg.json")]))
+    assert cfg.workers == 8
+
+
 def test_available_cpus_are_capped_at_max_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
     assert cli._available_cpus() == cli.MAX_WORKERS
@@ -594,3 +650,42 @@ def test_memory_error_exits_2_with_one_error_line(monkeypatch, capsys, error, re
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: an input is out of range ({reason})"]
     assert "[  ok] d_exact_vs_exponential" in captured.out
+
+
+def _in_process(argv, cwd, monkeypatch, capsys):
+    """(exit code, stdout, stderr, files written) of cli.main(argv) run in cwd."""
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, {p.name: p.read_bytes() for p in cwd.iterdir()}
+
+
+def _fresh_process(argv, cwd):
+    """The same as _in_process, in a new interpreter."""
+    cwd.mkdir()
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "bellsim.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    return (proc.returncode, proc.stdout, proc.stderr,
+            {p.name: p.read_bytes() for p in cwd.iterdir()})
+
+
+@pytest.mark.parametrize("first, code, second", [
+    (["bell-sweep", "--pattern", "mirrored"], 0, ["bell-sweep"]),
+    (["bell-max", "--t-max", "5", "--t-n", "many"], 2, ["bell-max"]),
+    (["scatter", "--config", "{cfg}"], 0, ["scatter"]),
+], ids=["mirrored-then-default", "usage-error-then-valid", "config-then-none"])
+def test_a_reused_parser_leaks_no_state(tmp_path, monkeypatch, capsys, first, code, second):
+    # main keeps one parser per process: a second call reads as a process's first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trap": {"t_over_tcr": 0.9}, "pattern": {"n": 11}}))
+    first = [str(cfg) if arg == "{cfg}" else arg for arg in first]
+    assert _in_process(first, tmp_path / "first", monkeypatch, capsys)[0] == code
+    reused = _in_process(second, tmp_path / "reused", monkeypatch, capsys)
+    assert reused == _fresh_process(second, tmp_path / "fresh")
+    assert reused[0] == 0 and reused[3]

@@ -169,6 +169,31 @@ def test_aperture_coefficients_positive_finite_scan():
         assert 0 < a_par <= 1 and np.isfinite(a_par)
 
 
+@pytest.mark.parametrize("trap", [DEFAULT_TRAP, TrapParams(120e3, 30e3, 2.5e3, 0.0)])
+def test_aperture_functions_broadcast_over_theta0(trap):
+    # each entry of an array call equals the scalar call bit for bit, and a
+    # scalar theta0 still gives a float
+    grid = np.linspace(0.05, np.pi / 2, 202).reshape(2, 101)
+
+    def values(optics):
+        return (*motion.aperture_coefficients(optics), motion.nu_eff(trap, optics),
+                motion.t_crit(trap, optics))
+
+    table = values(OpticsParams(grid))
+    scalars = [values(OpticsParams(float(t))) for t in grid.ravel()]
+    assert all(type(v) is float for row in scalars for v in row)
+    for column, expected in zip(table, zip(*scalars)):
+        assert column.shape == grid.shape
+        assert column.ravel().tolist() == list(expected)
+
+
+def test_optics_refuses_an_array_with_one_angle_out_of_range():
+    with pytest.raises(ValueError, match="got 0.01"):
+        OpticsParams(np.array([0.3, 0.01, np.pi / 4]))
+    with pytest.raises(ValueError):
+        OpticsParams(np.array([0.3, np.nan]))
+
+
 def test_t_crit_rb87_anchor():
     assert motion.nu_eff(DEFAULT_TRAP, DEFAULT_OPTICS) == pytest.approx(55e3, abs=1e3)
     assert 19e-6 <= TCR_DEFAULT <= 21e-6

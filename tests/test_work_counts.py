@@ -6,10 +6,12 @@ mc_oracle workload, with the named module attributes wrapped by counters.  A
 change that lowers a count on purpose re-pins it here; none may rise silently.
 """
 
+import argparse
 import contextlib
 import functools
 import io
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ class Counter:
         self.lock = threading.Lock()
 
     def wrap(self, module, name, before=None, rows=False):
+        """Count calls of module.name; a class is wrapped as a module would be."""
         original = getattr(module, name)
         key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
         self.calls[key] = 0
@@ -161,3 +164,42 @@ def test_curve_subcommands_take_two_s_max_calls(tmp_path):
             for command in ("tcrit", "bell-sweep", "bell-max", "scatter", "fidelity"):
                 assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
     assert counter.calls == {"chsh.s_max": 2}
+
+
+CURVES = ("tcrit", "bell-sweep", "bell-max", "scatter", "fidelity")
+
+
+def test_curve_subcommands_build_the_parser_once_per_process(tmp_path):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counter = Counter(monkeypatch)
+        counter.wrap(argparse.ArgumentParser, "__init__")
+        cli._make_parser.cache_clear()  # as in a new process
+        built = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in CURVES * 2:
+                assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
+                built.append(counter.calls["ArgumentParser.__init__"])
+    # the first call builds the parser and its six subparsers; no later one builds any
+    assert built == [7] * 10
+
+
+def test_tcrit_takes_one_array_call_per_aperture_function(tmp_path):
+    names = ("aperture_coefficients", "nu_eff", "t_crit")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        everywhere = Counter(monkeypatch)
+        for name in names:
+            everywhere.wrap(motion, name)
+        # the calls cli makes: a copy of the motion namespace that only cli sees
+        seen_by_cli = types.SimpleNamespace(**vars(motion))
+        monkeypatch.setattr(cli, "motion", seen_by_cli)
+        from_cli = Counter(monkeypatch)
+        for name in names:
+            from_cli.wrap(seen_by_cli, name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["tcrit", "--out", str(tmp_path / "tcrit.csv")]) == 0
+    # one call each over the 202-angle grid (the per-row loop made 202 each)
+    assert from_cli.calls == dict.fromkeys(
+        ["motion.aperture_coefficients", "motion.nu_eff", "motion.t_crit"], 1)
+    # nu_eff evaluates the aperture again, and t_crit nu_eff (was 606, 404, 202)
+    assert everywhere.calls == {"motion.aperture_coefficients": 3, "motion.nu_eff": 2,
+                                "motion.t_crit": 1}
