@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import SQRT2, _check_d, _check_xi, _per_matrix, bell_paths, raman_matrix
-from .linalg import BASIS, STATE_INDEX, stack_matrix
+from .linalg import BASIS, STATE_INDEX, _float_or_array, stack_matrix
 
 PATTERN_KINDS = ("standard", "mirrored")
 
@@ -169,8 +169,7 @@ def _grid_max(curve, d):
     companion = np.concatenate((top[:, None], np.broadcast_to(np.eye(3, 4), (flat.size, 3, 4))), 1)
     c = np.clip(np.linalg.eigvals(companion).real.T, *_C_ENDS)
     x = np.concatenate((np.broadcast_to(_X_ENDS[:, None], (2, flat.size)), np.arccos(c) / 2))
-    out = np.max(np.abs(curve(x, flat)), axis=0).reshape(np.shape(d))
-    return out if out.ndim else float(out)
+    return _float_or_array(np.max(np.abs(curve(x, flat)), axis=0).reshape(np.shape(d)))
 
 
 def s_max(d, initial: str = "ge", kind: str = "standard"):
@@ -208,14 +207,12 @@ def e_gg_scatter(d: float, xi: float, theta1, theta2,
     t1 = np.asarray(theta1, dtype=float)
     t2 = np.asarray(theta2, dtype=float)
     if form == "closed_form":
-        out = (-(1.0 - d) * np.sin(2 * t1) * np.sin(2 * t2)
-               - np.cos(2 * t1) * np.cos(2 * t2) / (1.0 + 2.0 * xi))
-        return out if out.shape else float(out)
+        return _float_or_array(-(1.0 - d) * np.sin(2 * t1) * np.sin(2 * t2)
+                               - np.cos(2 * t1) * np.cos(2 * t2) / (1.0 + 2.0 * xi))
     if form == "branch":
         e_single = correlation_closed_form("gg", d, t1, t2)
         e_double = np.cos(2 * t1) * np.cos(2 * t2)
-        out = (2.0 * e_single + 4.0 * xi * e_double) / (2.0 + 4.0 * xi)
-        return out if out.shape else float(out)
+        return _float_or_array((2.0 * e_single + 4.0 * xi * e_double) / (2.0 + 4.0 * xi))
     raise ValueError(f"form must be 'closed_form' or 'branch', got {form!r}")
 
 
@@ -230,40 +227,39 @@ def s_gg_scatter_max(d, xi: float, form: str = "closed_form"):
     return _grid_max(lambda x, d: s_gg_scatter_curve(x, d, xi, form), d)
 
 
+def _scatter_split(s_gg):
+    """(A, B) of S_gg = A + B / (1 + 2 xi), from s_gg(xi) at xi = 0 and 1/2."""
+    full, half = s_gg(0.0), s_gg(0.5)  # A + B, A + B / 2
+    return 2 * half - full, 2 * (full - half)
+
+
 def scatter_threshold(d: float, fixed_x: float | None = None) -> float:
     """Smallest xi at which the gg violation drops to the classical bound 2.
 
-    With fixed_x given, the compact-form S at that angle is inverted in
-    closed form.  Otherwise S = A(c) + a B(c) with a = 1/(1 + 2 xi) and
-    |A| <= 2 (1 - d), so at each c = cos 2x the violation ends at
-    1/a = v(c) = |B| / (2 - sign(B) A); 1 + 2 xi* is the largest v, at an end
-    or at a root of v', i.e. of A B' - A' B - 2 s B' for s = +-1 (as in
-    _grid_max, clipped real parts cannot raise the maximum).
+    S = A(c) + a B(c) with a = 1/(1 + 2 xi) and |A| <= 2 (1 - d), so at each
+    c = cos 2x the violation ends at 1/a = v(c) = |B| / (2 - sign(B) A).  With
+    fixed_x given, any finite angle, 1 + 2 xi* is v there.  Otherwise it is the
+    largest v, at an end or at a root of v', i.e. of A B' - A' B - 2 s B' for
+    s = +-1 (as in _grid_max, clipped real parts cannot raise the maximum).
     """
     _check_d(d)
     if fixed_x is not None:
-        amp = np.cos(2 * fixed_x) - np.cos(6 * fixed_x)
-        local = (1.0 - d) * (np.sin(2 * fixed_x) + np.sin(6 * fixed_x))
-        denom = 2.0 - local
-        if not (denom > 0 and amp > 0):
-            raise ValueError("no threshold exists at this angle")
-        ratio = amp / denom
-        if ratio < 1.0:
-            return 0.0
-        return float(0.5 * (ratio - 1.0))
-    full = _power_coef(lambda x: s_gg_scatter_curve(x, d, 0.0))  # A + B
-    half = _power_coef(lambda x: s_gg_scatter_curve(x, d, 0.5))  # A + B / 2
-    a, b = 2 * half - full, 2 * (full - half)
-    db = np.polyder(b)
-    cross = np.polysub(np.polymul(a, db), np.polymul(np.polyder(a), b))
-    c = [_C_ENDS]
-    for s in (1.0, -1.0):
-        p = np.polysub(cross, 2 * s * db)
-        # the c^9 and c^8 terms cancel (A, B are odd quintics); their round-off
-        # would make np.roots lose real roots
-        p = p[np.argmax(np.abs(p) > 1e-12 * np.abs(p).max()):]
-        c.append(np.clip(np.roots(p).real, *_C_ENDS))
-    c = np.concatenate(c)
-    a_c, b_c = np.polyval(a, c), np.polyval(b, c)
+        with np.errstate(invalid="ignore"):  # an infinite angle has no sine
+            a_c, b_c = _scatter_split(lambda xi: s_gg_scatter_curve(float(fixed_x), d, xi))
+    else:
+        a, b = _scatter_split(lambda xi: _power_coef(lambda x: s_gg_scatter_curve(x, d, xi)))
+        db = np.polyder(b)
+        cross = np.polysub(np.polymul(a, db), np.polymul(np.polyder(a), b))
+        c = [_C_ENDS]
+        for s in (1.0, -1.0):
+            p = np.polysub(cross, 2 * s * db)
+            # the c^9 and c^8 terms cancel (A, B are odd quintics); their round-off
+            # would make np.roots lose real roots
+            p = p[np.argmax(np.abs(p) > 1e-12 * np.abs(p).max()):]
+            c.append(np.clip(np.roots(p).real, *_C_ENDS))
+        c = np.concatenate(c)
+        a_c, b_c = np.polyval(a, c), np.polyval(b, c)
     v = np.max(np.abs(b_c) / (2 - np.sign(b_c) * a_c))
+    if not np.isfinite(v):
+        raise ValueError("no threshold exists at this angle")
     return float(max(0.0, 0.5 * (v - 1.0)))

@@ -377,7 +377,8 @@ def validation_checks(cfg: SimpleNamespace):
     defect = gates.verify_cnot_identity()
     yield "cnot_identity", defect <= 1e-12, f"defect={defect:.3e}"
 
-    singular = gates.h2_singular()
+    singular = gates.h2()  # one sign flipped: rows 0 and 2 coincide
+    singular[0, 1] = -1.0 / gates.SQRT2
     bad = gates.verify_cnot_identity(second_local=singular)
     yield ("flawed_second_local_detected", bad >= 0.5 and np.linalg.matrix_rank(singular) < 4,
            f"defect with singular variant={bad:.3f}")

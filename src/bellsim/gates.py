@@ -18,7 +18,7 @@ import numpy as np
 
 # unitarity_defect is not used here: bench/tests/test_bench.py traces it as an
 # example of a `from ... import` rebinding; callers use linalg.unitarity_defect
-from .linalg import matrix4, stack_matrix, unitarity_defect  # noqa: F401
+from .linalg import _check_finite_fields, matrix4, stack_matrix, unitarity_defect  # noqa: F401
 
 SQRT2 = np.sqrt(2.0)
 
@@ -60,7 +60,7 @@ def _per_matrix(value) -> np.ndarray:
 
 
 def bell_paths(r) -> tuple[np.ndarray, np.ndarray]:
-    """The two scattering paths (X, Y) of the Bell operator followed by the real
+    """The two scattering paths (X, Y) of the Bell operator followed by the
     matrix r: Bell(p1, p2) @ r = X e^{i p1} + Y e^{i p2}."""
     return BRANCH_ATOM1 @ r / SQRT2, BRANCH_ATOM2 @ r / SQRT2
 
@@ -109,9 +109,7 @@ class GeneralBellConfig:
     geometry_phase: float = 0.0
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_finite_fields(self)
 
 
 def bell_matrix_general(cfg: GeneralBellConfig) -> np.ndarray:
@@ -199,18 +197,6 @@ def h2() -> np.ndarray:
     |e>_1 -> -i|e>_1 and |g>_2 -> -i|g>_2.
     """
     return raman_matrix(-np.pi / 4, -np.pi / 2) @ phase_matrix(0.0, -np.pi / 2, -np.pi / 2, 0.0)
-
-
-def h2_singular() -> np.ndarray:
-    """Known-bad variant of h2 with the sign of entry (1, 2) flipped.
-
-    Rows 1 and 3 then coincide, the matrix is singular, and the
-    controlled-NOT factorization cannot close.  Kept so the validation suite
-    can demonstrate that the identity check catches a corrupted operation.
-    """
-    m = h2()
-    m[0, 1] = -1.0 / SQRT2
-    return m
 
 
 def cnot_target() -> np.ndarray:

@@ -17,6 +17,18 @@ BASIS = ("gg", "ge", "eg", "ee")
 STATE_INDEX = {state: i for i, state in enumerate(BASIS)}
 
 
+def _float_or_array(value):
+    """A 0-d result as a float; an array result as it is."""
+    return value if np.ndim(value) else float(value)
+
+
+def _check_finite_fields(params):
+    """Reject a dataclass instance with a non-finite field, naming the first."""
+    for name in params.__dataclass_fields__:
+        if not np.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 def matrix4(entries) -> np.ndarray:
     """Return a validated 4x4 complex matrix, or a (..., 4, 4) stack of them
     (finite entries, fixed basis)."""

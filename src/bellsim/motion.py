@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import _check_finite_fields, _float_or_array
+
 #: Planck and Boltzmann constants (J s, J/K); both are exact in the 2019 SI.
 H = 6.62607015e-34
 K_B = 1.380649e-23
@@ -49,9 +51,7 @@ class TrapParams:
             raise ValueError("trap frequencies must be positive")
         if not self.temperature >= 0:
             raise ValueError("temperature must be >= 0")
-        for name in self.__dataclass_fields__:
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_finite_fields(self)
 
     def with_temperature(self, temperature: float) -> "TrapParams":
         return replace(self, temperature=temperature)
@@ -81,11 +81,6 @@ class OpticsParams:
 #: Rubidium-87 microtrap ballpark used by every reproduction command.
 DEFAULT_TRAP = TrapParams(nu_perp=200e3, nu_par=50e3, nu_recoil=3.6e3, temperature=0.0)
 DEFAULT_OPTICS = OpticsParams(theta0=np.pi / 4)
-
-
-def _float_or_array(value):
-    """A 0-d result as a float; an array result as it is."""
-    return value if np.ndim(value) else float(value)
 
 
 class QuadratureError(RuntimeError):

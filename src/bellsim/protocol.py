@@ -14,7 +14,7 @@ import numpy as np
 
 from . import gates
 from .gates import _check_d, _check_xi, _per_matrix
-from .linalg import elementwise_sqmod
+from .linalg import _float_or_array, elementwise_sqmod
 
 
 def two_stage_dephasing(d):
@@ -26,9 +26,8 @@ def two_stage_dephasing(d):
 def _bell_meas_terms(d, xi):
     """The success numerator 1 - f1 + 4 xi^2, the motional error f1 and the
     norm (1 + 2 xi)^2 of the Bell-measurement table."""
-    _check_d(d)
-    _check_xi(xi)
     f1 = two_stage_dephasing(d)
+    _check_xi(xi)
     # float_power squares through libm pow, as a scalar ** 2 does
     return 1.0 - f1 + 4.0 * np.float_power(xi, 2), f1, np.float_power(1.0 + 2.0 * xi, 2)
 
@@ -54,8 +53,7 @@ def bell_meas_fidelity(d, xi):
     return the pair to its initial state.
     """
     success, _, norm = _bell_meas_terms(d, xi)
-    out = success / norm
-    return out if np.ndim(out) else float(out)
+    return _float_or_array(success / norm)
 
 
 def cnot_prob_matrix(d, xi) -> np.ndarray:
@@ -67,11 +65,8 @@ def cnot_prob_matrix(d, xi) -> np.ndarray:
     incoherently and the total is normalized by 1 + 2 xi.
     """
     _check_d(d)
-    _check_xi(xi)
     left, right = gates.h1(), gates.h2()
-    # left @ gates.bell_paths(right) rounds differently and changes validate's output
-    x = left @ (gates.BRANCH_ATOM1 / gates.SQRT2) @ right
-    y = left @ (gates.BRANCH_ATOM2 / gates.SQRT2) @ right
+    x, y = (left @ path for path in gates.bell_paths(right))
     detected = (np.abs(x) ** 2 + np.abs(y) ** 2
                 + _per_matrix(2.0 * (1.0 - d)) * (x * y.conj()).real)
     double = elementwise_sqmod(left @ gates.b2_matrix(xi) @ right)
@@ -82,5 +77,4 @@ def cnot_fidelity(d, xi):
     """Truth-table fidelity of the conditional CNOT, (1 - d) / (1 + 2 xi)."""
     _check_d(d)
     _check_xi(xi)
-    out = (1.0 - d) / (1.0 + 2.0 * xi)
-    return out if np.ndim(out) else float(out)
+    return _float_or_array((1.0 - d) / (1.0 + 2.0 * xi))

@@ -91,9 +91,8 @@ def test_validate_checks_the_paper_anchor_at_the_papers_working_point(capsys):
     assert anchor(out) == anchor(GOLDEN_VALIDATE.read_text())
 
 
-def test_validate_flags_singular_variant(capsys, monkeypatch):
-    singular = gates.h2_singular()
-    monkeypatch.setattr(gates, "h2", lambda: singular)
+def test_validate_flags_singular_variant(capsys, monkeypatch, singular_h2):
+    monkeypatch.setattr(gates, "h2", lambda: singular_h2)
     code = cli.main(["validate", "--samples", "2000"])
     out = capsys.readouterr().out
     assert code == 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import chsh, gates
@@ -263,6 +263,8 @@ def test_scatter_threshold_fixed_angle():
     thr = chsh.scatter_threshold(D_HALF, fixed_x=np.pi / 8)
     assert thr == pytest.approx(expected, abs=1e-12)
     assert thr == pytest.approx(0.119, abs=0.005)
+    with pytest.raises(TypeError):  # one angle, not a grid of them
+        chsh.scatter_threshold(D_HALF, fixed_x=np.array([np.pi / 8, np.pi / 10]))
 
 
 def test_scatter_threshold_fixed_angle_no_motion():
@@ -277,6 +279,24 @@ def test_scatter_threshold_optimized_window():
     # threshold marks the boundary between violation and no violation
     assert chsh.s_gg_scatter_max(D_HALF, thr - 0.01) > 2.0
     assert chsh.s_gg_scatter_max(D_HALF, thr + 0.01) < 2.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(LEVELS, st.floats(min_value=-np.pi, max_value=np.pi))
+@example(D_HALF, np.pi / 10)
+def test_scatter_threshold_fixed_angle_is_where_s_gg_touches_2(d, x):
+    thr = chsh.scatter_threshold(d, fixed_x=x)
+    assert type(thr) is float and thr >= 0.0
+    if thr > 0.0:
+        assert abs(abs(chsh.s_gg_scatter_curve(x, d, thr)) - 2.0) <= 1e-12
+    else:
+        assert abs(chsh.s_gg_scatter_curve(x, d, 0.0)) <= 2.0 + 1e-12
+
+
+@pytest.mark.parametrize("d", [0.0, 0.15, D_HALF, 0.65])
+def test_scatter_threshold_optimized_bounds_the_fixed_angles(d):
+    fixed = [chsh.scatter_threshold(d, fixed_x=x) for x in np.linspace(*chsh._X_ENDS, 4001)]
+    assert 0.0 <= chsh.scatter_threshold(d) - max(fixed) <= 1e-6
 
 
 def test_scatter_curve_no_violation_at_unit_xi():
@@ -400,7 +420,9 @@ def test_s_gg_scatter_max_over_an_array_matches_the_scalar_calls(xi, form):
                                   [chsh.s_gg_scatter_max(d, xi, form) for d in LEVEL_GRID])
     np.testing.assert_array_equal(batched, [
         _roots_max(lambda x, d=d: chsh.s_gg_scatter_curve(x, d, xi, form)) for d in LEVEL_GRID])
-    assert type(chsh.s_gg_scatter_max(0.3, xi, form)) is float
+    scalars = (chsh.s_gg_scatter_max(0.3, xi, form), chsh.e_gg_scatter(0.3, xi, 0.2, 0.5, form),
+               chsh.scatter_threshold(0.3), chsh.scatter_threshold(0.3, fixed_x=np.pi / 8))
+    assert all(type(v) is float for v in scalars)
 
 
 def test_maxima_keep_the_shape_of_d():

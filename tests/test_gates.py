@@ -210,8 +210,8 @@ def test_h1_h2_frozen_values():
     assert unitarity_defect(gates.h2()) <= 1e-13
 
 
-def test_h2_singular_variant():
-    bad = gates.h2_singular()
+def test_h2_singular_variant(singular_h2):
+    bad = singular_h2
     assert np.linalg.matrix_rank(bad) == 3
     np.testing.assert_allclose(bad[0], bad[2], atol=1e-15)
     # differs from the sound operation only in the (0, 1) sign
@@ -257,8 +257,8 @@ def test_cnot_identity_holds():
     assert gates.verify_cnot_identity() <= 1e-12
 
 
-def test_cnot_identity_fails_with_singular_variant():
-    assert gates.verify_cnot_identity(second_local=gates.h2_singular()) >= 0.5
+def test_cnot_identity_fails_with_singular_variant(singular_h2):
+    assert gates.verify_cnot_identity(second_local=singular_h2) >= 0.5
 
 
 def test_cnot_identity_breaks_with_common_motion_phase():

@@ -60,8 +60,9 @@ def test_nan_scattering_ratio_is_rejected(call):
 
 
 def test_nan_angle_has_no_scatter_threshold():
-    with pytest.raises(ValueError, match="no threshold exists at this angle"):
-        chsh.scatter_threshold(0.3, fixed_x=NAN)
+    for x in (NAN, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="no threshold exists at this angle"):
+            chsh.scatter_threshold(0.3, fixed_x=x)
 
 
 def test_mc_config_accepts_numpy_integers():

@@ -70,8 +70,8 @@ def validate_counts():
                              (protocol, "bell_meas_matrix"), (gates, "local_matrix"),
                              (gates, "bell_matrix"), (linalg, "unitarity_defect"),
                              (chsh, "probabilities_closed_form"), (chsh, "s_max"),
-                             (chsh, "scatter_threshold"), (oracle, "mc_thermal"),
-                             (oracle, "mc_decoherence")]:
+                             (chsh, "scatter_threshold"), (chsh, "s_gg_scatter_curve"),
+                             (oracle, "mc_thermal"), (oracle, "mc_decoherence")]:
             counter.wrap(module, name)
         for name in ("sample_photon_direction", "sample_displacement"):
             counter.wrap(oracle, name, rows=True)
@@ -99,6 +99,9 @@ def validate_counts():
     ("chsh.s_max", 3),
     # at pi/8 and optimized
     ("chsh.scatter_threshold", 2),
+    # the xi = 0 and xi = 1/2 split of each threshold, and the two forms of
+    # scatter_form_gap
+    ("chsh.s_gg_scatter_curve", 6),
     # one draw for every T/T_cr = 0.5 check, then the reproducibility pair
     ("oracle.mc_thermal", 1),
     ("oracle.mc_decoherence", 2),
