@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import SQRT2, _check_d, _check_xi, _per_matrix, bell_paths, raman_matrix
+from .gates import SQRT2, _check_d, _check_xi, _path_terms, _per_matrix, bell_paths, raman_matrix
 from .linalg import BASIS, STATE_INDEX, _float_or_array, stack_matrix
 
 PATTERN_KINDS = ("standard", "mirrored")
@@ -78,8 +78,8 @@ def probabilities_first_principles(d, theta1, theta2) -> np.ndarray:
     average of its squared modulus is x^2 + y^2 + 2 (1 - d) x y.
     """
     _check_d(d)
-    x, y = bell_paths(raman_matrix(theta1, theta2).real)
-    return x**2 + y**2 + _per_matrix(2.0 * (1.0 - d)) * x * y
+    constant, cross = _path_terms(*bell_paths(raman_matrix(theta1, theta2).real))
+    return constant + _per_matrix(1.0 - d) * cross
 
 
 def correlation(p_row) -> float:

@@ -241,6 +241,8 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
         raise ConfigError(str(exc)) from exc
     if "x_min" in values and not values["x_min"] < values["x_max"]:
         raise ConfigError("pattern grid needs x_min < x_max")
+    if "out" in values and os.path.basename(values["out"]) in ("", ".", ".."):
+        raise ConfigError(f"--out must name a file, got {values['out']!r}")
     return SimpleNamespace(**values)
 
 
@@ -426,7 +428,7 @@ def validation_checks(cfg: SimpleNamespace):
     # the other (eg, ee) family stays classical at T/T_cr = 0.5
     other = max(chsh.s_max(d_half, state) for state in ("eg", "ee"))
     ok = (abs(s0 - 2 * gates.SQRT2) <= 1e-9
-          and abs(s5 - gates.SQRT2 * (1 + np.exp(-0.5))) <= 1e-6 and other <= 2.0 + 1e-9)
+          and abs(s5 - chsh.s_at_standard_angle(d_half)) <= 1e-6 and other <= 2.0 + 1e-9)
     yield "chsh_standard_angle_values", ok, f"S(d=0)={s0:.9f} S(T/Tcr=0.5)={s5:.6f}"
 
     ratios = np.linspace(0.0, 2.0, 41)

@@ -65,6 +65,13 @@ def bell_paths(r) -> tuple[np.ndarray, np.ndarray]:
     return BRANCH_ATOM1 @ r / SQRT2, BRANCH_ATOM2 @ r / SQRT2
 
 
+def _path_terms(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(|X|^2 + |Y|^2, 2 Re(X conj(Y))) for two paths: |X e^{i p1} + Y e^{i p2}|^2
+    is first + second cos(p1 - p2) where X conj(Y) is real, and its thermal
+    average first + (1 - d) second."""
+    return np.abs(x) ** 2 + np.abs(y) ** 2, 2.0 * (x * y.conj()).real
+
+
 def bell_matrix(p1=0.0, p2=0.0) -> np.ndarray:
     """Conditional Bell operator for motional phases (p1, p2).
 

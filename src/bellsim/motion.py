@@ -92,23 +92,17 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def _axis_frequency(trap: TrapParams, axis: str) -> float:
-    try:
-        return {"x": trap.nu_perp, "y": trap.nu_perp, "z": trap.nu_par}[axis]
-    except KeyError:
-        raise ValueError(f"axis must be x, y or z, got {axis!r}") from None
-
-
-def axis_variance(trap: TrapParams, axis: str, temperature=None):
-    """Thermal position variance along one axis, in units of 1/k^2.
+def axis_variance(trap: TrapParams, temperature=None):
+    """Thermal position variances along (x, y, z), in units of 1/k^2.
 
     The paper's equipartition law, k^2 <dr^2> = 2 nu_R k_B T / (h nu^2), the
     same law that defines T_cr; exactly zero at T = 0.  A temperature (K), a
     scalar or an array, replaces trap.temperature when given.
     """
-    nu = _axis_frequency(trap, axis)
     temperature = trap.temperature if temperature is None else temperature
-    return 2.0 * trap.nu_recoil * K_B * temperature / (H * nu**2)
+    scale = 2.0 * trap.nu_recoil * K_B * temperature
+    transverse = scale / (H * trap.nu_perp**2)
+    return transverse, transverse, scale / (H * trap.nu_par**2)
 
 
 def mean_square_phase(theta, phi, trap: TrapParams, temperature=None):
@@ -122,11 +116,8 @@ def mean_square_phase(theta, phi, trap: TrapParams, temperature=None):
     as in axis_variance and broadcasts against the angles.
     """
     st, ct = np.sin(theta), np.cos(theta)
-    return (
-        (1.0 - st * np.cos(phi)) ** 2 * axis_variance(trap, "x", temperature)
-        + (st * np.sin(phi)) ** 2 * axis_variance(trap, "y", temperature)
-        + ct**2 * axis_variance(trap, "z", temperature)
-    )
+    var_x, var_y, var_z = axis_variance(trap, temperature)
+    return (1.0 - st * np.cos(phi)) ** 2 * var_x + (st * np.sin(phi)) ** 2 * var_y + ct**2 * var_z
 
 
 def angular_norm_const(theta0: float) -> float:

@@ -14,8 +14,8 @@ The per-sample Bell operator is (e^{ip1} B1 + e^{ip2} B2) / sqrt(2) with the
 fixed real branches B1, B2 of gates.bell_matrix, so every per-sample
 probability reduces exactly (sample by sample, not in the thermal average)
 to a cosine of the drawn phases:
-  mc_probabilities     X^2 + Y^2 + 2 X Y cos(p1 - p2), with the real paths
-                       (X, Y) = gates.bell_paths(R) = (B1 R, B2 R) / sqrt(2)
+  mc_probabilities     X^2 + Y^2 + 2 X Y cos(p1 - p2), both terms gates._path_terms(X, Y)
+                       of the real paths (X, Y) = gates.bell_paths(R) = (B1 R, B2 R) / sqrt(2)
   mc_bell_measurement  Ba Bb^T is +-I or +-K (K the signed anti-diagonal;
                        gates.BELL_MEAS_KIND marks which), so with dp = p1 - p2,
                        dq = q1 - q2 and norm = (1 + 2 xi)^2 the diagonal is
@@ -60,7 +60,7 @@ from itertools import chain, count, islice, repeat
 
 import numpy as np
 
-from .gates import BELL_MEAS_KIND, _check_xi, bell_paths, raman_matrix
+from .gates import BELL_MEAS_KIND, _check_xi, _path_terms, bell_paths, raman_matrix
 from .motion import OpticsParams, TrapParams, axis_variance
 
 
@@ -171,7 +171,7 @@ def _estimate(total: float, total_sq: float, n: int) -> McEstimate:
 def sample_displacement(trap: TrapParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, 3) thermal displacements in inverse-wavenumber units."""
     dr = rng.standard_normal((size, 3))
-    dr *= np.sqrt([axis_variance(trap, ax) for ax in ("x", "y", "z")])
+    dr *= np.sqrt(axis_variance(trap))
     return dr
 
 
@@ -277,8 +277,7 @@ def _decoherence_part(cfg: McConfig, scale: float = 1.0) -> _Part:
 
 
 def _probabilities_part(theta1: float, theta2: float, cfg: McConfig) -> _Part:
-    x, y = bell_paths(raman_matrix(theta1, theta2).real)
-    constant, cross = x * x + y * y, 2.0 * x * y
+    constant, cross = _path_terms(*bell_paths(raman_matrix(theta1, theta2).real))
     row_constant, row_cross = constant.sum(axis=1), cross.sum(axis=1)
 
     def sums(count, dp):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gates
-from .gates import _check_d, _check_xi, _per_matrix
+from .gates import _check_d, _check_xi, _path_terms, _per_matrix
 from .linalg import _float_or_array, elementwise_sqmod
 
 
@@ -66,11 +66,9 @@ def cnot_prob_matrix(d, xi) -> np.ndarray:
     """
     _check_d(d)
     left, right = gates.h1(), gates.h2()
-    x, y = (left @ path for path in gates.bell_paths(right))
-    detected = (np.abs(x) ** 2 + np.abs(y) ** 2
-                + _per_matrix(2.0 * (1.0 - d)) * (x * y.conj()).real)
+    constant, cross = _path_terms(*(left @ path for path in gates.bell_paths(right)))
     double = elementwise_sqmod(left @ gates.b2_matrix(xi) @ right)
-    return (detected + double) / _per_matrix(1.0 + 2.0 * xi)
+    return (constant + _per_matrix(1.0 - d) * cross + double) / _per_matrix(1.0 + 2.0 * xi)
 
 
 def cnot_fidelity(d, xi):

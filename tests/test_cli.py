@@ -578,6 +578,25 @@ def test_out_under_a_file_names_the_file_that_is_not_a_directory(tmp_path, capsy
     assert [p.name for p in tmp_path.iterdir()] == ["plain"]
 
 
+@pytest.mark.parametrize("command", ["tcrit", "bell-sweep", "bell-max", "scatter", "fidelity"])
+@pytest.mark.parametrize("out", ["", ".", "/", "sub/", "x/.."],
+                         ids=["empty", "dot", "root", "trailing-slash", "dot-dot"])
+def test_out_that_names_no_file_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                            command, out):
+    monkeypatch.chdir(tmp_path)
+    write_csv = cli.write_csv
+
+    def write_inside(path, *args):
+        # should the check break, still write nothing outside this test's directory
+        assert Path(path).resolve().is_relative_to(tmp_path.resolve())
+        return write_csv(path, *args)
+
+    monkeypatch.setattr(cli, "write_csv", write_inside)
+    assert run([command, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --out must name a file, got {out!r}"]
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag, key, ceiling", [
     ("--workers", None, cli.MAX_WORKERS),
     ("--chunk-size", "chunk_size", cli.MAX_CHUNK_SIZE),

@@ -52,28 +52,30 @@ def test_optics_params_domain():
 
 def test_axis_variance_classical_zero_at_t0():
     trap = DEFAULT_TRAP.with_temperature(0.0)
-    for axis in "xyz":
-        assert motion.axis_variance(trap, axis) == 0.0
+    assert motion.axis_variance(trap) == (0.0, 0.0, 0.0)
 
 
 def test_axis_variance_transverse_axes_match():
     trap = DEFAULT_TRAP.with_temperature(1e-5)
-    assert motion.axis_variance(trap, "x") == motion.axis_variance(trap, "y")
-
-
-def test_axis_variance_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        motion.axis_variance(DEFAULT_TRAP, "w")
+    var_x, var_y, _ = motion.axis_variance(trap)
+    assert var_x == var_y
 
 
 def test_axis_variance_equipartition_law():
     trap = DEFAULT_TRAP.with_temperature(1e-5)
-    for axis, nu in (("x", trap.nu_perp), ("z", trap.nu_par)):
+    variances = motion.axis_variance(trap)
+    for var, nu in zip(variances, (trap.nu_perp, trap.nu_perp, trap.nu_par)):
         expected = 2.0 * trap.nu_recoil * const.k * trap.temperature / (const.h * nu**2)
-        assert motion.axis_variance(trap, axis) == pytest.approx(expected, rel=1e-12)
+        assert var == pytest.approx(expected, rel=1e-12)
     hotter = DEFAULT_TRAP.with_temperature(2e-5)
-    assert motion.axis_variance(hotter, "z") == pytest.approx(
-        2.0 * motion.axis_variance(trap, "z"), rel=1e-12)
+    assert motion.axis_variance(hotter)[2] == pytest.approx(2.0 * variances[2], rel=1e-12)
+    # an array of temperatures gives each axis's variances elementwise, bit for
+    # bit the scalar calls: d_exact evaluates all its temperatures on one grid
+    temperatures = np.array([0.0, 1e-12, 1e-7, 1e-5, 2e-5, 3.7e-4])
+    per_axis = motion.axis_variance(trap, temperatures)
+    assert [v.shape for v in per_axis] == [temperatures.shape] * 3
+    for i, t in enumerate(temperatures):
+        assert [v[i] for v in per_axis] == list(motion.axis_variance(trap, float(t)))
 
 
 @pytest.mark.parametrize("theta0", [np.pi / 8, np.pi / 4, np.pi / 2])

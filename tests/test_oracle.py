@@ -84,8 +84,7 @@ def test_sample_displacement_frozen_at_t0():
 def test_sample_displacement_variances():
     rng = np.random.default_rng(1)
     dr = oracle.sample_displacement(TRAP_HALF, rng, 100_000)
-    for i, axis in enumerate("xyz"):
-        target = motion.axis_variance(TRAP_HALF, axis)
+    for i, target in enumerate(motion.axis_variance(TRAP_HALF)):
         sample_var = dr[:, i].var(ddof=1)
         se = sample_var * np.sqrt(2.0 / (len(dr) - 1))
         assert abs(sample_var - target) <= 3 * se
