@@ -31,9 +31,12 @@ from . import chsh, gates, linalg, motion, protocol
 
 DEFAULT_SEED = 20240
 #: Fixed ceilings, so the exit code of a call does not depend on the machine:
-#: one thread per worker, and a chunk's arrays grow with its size.
+#: one thread per worker, a chunk's arrays grow with its size, and a table has
+#: a row per grid point and two columns per listed value.
 MAX_WORKERS = 256
 MAX_CHUNK_SIZE = 1_000_000
+MAX_GRID_N = 100_000
+MAX_LIST_VALUES = 100
 #: Chunk samples the default worker count holds at once: 4 workers at the
 #: largest chunk, the CPU count at the default one.
 DEFAULT_WORKER_SAMPLES = 2**22
@@ -85,7 +88,7 @@ _SETTINGS = {
                           choices=chsh.PATTERN_KINDS),
     "--x-min": _Setting(float, "sweep start (rad)", 0.0, ("pattern", "x_min")),
     "--x-max": _Setting(float, "sweep end (rad)", np.pi / 2, ("pattern", "x_max")),
-    "--grid-n": _Setting(int, "sweep grid size", 201, ("pattern", "n"), lo=2),
+    "--grid-n": _Setting(int, "sweep grid size", 201, ("pattern", "n"), lo=2, hi=MAX_GRID_N),
     "--seed": _Setting(int, "Monte-Carlo seed", DEFAULT_SEED, ("mc", "seed"), lo=0),
     # one sample has no standard error
     "--samples": _Setting(int, "Monte-Carlo sample count", 100_000, ("mc", "n_samples"), lo=2),
@@ -97,9 +100,9 @@ _SETTINGS = {
     "--xi-list": _Setting(list, "comma-separated xi values", "0,0.05,0.15,1"),
     "--t-list": _Setting(list, "T/T_cr values for the xi table", "0,0.2,0.5,1"),
     "--t-max": _Setting(float, "largest T/T_cr", 2.0, lo=0.0),
-    "--t-n": _Setting(int, "temperature grid size", 81, lo=1),
+    "--t-n": _Setting(int, "temperature grid size", 81, lo=1, hi=MAX_GRID_N),
     "--xi-max": _Setting(float, "largest xi in the xi table", 1.0, lo=0.0),
-    "--xi-n": _Setting(int, "xi grid size", 101, lo=1),
+    "--xi-n": _Setting(int, "xi grid size", 101, lo=1, hi=MAX_GRID_N),
 }
 
 _TRAP = ("--nu-perp", "--nu-par", "--nu-recoil")
@@ -176,6 +179,8 @@ def _parse_float_list(text: str, name: str) -> list[float]:
         raise ConfigError(f"{name} must be a comma-separated float list") from exc
     if not values:
         raise ConfigError(f"{name} must not be empty")
+    if len(values) > MAX_LIST_VALUES:
+        raise ConfigError(f"{name} must hold at most {MAX_LIST_VALUES} values, got {len(values)}")
     return [_number(v, name, lo=0.0) for v in values]
 
 
@@ -348,6 +353,9 @@ def cmd_fidelity(cfg: SimpleNamespace) -> int:
     stem, suffix = out.with_suffix(""), out.suffix or ".csv"
     path_t = Path(f"{stem}_vs_t{suffix}")
     path_xi = Path(f"{stem}_vs_xi{suffix}")
+    for path in (path_t, path_xi):  # a directory in the way of either: write neither
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: Is a directory")
 
     def cells(ratio, xi):
         d = motion.d_approx(ratio)
@@ -359,11 +367,7 @@ def cmd_fidelity(cfg: SimpleNamespace) -> int:
     rows_xi = np.column_stack([xis] + [c for ratio in cfg.t_list for c in cells(ratio, xis)])
 
     write_csv(path_t, header_t, rows_t)
-    try:
-        write_csv(path_xi, header_xi, rows_xi)
-    except BaseException:
-        path_t.unlink()  # both tables or neither
-        raise
+    write_csv(path_xi, header_xi, rows_xi)
     print(f"wrote {path_t}")
     print(f"wrote {path_xi}")
     return 0
@@ -481,7 +485,8 @@ def validation_checks(cfg: SimpleNamespace):
            f"S-column gap={s_gap:.4f}")
 
     fracs = (0.1, 0.2, 0.25, 0.5, 0.75, 1.0)
-    d_exact = dict(zip(fracs, motion.d_exact(cfg.trap, cfg.optics, np.multiply(fracs, tcr))))
+    d_exact = dict(zip(fracs, motion.d_exact(cfg.trap.with_temperature(np.multiply(fracs, tcr)),
+                                             cfg.optics)))
     worst = max(abs(d_exact[frac] - motion.d_approx(frac)) for frac in (0.1, 0.25, 0.5, 0.75, 1.0))
     yield "d_exact_vs_exponential", worst <= 0.05, f"max |gap|={worst:.4f}"
 

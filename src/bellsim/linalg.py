@@ -25,7 +25,7 @@ def _float_or_array(value):
 def _check_finite_fields(params):
     """Reject a dataclass instance with a non-finite field, naming the first."""
     for name in params.__dataclass_fields__:
-        if not np.isfinite(getattr(params, name)):
+        if not np.all(np.isfinite(getattr(params, name))):
             raise ValueError(f"{name} must be finite")
 
 

@@ -38,22 +38,23 @@ class TrapParams:
     """Harmonic trap frequencies (Hz), recoil frequency (Hz), temperature (K).
 
     x and y share nu_perp, z uses nu_par; the excitation field propagates
-    along x and the collection cone is centred on z.
+    along x and the collection cone is centred on z.  An array temperature
+    broadcasts through `axis_variance`, `mean_square_phase` and `d_exact`.
     """
 
     nu_perp: float
     nu_par: float
     nu_recoil: float
-    temperature: float
+    temperature: float | np.ndarray
 
     def __post_init__(self):
         if not (self.nu_perp > 0 and self.nu_par > 0 and self.nu_recoil > 0):
             raise ValueError("trap frequencies must be positive")
-        if not self.temperature >= 0:
+        if not np.all(np.asarray(self.temperature) >= 0):
             raise ValueError("temperature must be >= 0")
         _check_finite_fields(self)
 
-    def with_temperature(self, temperature: float) -> "TrapParams":
+    def with_temperature(self, temperature: float | np.ndarray) -> "TrapParams":
         return replace(self, temperature=temperature)
 
 
@@ -92,31 +93,29 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def axis_variance(trap: TrapParams, temperature=None):
+def axis_variance(trap: TrapParams):
     """Thermal position variances along (x, y, z), in units of 1/k^2.
 
     The paper's equipartition law, k^2 <dr^2> = 2 nu_R k_B T / (h nu^2), the
-    same law that defines T_cr; exactly zero at T = 0.  A temperature (K), a
-    scalar or an array, replaces trap.temperature when given.
+    same law that defines T_cr; exactly zero at T = 0; arrays for an array temperature.
     """
-    temperature = trap.temperature if temperature is None else temperature
-    scale = 2.0 * trap.nu_recoil * K_B * temperature
+    scale = 2.0 * trap.nu_recoil * K_B * trap.temperature
     transverse = scale / (H * trap.nu_perp**2)
     return transverse, transverse, scale / (H * trap.nu_par**2)
 
 
-def mean_square_phase(theta, phi, trap: TrapParams, temperature=None):
+def mean_square_phase(theta, phi, trap: TrapParams):
     """Thermal variance of the motional phase q . dr for one atom.
 
     q = k_laser - k_photon with the laser along x and the photon at
     (theta, phi) measured from the cone axis z; each axis's variance is
     weighted by that component of q/k squared.  Vanishes identically in the
     forward-scattering direction (theta = pi/2, phi = 0) where the photon
-    recoil cancels the laser kick.  A temperature replaces trap.temperature
-    as in axis_variance and broadcasts against the angles.
+    recoil cancels the laser kick.  An array trap.temperature broadcasts
+    against the angles.
     """
     st, ct = np.sin(theta), np.cos(theta)
-    var_x, var_y, var_z = axis_variance(trap, temperature)
+    var_x, var_y, var_z = axis_variance(trap)
     return (1.0 - st * np.cos(phi)) ** 2 * var_x + (st * np.sin(phi)) ** 2 * var_y + ct**2 * var_z
 
 
@@ -224,7 +223,7 @@ def d_approx(ratio):
     return -np.expm1(-ratio)
 
 
-def d_exact(trap: TrapParams, optics: OpticsParams, temperatures=None):
+def d_exact(trap: TrapParams, optics: OpticsParams):
     """Decoherence parameter by direct quadrature of the dephasing factor.
 
     Integrates 1 - exp(-<(q.dr)^2>_T), as -expm1 so D keeps its digits far
@@ -232,19 +231,15 @@ def d_exact(trap: TrapParams, optics: OpticsParams, temperatures=None):
     replaces the average of the exponential with the exponential of the
     average, so this value is never larger (Jensen).
 
-    Returns D at trap.temperature as a float, or, given an array of
-    temperatures (K), an array of D for the same trap and aperture from one
+    Returns D at trap.temperature as a float, or, for an array
+    trap.temperature, an array of D for the same trap and aperture from one
     angular grid per quadrature order.
     """
-    temps = np.asarray(trap.temperature if temperatures is None else temperatures, dtype=float)
-    if not np.all(np.isfinite(temps) & (temps >= 0)):
-        raise ValueError("temperatures must be finite and >= 0")
     # one temperature axis ahead of the (theta, phi) grid
-    per_grid = temps[..., None, None]
+    per_grid = trap.with_temperature(np.asarray(trap.temperature, dtype=float)[..., None, None])
 
     def integrand(theta, phi):
-        return (angular_pdf(theta, phi, optics)
-                * -np.expm1(-mean_square_phase(theta, phi, trap, per_grid)))
+        return angular_pdf(theta, phi, optics) * -np.expm1(-mean_square_phase(theta, phi, per_grid))
 
     decoherence, _ = cap_quadrature(integrand, optics.theta0, tol=1e-10)
     return decoherence

@@ -340,6 +340,21 @@ def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, argv, out,
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(filter(None, ["plain", made]))
 
 
+def test_fidelity_rerun_blocked_by_a_directory_keeps_the_earlier_tables(tmp_path, capsys):
+    out = str(tmp_path / "fid.csv")
+    assert run(["fidelity", "--out", out]) == 0
+    earlier = (tmp_path / "fid_vs_t.csv").read_bytes()
+    (tmp_path / "fid_vs_xi.csv").unlink()
+    (tmp_path / "fid_vs_xi.csv").mkdir()
+    capsys.readouterr()
+    # a different grid, so a rewritten first table would differ from the earlier one
+    assert run(["fidelity", "--out", out, "--t-n", "5"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {tmp_path / 'fid_vs_xi.csv'}: Is a directory"]
+    assert (tmp_path / "fid_vs_t.csv").read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["fid_vs_t.csv", "fid_vs_xi.csv"]
+
+
 @pytest.mark.parametrize("argv, doc, key", [
     (["tcrit"], {"trap": {"nu_perp": 1e5}}, "'trap.nu_perp'"),
     (["bell-sweep"], {"optics": {"theta0": 0.5}}, "'optics.theta0'"),
@@ -615,6 +630,56 @@ def test_workers_and_chunk_size_have_fixed_ceilings(tmp_path, capsys, flag, key,
     assert run(["validate", flag, str(ceiling + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, flag, dest", [
+    ("tcrit", "--grid-n", "grid_n"),
+    ("bell-sweep", "--grid-n", "grid_n"),
+    ("scatter", "--grid-n", "grid_n"),
+    ("bell-max", "--t-n", "t_n"),
+    ("fidelity", "--t-n", "t_n"),
+    ("fidelity", "--xi-n", "xi_n"),
+])
+def test_grid_sizes_have_a_fixed_ceiling(tmp_path, capsys, command, flag, dest):
+    # resolved only, never run at the ceiling: it is accepted, one more is not
+    parser = cli._make_parser()
+    out = ["--out", str(tmp_path / "out.csv")]
+    ceiling = cli.MAX_GRID_N
+    cfg = cli.build_config(parser.parse_args([command, flag, str(ceiling), *out]))
+    assert getattr(cfg, dest) == ceiling
+    with pytest.raises(cli.ConfigError, match=f"<= {ceiling}"):
+        cli.build_config(parser.parse_args([command, flag, str(ceiling + 1), *out]))
+    if flag == "--grid-n":  # the config key pattern.n has the same ceiling
+        (tmp_path / "cfg.json").write_text(json.dumps({"pattern": {"n": ceiling + 1}}))
+        with pytest.raises(cli.ConfigError, match="pattern.n"):
+            cli.build_config(parser.parse_args([command, "--config", str(tmp_path / "cfg.json"),
+                                                *out]))
+    assert run([command, flag, str(ceiling + 1), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, flag, dest", [
+    ("scatter", "--xi-list", "xi_list"),
+    ("fidelity", "--xi-list", "xi_list"),
+    ("fidelity", "--t-list", "t_list"),
+])
+def test_value_lists_have_a_fixed_ceiling(tmp_path, capsys, command, flag, dest):
+    # resolved only, never run at the ceiling: it is accepted, one more is not
+    parser = cli._make_parser()
+    out = ["--out", str(tmp_path / "out.csv")]
+    full = ",".join(["0.5"] * cli.MAX_LIST_VALUES)
+    cfg = cli.build_config(parser.parse_args([command, flag, full, *out]))
+    assert getattr(cfg, dest) == [0.5] * cli.MAX_LIST_VALUES
+    with pytest.raises(cli.ConfigError, match=f"at most {cli.MAX_LIST_VALUES} values"):
+        cli.build_config(parser.parse_args([command, flag, full + ",0.5", *out]))
+    assert run([command, flag, full + ",0.5", *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_workers_default_to_the_cpus_this_process_may_use():

@@ -72,10 +72,11 @@ def test_axis_variance_equipartition_law():
     # an array of temperatures gives each axis's variances elementwise, bit for
     # bit the scalar calls: d_exact evaluates all its temperatures on one grid
     temperatures = np.array([0.0, 1e-12, 1e-7, 1e-5, 2e-5, 3.7e-4])
-    per_axis = motion.axis_variance(trap, temperatures)
+    per_axis = motion.axis_variance(trap.with_temperature(temperatures))
     assert [v.shape for v in per_axis] == [temperatures.shape] * 3
     for i, t in enumerate(temperatures):
-        assert [v[i] for v in per_axis] == list(motion.axis_variance(trap, float(t)))
+        scalar = motion.axis_variance(trap.with_temperature(float(t)))
+        assert [v[i] for v in per_axis] == list(scalar)
 
 
 @pytest.mark.parametrize("theta0", [np.pi / 8, np.pi / 4, np.pi / 2])
@@ -137,6 +138,13 @@ def test_mean_square_phase_nonnegative():
     ph = rng.uniform(0, 2 * np.pi, 200)
     assert np.all(motion.mean_square_phase(th, ph, trap) > 0.0)
     assert motion.mean_square_phase(np.pi / 2, np.pi, trap) > 0.0
+    # an array of temperatures broadcasts against the angles, each slice bit
+    # for bit the scalar call
+    temps = np.array([1e-9, 3e-5, 4e-4])
+    grid = motion.mean_square_phase(th, ph, trap.with_temperature(temps[:, None]))
+    assert grid.shape == (3, 200) and np.all(grid > 0.0)
+    for row, t in zip(grid, temps):
+        assert np.array_equal(row, motion.mean_square_phase(th, ph, trap.with_temperature(t)))
 
 
 def test_aperture_coefficients_quarter_pi_anchor():
@@ -323,7 +331,7 @@ def test_d_exact_over_temperatures_matches_the_scalar_calls(nu_par, theta0, scal
     optics = OpticsParams(theta0)
     trap = replace(DEFAULT_TRAP, nu_par=nu_par)
     temps = scale * motion.t_crit(trap, optics) * np.array([0.1, 0.2, 0.25, 0.5, 0.75, 1.0])
-    values = motion.d_exact(trap, optics, temps)
+    values = motion.d_exact(trap.with_temperature(temps), optics)
     scalars = [motion.d_exact(trap.with_temperature(t), optics) for t in temps]
     assert values.shape == (6,)
     assert np.all(_ulps(values, scalars) <= 4)
@@ -331,12 +339,13 @@ def test_d_exact_over_temperatures_matches_the_scalar_calls(nu_par, theta0, scal
 
 
 def test_d_exact_over_temperatures_keeps_zero_and_rejects_bad_ones():
-    values = motion.d_exact(DEFAULT_TRAP, DEFAULT_OPTICS, [0.0, TCR_DEFAULT, 0.0])
+    temps = np.array([0.0, TCR_DEFAULT, 0.0])
+    values = motion.d_exact(DEFAULT_TRAP.with_temperature(temps), DEFAULT_OPTICS)
     assert values[0] == values[2] == 0.0
     assert values[1] == motion.d_exact(DEFAULT_TRAP.with_temperature(TCR_DEFAULT), DEFAULT_OPTICS)
     for bad in ([TCR_DEFAULT, -1e-9], [np.nan], [np.inf]):
         with pytest.raises(ValueError):
-            motion.d_exact(DEFAULT_TRAP, DEFAULT_OPTICS, bad)
+            motion.d_exact(DEFAULT_TRAP.with_temperature(np.array(bad)), DEFAULT_OPTICS)
 
 
 def test_cap_quadrature_stack_keeps_each_integral_at_its_own_order():
