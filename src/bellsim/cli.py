@@ -79,11 +79,8 @@ _SETTINGS = {
                             motion.DEFAULT_TRAP.nu_recoil, ("trap", "nu_recoil_hz")),
     "--theta0": _Setting(float, "collection-cone half-angle (rad)",
                          motion.DEFAULT_OPTICS.theta0, ("optics", "theta0_rad")),
-    # no default: T/T_cr = 0.5 applies when neither temperature setting is given
-    "--temperature-k": _Setting(float, "atom temperature (K)",
-                                key=("trap", "temperature_k"), lo=0.0),
-    "--t-over-tcr": _Setting(float, "temperature as a fraction of T_cr",
-                             key=("trap", "t_over_tcr"), lo=0.0),
+    "--t-over-tcr": _Setting(float, "temperature as a fraction of T_cr", 0.5,
+                             ("trap", "t_over_tcr"), lo=0.0),
     "--pattern": _Setting(str, "angle pattern", "standard", ("pattern", "kind"),
                           choices=chsh.PATTERN_KINDS),
     "--x-min": _Setting(float, "sweep start (rad)", 0.0, ("pattern", "x_min")),
@@ -106,8 +103,6 @@ _SETTINGS = {
 }
 
 _TRAP = ("--nu-perp", "--nu-par", "--nu-recoil")
-# the trap and optics settings convert a temperature in kelvin through T_cr
-_TEMPERATURE = (*_TRAP, "--theta0", "--temperature-k", "--t-over-tcr")
 _X_GRID = ("--x-min", "--x-max", "--grid-n")
 
 #: Subcommand -> (help, the flags it reads, defaults that differ from
@@ -116,13 +111,13 @@ _COMMANDS = {
     "tcrit": ("critical temperature vs aperture angle",
               ("--config", "--out", *_TRAP, "--grid-n"), {"--out": "tcrit.csv"}),
     "bell-sweep": ("CHSH S(x) for the four initial states",
-                   ("--config", "--out", *_TEMPERATURE, "--pattern", *_X_GRID),
+                   ("--config", "--out", "--t-over-tcr", "--pattern", *_X_GRID),
                    {"--out": "bell_sweep.csv"}),
     "bell-max": ("maxima of |S| vs T/T_cr",
                  ("--config", "--out", "--pattern", "--t-max", "--t-n"),
                  {"--out": "bell_max.csv", "--t-n": 41}),
     "scatter": ("S_gg(x) at several double-excitation ratios",
-                ("--config", "--out", *_TEMPERATURE, *_X_GRID, "--xi-list"),
+                ("--config", "--out", "--t-over-tcr", *_X_GRID, "--xi-list"),
                 {"--out": "scatter.csv"}),
     "fidelity": ("Bell-measurement and CNOT fidelity tables",
                  ("--out", "--xi-list", "--t-list", "--t-max", "--t-n", "--xi-max", "--xi-n"),
@@ -188,17 +183,12 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
     """Resolve every setting the subcommand reads: defaults <- config file <- flags.
 
     Each setting becomes the attribute named as its flag without dashes, except
-    that the trap frequencies and the resolved temperature make `trap`, theta0
-    makes `optics`, the temperature settings leave the ratio `t_over_tcr`, and
-    the Monte-Carlo ones make `mc`.
+    that the trap frequencies make `trap`, theta0 makes `optics`, and the
+    Monte-Carlo ones make `mc`.
     """
     _, flags, defaults = _COMMANDS[args.command]
     given = vars(args)
     doc = _load_config(given["config"]) if given.get("config") else {}
-    if given.get("temperature_k") is not None or given.get("t_over_tcr") is not None:
-        # either temperature flag displaces both file keys
-        doc["trap"] = {key: value for key, value in doc.get("trap", {}).items()
-                       if key not in ("temperature_k", "t_over_tcr")}
 
     values = {}
     for flag in flags:
@@ -228,16 +218,6 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
                 values.pop("nu_perp"), values.pop("nu_par"), values.pop("nu_recoil"), 0.0)
         if "theta0" in values:
             values["optics"] = motion.OpticsParams(values.pop("theta0"))
-        if "temperature_k" in values:
-            temperature, ratio = values.pop("temperature_k"), values["t_over_tcr"]
-            if temperature is not None and ratio is not None:
-                raise ConfigError("temperature_k and t_over_tcr are mutually exclusive")
-            t_cr = motion.t_crit(values["trap"], values["optics"])
-            if temperature is not None:
-                ratio = temperature / t_cr
-            values["t_over_tcr"] = ratio = _number(
-                0.5 if ratio is None else ratio, "t_over_tcr", lo=0.0)
-            values["trap"] = values["trap"].with_temperature(ratio * t_cr)
         if "seed" in values:
             from . import oracle  # only validate samples
             values["mc"] = oracle.McConfig(

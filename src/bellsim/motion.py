@@ -48,6 +48,8 @@ class TrapParams:
     temperature: float | np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.temperature):  # a list computes as the equal array
+            object.__setattr__(self, "temperature", np.asarray(self.temperature, dtype=float))
         if not (self.nu_perp > 0 and self.nu_par > 0 and self.nu_recoil > 0):
             raise ValueError("trap frequencies must be positive")
         if not np.all(np.asarray(self.temperature) >= 0):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -278,21 +279,20 @@ def test_config_file_and_flag_precedence(tmp_path):
                 "--grid-n", "5"]) == 0
     _, data = read_csv(out)
     assert data.shape[0] == 5
-    # a temperature flag displaces the file's ratio entirely
+    # the temperature flag overrides the file's ratio
     hot = dict(cfg)
     hot["trap"] = dict(cfg["trap"], t_over_tcr=4.0)
     path.write_text(json.dumps(hot))
     assert run(["bell-sweep", "--config", str(path), "--out", str(out),
-                "--temperature-k", "0", "--grid-n", "201",
+                "--t-over-tcr", "0", "--grid-n", "201",
                 "--x-max", "1.5707963267948966"]) == 0
     _, data = read_csv(out)
     assert np.max(np.abs(data[:, 1:])) == pytest.approx(2 * SQRT2, abs=1e-6)
 
 
 def test_invalid_config_exits_2(tmp_path):
-    assert run(["bell-sweep", "--theta0", "0.001", "--out", str(tmp_path / "x.csv")]) == 2
-    assert run(["bell-sweep", "--t-over-tcr", "0.5", "--temperature-k", "1e-5",
-                "--out", str(tmp_path / "y.csv")]) == 2
+    assert run(["tcrit", "--nu-perp", "-1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert run(["validate", "--theta0", "0.001"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["tcrit", "--config", str(bad), "--out", str(tmp_path / "z.csv")]) == 2
@@ -361,7 +361,8 @@ def test_fidelity_rerun_blocked_by_a_directory_keeps_the_earlier_tables(tmp_path
     (["bell-max"], {"pattern": {"points": 11}}, "'pattern.points'"),
     (["validate"], {"mc": {"samples": 10}}, "'mc.samples'"),
     (["tcrit"], {"xi": 0.05}, "'xi'"),
-], ids=["trap", "optics", "pattern", "mc", "top-level"])
+    (["bell-sweep"], {"trap": {"temperature_k": 1e-5}}, "'trap.temperature_k'"),
+], ids=["trap", "optics", "pattern", "mc", "top-level", "trap-temperature-k"])
 def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, argv, doc, key):
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     assert run(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
@@ -371,8 +372,7 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, argv, doc, key):
 
 # The flags each subcommand registers (--help aside): exactly the settings it reads.
 TRAP_FLAGS = {"--nu-perp", "--nu-par", "--nu-recoil"}
-SWEEP_FLAGS = {"--config", "--out", *TRAP_FLAGS, "--theta0", "--temperature-k", "--t-over-tcr",
-               "--x-min", "--x-max", "--grid-n"}
+SWEEP_FLAGS = {"--config", "--out", "--t-over-tcr", "--x-min", "--x-max", "--grid-n"}
 SUBCOMMAND_FLAGS = {
     "tcrit": {"--config", "--out", *TRAP_FLAGS, "--grid-n"},
     "bell-sweep": SWEEP_FLAGS | {"--pattern"},
@@ -384,13 +384,34 @@ SUBCOMMAND_FLAGS = {
 }
 
 
-def test_each_subcommand_registers_exactly_the_flags_it_reads():
+def _registered_flags():
     parser = cli._make_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {name: {opt for action in sub._actions for opt in action.option_strings}
-             - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+    return {name: {opt for action in sub._actions for opt in action.option_strings}
+            - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+
+
+def test_each_subcommand_registers_exactly_the_flags_it_reads():
+    flags = _registered_flags()
     assert flags == SUBCOMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 51
+    assert sum(map(len, flags.values())) == 41
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_flag_table_lists_the_registered_flags():
+    rows = re.findall(r"^\| `([a-z-]+)` +\| `([^`]*)` \|$", README, re.MULTILINE)
+    assert {name: set(flags.split()) for name, flags in rows} == _registered_flags()
+    assert len(rows) == len(SUBCOMMAND_FLAGS)
+
+
+def test_readme_config_example_is_accepted(tmp_path):
+    (example,) = re.findall(r"^```json\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+    path = tmp_path / "cfg.json"
+    path.write_text(example)
+    assert run(["bell-sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert run(["validate", "--config", str(path), "--samples", "2000"]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -400,8 +421,12 @@ def test_each_subcommand_registers_exactly_the_flags_it_reads():
     ["fidelity", "--xi", "0.1"],
     ["scatter", "--xi", "0.1"],
     ["validate", "--out", "v.csv"],
+    ["bell-sweep", "--temperature-k", "1e-5"],
+    ["scatter", "--nu-perp", "1e5"],
+    ["bell-sweep", "--theta0", "0.5"],
 ], ids=["scatter-pattern", "validate-t-over-tcr", "tcrit-seed", "fidelity-xi",
-        "scatter-xi-prefix", "validate-out"])
+        "scatter-xi-prefix", "validate-out", "bell-sweep-temperature-k", "scatter-nu-perp",
+        "bell-sweep-theta0"])
 def test_flag_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -411,13 +436,12 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["fidelity", "--xi-list", "1e300"],
-    ["bell-sweep", "--nu-perp", "1e200"],
     ["tcrit", "--nu-perp", "1e200"],
-    ["scatter", "--nu-perp", "1e-300"],
+    ["tcrit", "--nu-perp", "1e-300"],
     ["scatter", "--xi-list", "1e308"],
     ["validate", "--nu-perp", "1e200"],
-], ids=["fidelity-xi-overflow", "bell-sweep-nu-overflow", "tcrit-nu-overflow",
-        "scatter-nu-underflow", "scatter-xi-overflow", "validate-nu-overflow"])
+], ids=["fidelity-xi-overflow", "tcrit-nu-overflow", "tcrit-nu-underflow",
+        "scatter-xi-overflow", "validate-nu-overflow"])
 def test_out_of_range_inputs_exit_2_with_one_error_line(tmp_path, capsys, argv):
     if argv[0] != "validate":
         argv = argv + ["--out", str(tmp_path / "out.csv")]
@@ -496,31 +520,24 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
-def test_temperature_kelvin_accepted(tmp_path):
-    out = tmp_path / "sweep.csv"
-    assert run(["bell-sweep", "--temperature-k", "1e-5", "--out", str(out)]) == 0
-    _, data = read_csv(out)
-    assert np.max(np.abs(data[:, 1:])) > 2.0  # 10 uK is below T_cr, still violating
-
-
 # Property test of the exit-code contract over drawn flags and config files:
 # each value is usually in its working range and now and then any float at all.
 IN_RANGE = {
-    "t-over-tcr": st.floats(0, 3), "temperature-k": st.floats(0, 1e-4),
+    "t-over-tcr": st.floats(0, 3),
     "nu-perp": st.floats(1e3, 1e6), "nu-par": st.floats(1e3, 1e6),
     "nu-recoil": st.floats(1e2, 1e4), "theta0": st.floats(0.05, np.pi / 2),
     "xi": st.floats(0, 2), "x-min": st.floats(-1, 1), "x-max": st.floats(1, 3),
     "t-max": st.floats(0, 3), "xi-max": st.floats(0, 2),
 }
 # the drawn flags of each command, all among the flags it takes
-SWEEP_DRAWN = ["nu-perp", "nu-par", "nu-recoil", "theta0", "x-min", "x-max"]
+SWEEP_DRAWN = ["t-over-tcr", "x-min", "x-max"]
 COMMAND_FLAGS = {
     "tcrit": ["nu-perp", "nu-par", "nu-recoil"], "bell-sweep": SWEEP_DRAWN,
     "bell-max": ["t-max"], "scatter": SWEEP_DRAWN, "fidelity": ["t-max", "xi-max"],
 }
 DOC_KEYS = {
     "trap": {"nu_perp_hz": "nu-perp", "nu_par_hz": "nu-par", "nu_recoil_hz": "nu-recoil",
-             "temperature_k": "temperature-k", "t_over_tcr": "t-over-tcr"},
+             "t_over_tcr": "t-over-tcr"},
     "optics": {"theta0_rad": "theta0"},
     "pattern": {"x_min": "x-min", "x_max": "x-max"},
 }
@@ -537,8 +554,6 @@ def cli_calls(draw):
     flags = list(COMMAND_FLAGS[command])
     if command in ("tcrit", "bell-sweep", "scatter"):
         argv.append(f"--grid-n={draw(st.integers(2, 12))}")
-    if command in ("bell-sweep", "scatter"):
-        flags.append(draw(st.sampled_from(["t-over-tcr", "temperature-k"])))
     for flag in flags:
         if draw(st.booleans()):
             argv.append(f"--{flag}={_value(draw, flag)!r}")

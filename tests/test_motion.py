@@ -348,6 +348,17 @@ def test_d_exact_over_temperatures_keeps_zero_and_rejects_bad_ones():
             motion.d_exact(DEFAULT_TRAP.with_temperature(np.array(bad)), DEFAULT_OPTICS)
 
 
+def test_a_list_temperature_computes_as_the_equal_array():
+    listed = DEFAULT_TRAP.with_temperature([0.0, 1e-5, TCR_DEFAULT])
+    array = DEFAULT_TRAP.with_temperature(np.array([0.0, 1e-5, TCR_DEFAULT]))
+    for got, want in zip(motion.axis_variance(listed), motion.axis_variance(array)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(motion.mean_square_phase(0.3, 0.2, listed),
+                          motion.mean_square_phase(0.3, 0.2, array))
+    assert np.array_equal(motion.d_exact(listed, DEFAULT_OPTICS),
+                          motion.d_exact(array, DEFAULT_OPTICS))
+
+
 def test_cap_quadrature_stack_keeps_each_integral_at_its_own_order():
     # the smooth integrand converges at the first comparison, the sharp one
     # later; each element reads as if integrated alone
