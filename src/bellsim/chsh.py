@@ -92,20 +92,31 @@ def correlation(p_row) -> float:
     return float(row @ _PARITY)
 
 
+#: Closed-form correlation of each initial state, E = a cos 2(t1 -+ t2) + b q
+#: with q = d sin 2t1 sin 2t2: its sign a, whether the angles add, its sign b.
+_CORRELATION_SIGNS = {"gg": (-1.0, False, 1.0), "ge": (1.0, False, -1.0),
+                      "eg": (1.0, True, 1.0), "ee": (-1.0, True, -1.0)}
+
+
+def _correlations(d, t1, t2, states) -> list:
+    """Closed-form correlations of `states` at one angle pair, for a checked d:
+    one q, and only the cosines those states read."""
+    q = d * np.sin(2.0 * t1) * np.sin(2.0 * t2)
+    cosines, result = {}, []
+    for state in states:
+        a, add, b = _CORRELATION_SIGNS[state]
+        if add not in cosines:
+            cosines[add] = np.cos(2.0 * (t1 + t2) if add else 2.0 * (t1 - t2))
+        result.append(a * cosines[add] + b * q)
+    return result
+
+
 def correlation_closed_form(initial: str, d: float, theta1, theta2):
     """Correlation in closed form; accepts angle arrays for sweeps."""
     _check_d(d)
-    t1, t2 = np.asarray(theta1), np.asarray(theta2)
-    q = d * np.sin(2.0 * t1) * np.sin(2.0 * t2)
-    if initial == "gg":
-        return -np.cos(2.0 * (t1 - t2)) + q
-    if initial == "ge":
-        return np.cos(2.0 * (t1 - t2)) - q
-    if initial == "eg":
-        return np.cos(2.0 * (t1 + t2)) + q
-    if initial == "ee":
-        return -np.cos(2.0 * (t1 + t2)) - q
-    raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
+    if initial not in _CORRELATION_SIGNS:
+        raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
+    return _correlations(d, np.asarray(theta1), np.asarray(theta2), (initial,))[0]
 
 
 def _chsh_combination(corr, angles: ChshAngles):
@@ -132,9 +143,12 @@ def chsh_s_curve(x, initial: str, d: float, kind: str = "standard") -> np.ndarra
 
 
 def sweep_s(x_values, d: float, kind: str = "standard") -> dict[str, np.ndarray]:
-    """Tabulate S(x) for all four initial states; CSV-ready columns."""
-    x = np.asarray(x_values, dtype=float)
-    return {state: chsh_s_curve(x, state, d, kind) for state in BASIS}
+    """Tabulate S(x) for all four initial states; CSV-ready columns, each equal
+    to its chsh_s_curve bit for bit from one q and two cosines per angle pair."""
+    _check_d(d)
+    angles = pattern_angles(kind, np.asarray(x_values, dtype=float))
+    curves = _chsh_combination(lambda t1, t2: np.stack(_correlations(d, t1, t2, BASIS)), angles)
+    return dict(zip(BASIS, curves))
 
 
 #: Ends of the maximized range, pi/4002 in from each edge of (0, pi/2), and
@@ -185,6 +199,25 @@ def s_max(d, initial: str = "ge", kind: str = "standard"):
     return _grid_max(lambda x, d: chsh_s_curve(x, initial, d, kind), d)
 
 
+def s_max_families(d, kind: str = "standard"):
+    """(violating, other): the s_max of the family that violates under `kind`
+    (ge for standard, eg for mirrored) and of the other family, each equal to
+    its s_max call bit for bit, from one _grid_max pass over d stacked twice."""
+    _check_d(d)
+    states = ("ge", "eg") if kind == "standard" else ("eg", "ge")
+    half = np.size(d)
+
+    def curves(x, levels):
+        def corr(t1, t2):
+            # the first half of the columns reads the violating state, the second the other
+            first, second = _correlations(levels, t1, t2, states)
+            return np.concatenate((first[..., :half], second[..., half:]), axis=-1)
+        return _chsh_combination(corr, pattern_angles(kind, x))
+
+    violating, other = _grid_max(curves, np.stack((d, d)))
+    return _float_or_array(violating), _float_or_array(other)
+
+
 def s_at_standard_angle(d):
     """Violating-family S at the d = 0 optimum x = pi/8: sqrt(2) (2 - d)."""
     _check_d(d)
@@ -204,21 +237,29 @@ def e_gg_scatter(d: float, xi: float, theta1, theta2,
     """
     _check_d(d)
     _check_xi(xi)
-    t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
+    return _float_or_array(_e_gg_scatter(d, xi, np.asarray(theta1, dtype=float),
+                                         np.asarray(theta2, dtype=float), form))
+
+
+def _e_gg_scatter(d, xi, t1, t2, form: str):
+    """e_gg_scatter for a checked d and xi and float angles."""
     if form == "closed_form":
-        return _float_or_array(-(1.0 - d) * np.sin(2 * t1) * np.sin(2 * t2)
-                               - np.cos(2 * t1) * np.cos(2 * t2) / (1.0 + 2.0 * xi))
+        return (-(1.0 - d) * np.sin(2 * t1) * np.sin(2 * t2)
+                - np.cos(2 * t1) * np.cos(2 * t2) / (1.0 + 2.0 * xi))
     if form == "branch":
-        e_single = correlation_closed_form("gg", d, t1, t2)
+        e_single = _correlations(d, t1, t2, ("gg",))[0]
         e_double = np.cos(2 * t1) * np.cos(2 * t2)
-        return _float_or_array((2.0 * e_single + 4.0 * xi * e_double) / (2.0 + 4.0 * xi))
+        return (2.0 * e_single + 4.0 * xi * e_double) / (2.0 + 4.0 * xi)
     raise ValueError(f"form must be 'closed_form' or 'branch', got {form!r}")
 
 
-def s_gg_scatter_curve(x, d: float, xi: float, form: str = "closed_form") -> np.ndarray:
-    """CHSH S(x) for initial gg with scattering, standard angle pattern."""
-    return _chsh_combination(lambda t1, t2: e_gg_scatter(d, xi, t1, t2, form),
+def s_gg_scatter_curve(x, d: float, xi, form: str = "closed_form") -> np.ndarray:
+    """CHSH S(x) for initial gg with scattering, standard angle pattern.  xi may
+    be an array that broadcasts against x, such as a column of ratios for one
+    curve per row, each equal to its scalar-xi call bit for bit."""
+    _check_d(d)
+    _check_xi(xi)
+    return _chsh_combination(lambda t1, t2: _e_gg_scatter(d, xi, t1, t2, form),
                              pattern_angles("standard", np.asarray(x, dtype=float)))
 
 

@@ -37,6 +37,9 @@ MAX_WORKERS = 256
 MAX_CHUNK_SIZE = 1_000_000
 MAX_GRID_N = 100_000
 MAX_LIST_VALUES = 100
+#: Cells write_csv formats per `%`: one block's Python floats and text stay
+#: a few MB whatever the table's size.
+CSV_BLOCK_CELLS = 2**14
 #: Chunk samples the default worker count holds at once: 4 workers at the
 #: largest chunk, the CPU count at the default one.
 DEFAULT_WORKER_SAMPLES = 2**22
@@ -255,6 +258,7 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     if np.count_nonzero(finite) < table.size:
         raise ConfigError(f"non-finite result {table[~finite][0]}: an input is out of range")
     line = ",".join(["%.12g"] * len(header)) + "\n"
+    block_rows = max(1, CSV_BLOCK_CELLS // len(header))
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -262,7 +266,9 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(",".join(header) + "\n")
-                fh.writelines(line % tuple(row) for row in table.tolist())
+                for start in range(0, len(table), block_rows):
+                    block = table[start:start + block_rows]
+                    fh.write(line * len(block) % tuple(block.ravel().tolist()))
             os.replace(tmp_name, path)
         except BaseException:
             if os.path.exists(tmp_name):
@@ -275,6 +281,12 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         raise ConfigError(f"cannot write {path}: {reason}") from exc
 
 
+def _interleave(first, *blocks) -> np.ndarray:
+    """Table of the column `first`, then column j of every (rows, m) block in
+    turn for j = 0 .. m - 1."""
+    return np.column_stack((first, np.stack(blocks, axis=-1).reshape(len(first), -1)))
+
+
 def cmd_tcrit(cfg: SimpleNamespace) -> int:
     # keep the reference aperture pi/4 on the grid so its row is quotable
     # (np.union1d would give the same grid but loads numpy.ma)
@@ -284,8 +296,8 @@ def cmd_tcrit(cfg: SimpleNamespace) -> int:
         grid = np.insert(grid, at, np.pi / 4)
     optics = motion.OpticsParams(grid)
     a_perp, a_par = motion.aperture_coefficients(optics)
-    rows = np.column_stack((grid, a_perp, a_par, motion.nu_eff(cfg.trap, optics),
-                            motion.t_crit(cfg.trap, optics)))
+    nu = motion._nu_eff(cfg.trap, a_perp, a_par)
+    rows = np.column_stack((grid, a_perp, a_par, nu, motion._t_crit(cfg.trap, nu)))
     write_csv(cfg.out, ["theta0_rad", "A_perp", "A_par", "nu_eff_Hz", "T_cr_K"], rows)
     print(f"wrote {cfg.out}")
     return 0
@@ -295,16 +307,14 @@ def cmd_bell_sweep(cfg: SimpleNamespace) -> int:
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.grid_n)
     curves = chsh.sweep_s(xs, motion.d_approx(cfg.t_over_tcr), cfg.pattern)
     write_csv(cfg.out, ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"],
-              np.column_stack((xs, curves["gg"], curves["ge"], curves["eg"], curves["ee"])))
+              np.column_stack((xs, *curves.values())))
     print(f"wrote {cfg.out}")
     return 0
 
 
 def cmd_bell_max(cfg: SimpleNamespace) -> int:
     ratios = np.linspace(0.0, cfg.t_max, cfg.t_n)
-    families = ("ge", "eg") if cfg.pattern == "standard" else ("eg", "ge")
-    d = motion.d_approx(ratios)
-    rows = np.column_stack([ratios] + [chsh.s_max(d, state, cfg.pattern) for state in families])
+    rows = np.column_stack((ratios, *chsh.s_max_families(motion.d_approx(ratios), cfg.pattern)))
     write_csv(cfg.out, ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"], rows)
     print(f"wrote {cfg.out}")
     return 0
@@ -313,14 +323,11 @@ def cmd_bell_max(cfg: SimpleNamespace) -> int:
 def cmd_scatter(cfg: SimpleNamespace) -> int:
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.grid_n)
     d = motion.d_approx(cfg.t_over_tcr)
-    header = ["x_rad"]
-    columns = [xs]
-    for xi in cfg.xi_list:
-        header.append(f"S_gg_closed_xi_{xi:.12g}")
-        columns.append(chsh.s_gg_scatter_curve(xs, d, xi, "closed_form"))
-        header.append(f"S_gg_branch_xi_{xi:.12g}")
-        columns.append(chsh.s_gg_scatter_curve(xs, d, xi, "branch"))
-    write_csv(cfg.out, header, np.column_stack(columns))
+    xis = np.array(cfg.xi_list)[:, None]  # one curve per row
+    header = ["x_rad"] + [f"S_gg_{form}_xi_{xi:.12g}" for xi in cfg.xi_list
+                          for form in ("closed", "branch")]
+    write_csv(cfg.out, header, _interleave(xs, chsh.s_gg_scatter_curve(xs, d, xis, "closed_form").T,
+                                           chsh.s_gg_scatter_curve(xs, d, xis, "branch").T))
     print(f"wrote {cfg.out}")
     return 0
 
@@ -337,14 +344,13 @@ def cmd_fidelity(cfg: SimpleNamespace) -> int:
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: Is a directory")
 
-    def cells(ratio, xi):
-        d = motion.d_approx(ratio)
-        return [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
+    def cells(d, xi):
+        return protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)
 
     header_t = ["T_over_Tcr"] + [f"{f}_xi_{xi:.12g}" for xi in cfg.xi_list for f in ("F_B", "F")]
-    rows_t = np.column_stack([ratios] + [c for xi in cfg.xi_list for c in cells(ratios, xi)])
+    rows_t = _interleave(ratios, *cells(motion.d_approx(ratios)[:, None], np.array(cfg.xi_list)))
     header_xi = ["xi"] + [f"{f}_t_{ratio:.12g}" for ratio in cfg.t_list for f in ("F_B", "F")]
-    rows_xi = np.column_stack([xis] + [c for ratio in cfg.t_list for c in cells(ratio, xis)])
+    rows_xi = _interleave(xis, *cells(motion.d_approx(np.array(cfg.t_list)), xis[:, None]))
 
     write_csv(path_t, header_t, rows_t)
     write_csv(path_xi, header_xi, rows_xi)

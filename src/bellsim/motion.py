@@ -204,7 +204,11 @@ def aperture_coefficients(optics: OpticsParams):
 def nu_eff(trap: TrapParams, optics: OpticsParams):
     """Effective trap frequency combining both axes with the aperture factors;
     an array for an array of theta0."""
-    a_perp, a_par = aperture_coefficients(optics)
+    return _nu_eff(trap, *aperture_coefficients(optics))
+
+
+def _nu_eff(trap: TrapParams, a_perp, a_par):
+    """nu_eff from the aperture factors."""
     inv_sq = a_perp / trap.nu_perp**2 + a_par / trap.nu_par**2
     return _float_or_array(1.0 / np.sqrt(inv_sq))
 
@@ -215,8 +219,12 @@ def t_crit(trap: TrapParams, optics: OpticsParams):
     k_B T_cr = h nu_eff^2 / (2 nu_R); above it the interference cross terms
     are essentially gone.  An array for an array of theta0.
     """
-    return _float_or_array(H * np.square(nu_eff(trap, optics)) /
-                           (2.0 * trap.nu_recoil * K_B))
+    return _t_crit(trap, nu_eff(trap, optics))
+
+
+def _t_crit(trap: TrapParams, nu):
+    """T_cr from the effective trap frequency nu."""
+    return _float_or_array(H * np.square(nu) / (2.0 * trap.nu_recoil * K_B))
 
 
 def d_approx(ratio):

@@ -175,6 +175,29 @@ def test_sweep_classical_limit_never_violates():
         assert np.abs(curves[state]).max() <= 2.0 + 1e-9
 
 
+@pytest.mark.parametrize("kind", chsh.PATTERN_KINDS)
+def test_sweep_equals_the_per_state_curves_bit_for_bit(kind):
+    xs = np.linspace(-1.0, 2.0, 301)
+    for d in (0.0, D_HALF, 1.0):
+        curves = chsh.sweep_s(xs, d, kind)
+        for state in BASIS:
+            assert curves[state].tobytes() == chsh.chsh_s_curve(xs, state, d, kind).tobytes()
+
+
+@pytest.mark.parametrize("kind, states", [("standard", ("ge", "eg")), ("mirrored", ("eg", "ge"))])
+def test_family_maxima_equal_the_s_max_calls_bit_for_bit(kind, states):
+    levels = 1.0 - np.exp(-np.linspace(0.0, 3.0, 61))
+    for d in (levels, levels[1:].reshape(3, 20), D_HALF, 0.0):
+        both = chsh.s_max_families(d, kind)
+        for got, state in zip(both, states):
+            expected = chsh.s_max(d, state, kind)
+            assert type(got) is type(expected)
+            assert np.array_equal(got, expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    with pytest.raises(ValueError, match="decoherence level"):
+        chsh.s_max_families(np.array([0.2, 1.5]))
+
+
 def test_s_max_no_motion():
     assert chsh.s_max(0.0) == pytest.approx(2 * SQRT2, abs=1e-6)
 
@@ -279,6 +302,46 @@ def test_scatter_threshold_optimized_window():
     # threshold marks the boundary between violation and no violation
     assert chsh.s_gg_scatter_max(D_HALF, thr - 0.01) > 2.0
     assert chsh.s_gg_scatter_max(D_HALF, thr + 0.01) < 2.0
+
+
+def _per_call_s_gg(x, d, xi, form="closed_form"):
+    """S_gg(x) from four e_gg_scatter calls, each checking d and xi, as
+    s_gg_scatter_curve once composed it."""
+    a = chsh.pattern_angles("standard", np.asarray(x, dtype=float))
+
+    def e(t1, t2):
+        return chsh.e_gg_scatter(d, xi, t1, t2, form)
+    return e(a.theta1, a.theta2) - e(a.theta1, a.theta2p) + e(a.theta1p, a.theta2) + e(
+        a.theta1p, a.theta2p)
+
+
+def test_fixed_angle_threshold_is_bitwise_unchanged(monkeypatch):
+    # the threshold from curves that check d and xi once equals the one from
+    # the per-call curves, on a sample of (d, x) points
+    rng = np.random.default_rng(25)
+    points = [(0.0, np.pi / 8), (D_HALF, np.pi / 8), (1.0, 0.3), (0.7, 0.0)]
+    points += list(zip(rng.uniform(0, 1, 60), rng.uniform(-np.pi, np.pi, 60)))
+    thresholds = [chsh.scatter_threshold(d, fixed_x=x) for d, x in points]
+    monkeypatch.setattr(chsh, "s_gg_scatter_curve", _per_call_s_gg)
+    assert thresholds == [chsh.scatter_threshold(d, fixed_x=x) for d, x in points]
+    assert all(type(thr) is float for thr in thresholds)
+
+
+@pytest.mark.parametrize("form", ["closed_form", "branch"])
+def test_scatter_curve_over_a_xi_column_equals_the_per_call_curves(form):
+    xs = np.linspace(-0.5, 2.0, 251)
+    xis = np.array([0.0, 1e-9, 0.05, 0.15, 1.0, 7.5])
+    for d in (0.0, D_HALF, 1.0):
+        table = chsh.s_gg_scatter_curve(xs, d, xis[:, None], form)
+        assert table.shape == (xis.size, xs.size)
+        for row, xi in zip(table, xis):
+            assert row.tobytes() == chsh.s_gg_scatter_curve(xs, d, xi, form).tobytes()
+            assert row.tobytes() == _per_call_s_gg(xs, d, xi, form).tobytes()
+    # d before xi, with the messages of e_gg_scatter
+    with pytest.raises(ValueError, match="decoherence level"):
+        chsh.s_gg_scatter_curve(xs, 1.5, -1.0)
+    with pytest.raises(ValueError, match="scattering ratio"):
+        chsh.s_gg_scatter_curve(xs, 0.5, np.array([0.1, -1.0]))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

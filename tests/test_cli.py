@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,113 @@ def test_tcrit_non_default_grid_matches_scalar_calls(tmp_path):
                 "--nu-recoil", "2.5e3", "--out", str(out)]) == 0
     assert out.read_bytes() == _scalar_csv(
         ["theta0_rad", "A_perp", "A_par", "nu_eff_Hz", "T_cr_K"], rows)
+
+
+def _per_column_csv(header, columns) -> bytes:
+    """A table computed one column per call and written one row per `%`, as
+    the curve commands once did it."""
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    rows = np.column_stack(columns).tolist()
+    return (",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)).encode()
+
+
+def _per_column_tables(command, a) -> dict[str, bytes]:
+    """The bytes of each table of a curve command, from a per-column loop over
+    the public functions; `a` holds the command's settings."""
+    if command == "bell-sweep":
+        xs = np.linspace(0.0, np.pi / 2, a["grid_n"])
+        d = motion.d_approx(a["t_over_tcr"])
+        return {"out.csv": _per_column_csv(
+            ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"],
+            [xs] + [chsh.chsh_s_curve(xs, state, d, a["pattern"]) for state in chsh.BASIS])}
+    if command == "bell-max":
+        ratios = np.linspace(0.0, 2.0, a["t_n"])
+        d = motion.d_approx(ratios)
+        families = ("ge", "eg") if a["pattern"] == "standard" else ("eg", "ge")
+        return {"out.csv": _per_column_csv(
+            ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"],
+            [ratios] + [chsh.s_max(d, state, a["pattern"]) for state in families])}
+    if command == "scatter":
+        xs = np.linspace(0.0, np.pi / 2, a["grid_n"])
+        d = motion.d_approx(a["t_over_tcr"])
+        header, columns = ["x_rad"], [xs]
+        for xi in a["xi_list"]:
+            for name, form in (("closed", "closed_form"), ("branch", "branch")):
+                header.append(f"S_gg_{name}_xi_{xi:.12g}")
+                columns.append(chsh.s_gg_scatter_curve(xs, d, xi, form))
+        return {"out.csv": _per_column_csv(header, columns)}
+    ratios = np.linspace(0.0, 2.0, a["t_n"])
+    xis = np.linspace(0.0, 1.0, a["xi_n"])
+    header_t, columns_t = ["T_over_Tcr"], [ratios]
+    for xi in a["xi_list"]:
+        d = motion.d_approx(ratios)
+        header_t += [f"F_B_xi_{xi:.12g}", f"F_xi_{xi:.12g}"]
+        columns_t += [protocol.bell_meas_fidelity(d, xi), protocol.cnot_fidelity(d, xi)]
+    header_xi, columns_xi = ["xi"], [xis]
+    for ratio in a["t_list"]:
+        d = motion.d_approx(ratio)
+        header_xi += [f"F_B_t_{ratio:.12g}", f"F_t_{ratio:.12g}"]
+        columns_xi += [protocol.bell_meas_fidelity(d, xis), protocol.cnot_fidelity(d, xis)]
+    return {"out_vs_t.csv": _per_column_csv(header_t, columns_t),
+            "out_vs_xi.csv": _per_column_csv(header_xi, columns_xi)}
+
+
+VALUE_LISTS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=1, max_size=100)
+SIZES = st.integers(2, 500)
+
+
+@st.composite
+def curve_settings(draw):
+    command = draw(st.sampled_from(["bell-sweep", "bell-max", "scatter", "fidelity"]))
+    a = {}
+    if command in ("bell-sweep", "scatter"):
+        a["grid_n"], a["t_over_tcr"] = draw(SIZES), draw(st.floats(0.0, 3.0))
+    if command in ("bell-sweep", "bell-max"):
+        a["pattern"] = draw(st.sampled_from(chsh.PATTERN_KINDS))
+    if command in ("bell-max", "fidelity"):
+        a["t_n"] = draw(SIZES)
+    if command == "fidelity":
+        a["xi_n"], a["t_list"] = draw(SIZES), draw(VALUE_LISTS)
+    if command in ("scatter", "fidelity"):
+        a["xi_list"] = draw(VALUE_LISTS)
+    return command, a
+
+
+@given(call=curve_settings())
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_curve_tables_equal_the_per_column_loop_byte_for_byte(tmp_path_factory, call):
+    command, a = call
+    work = tmp_path_factory.mktemp("tables")
+    argv = [command, "--out", str(work / "out.csv")]
+    for key, value in a.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag, ",".join(map(repr, value)) if isinstance(value, list) else str(value)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0
+    expected = _per_column_tables(command, a)
+    assert sorted(p.name for p in work.iterdir()) == sorted(expected)
+    for name, data in expected.items():
+        assert (work / name).read_bytes() == data, name
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    # a table is formatted in blocks of rows, so what writing it holds beside
+    # the table does not grow with the rows: all of them as Python floats and
+    # text at once would take about 4 times the table's bytes.  Traced
+    # allocation makes formatting about 15 times slower, so the table is
+    # 10^4 x 50 cells (3.8 MB; a 10^5-row one, 38 MB, peaks 5.5 MB above it)
+    rows = 10_000
+    tracemalloc.start()
+    try:
+        table = np.arange(rows * 50, dtype=float).reshape(rows, 50) / 7.0
+        tracemalloc.reset_peak()
+        cli.write_csv(tmp_path / "big.csv", [f"c{i}" for i in range(50)], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 4 * 2**20
+    with open(tmp_path / "big.csv", newline="") as fh:
+        assert sum(1 for _ in fh) == rows + 1
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -158,15 +158,17 @@ def test_validate_quadrature_evaluates_one_grid_per_order(validate_counts):
     assert validate_counts[1] == {"calls": 2, "points": 16**2 + 32**2}
 
 
-def test_curve_subcommands_take_two_s_max_calls(tmp_path):
-    # bell-max takes one array call per state family; the other curves need none
+def test_curve_subcommands_take_one_s_max_pass(tmp_path):
+    # bell-max takes one array call for both state families (it made one s_max
+    # call per family); the other curves need none
     with pytest.MonkeyPatch.context() as monkeypatch:
         counter = Counter(monkeypatch)
         counter.wrap(chsh, "s_max")
+        counter.wrap(chsh, "s_max_families")
         with contextlib.redirect_stdout(io.StringIO()):
             for command in ("tcrit", "bell-sweep", "bell-max", "scatter", "fidelity"):
                 assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
-    assert counter.calls == {"chsh.s_max": 2}
+    assert counter.calls == {"chsh.s_max": 0, "chsh.s_max_families": 1}
 
 
 CURVES = ("tcrit", "bell-sweep", "bell-max", "scatter", "fidelity")
@@ -200,9 +202,9 @@ def test_tcrit_takes_one_array_call_per_aperture_function(tmp_path):
             from_cli.wrap(seen_by_cli, name)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["tcrit", "--out", str(tmp_path / "tcrit.csv")]) == 0
-    # one call each over the 202-angle grid (the per-row loop made 202 each)
-    assert from_cli.calls == dict.fromkeys(
-        ["motion.aperture_coefficients", "motion.nu_eff", "motion.t_crit"], 1)
-    # nu_eff evaluates the aperture again, and t_crit nu_eff (was 606, 404, 202)
-    assert everywhere.calls == {"motion.aperture_coefficients": 3, "motion.nu_eff": 2,
-                                "motion.t_crit": 1}
+    # one aperture call over the 202-angle grid (the per-row loop made 202);
+    # nu_eff and T_cr come from its values
+    expected = {"motion.aperture_coefficients": 1, "motion.nu_eff": 0, "motion.t_crit": 0}
+    assert from_cli.calls == expected
+    # nothing evaluates the aperture again (was 3, 2 and 1, and before that 606, 404, 202)
+    assert everywhere.calls == expected
