@@ -111,14 +111,6 @@ def _correlations(d, t1, t2, states) -> list:
     return result
 
 
-def correlation_closed_form(initial: str, d: float, theta1, theta2):
-    """Correlation in closed form; accepts angle arrays for sweeps."""
-    _check_d(d)
-    if initial not in _CORRELATION_SIGNS:
-        raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
-    return _correlations(d, np.asarray(theta1), np.asarray(theta2), (initial,))[0]
-
-
 def _chsh_combination(corr, angles: ChshAngles):
     """S = E(t1, t2) - E(t1, t2') + E(t1', t2) + E(t1', t2') for a correlation E."""
     return (corr(angles.theta1, angles.theta2)
@@ -136,19 +128,27 @@ def chsh_s(initial: str, angles: ChshAngles, d: float) -> float:
         lambda t1, t2: correlation(probabilities_first_principles(d, t1, t2)[row]), angles)
 
 
+def _s_curves(x, d, states, kind: str) -> np.ndarray:
+    """Closed-form S(x) of each of `states` under pattern `kind`, on a leading
+    axis, for a checked d: each state's curve is the same bit for bit whatever
+    the others, and a single state computes only the cosine it reads."""
+    return _chsh_combination(lambda t1, t2: np.stack(_correlations(d, t1, t2, states)),
+                             pattern_angles(kind, np.asarray(x, dtype=float)))
+
+
 def chsh_s_curve(x, initial: str, d: float, kind: str = "standard") -> np.ndarray:
     """Vectorized S(x) over an array of pattern parameters (closed form)."""
-    return _chsh_combination(lambda t1, t2: correlation_closed_form(initial, d, t1, t2),
-                             pattern_angles(kind, np.asarray(x, dtype=float)))
+    _check_d(d)
+    if initial not in _CORRELATION_SIGNS:
+        raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
+    return _s_curves(x, d, (initial,), kind)[0]
 
 
 def sweep_s(x_values, d: float, kind: str = "standard") -> dict[str, np.ndarray]:
     """Tabulate S(x) for all four initial states; CSV-ready columns, each equal
     to its chsh_s_curve bit for bit from one q and two cosines per angle pair."""
     _check_d(d)
-    angles = pattern_angles(kind, np.asarray(x_values, dtype=float))
-    curves = _chsh_combination(lambda t1, t2: np.stack(_correlations(d, t1, t2, BASIS)), angles)
-    return dict(zip(BASIS, curves))
+    return dict(zip(BASIS, _s_curves(x_values, d, BASIS, kind)))
 
 
 #: Ends of the maximized range, pi/4002 in from each edge of (0, pi/2), and
@@ -208,11 +208,9 @@ def s_max_families(d, kind: str = "standard"):
     half = np.size(d)
 
     def curves(x, levels):
-        def corr(t1, t2):
-            # the first half of the columns reads the violating state, the second the other
-            first, second = _correlations(levels, t1, t2, states)
-            return np.concatenate((first[..., :half], second[..., half:]), axis=-1)
-        return _chsh_combination(corr, pattern_angles(kind, x))
+        # the first half of the columns reads the violating state, the second the other
+        first, second = _s_curves(x, levels, states, kind)
+        return np.concatenate((first[..., :half], second[..., half:]), axis=-1)
 
     violating, other = _grid_max(curves, np.stack((d, d)))
     return _float_or_array(violating), _float_or_array(other)
@@ -237,19 +235,14 @@ def e_gg_scatter(d: float, xi: float, theta1, theta2,
     """
     _check_d(d)
     _check_xi(xi)
-    return _float_or_array(_e_gg_scatter(d, xi, np.asarray(theta1, dtype=float),
-                                         np.asarray(theta2, dtype=float), form))
-
-
-def _e_gg_scatter(d, xi, t1, t2, form: str):
-    """e_gg_scatter for a checked d and xi and float angles."""
+    t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
     if form == "closed_form":
-        return (-(1.0 - d) * np.sin(2 * t1) * np.sin(2 * t2)
-                - np.cos(2 * t1) * np.cos(2 * t2) / (1.0 + 2.0 * xi))
+        return _float_or_array(-(1.0 - d) * np.sin(2 * t1) * np.sin(2 * t2)
+                               - np.cos(2 * t1) * np.cos(2 * t2) / (1.0 + 2.0 * xi))
     if form == "branch":
         e_single = _correlations(d, t1, t2, ("gg",))[0]
         e_double = np.cos(2 * t1) * np.cos(2 * t2)
-        return (2.0 * e_single + 4.0 * xi * e_double) / (2.0 + 4.0 * xi)
+        return _float_or_array((2.0 * e_single + 4.0 * xi * e_double) / (2.0 + 4.0 * xi))
     raise ValueError(f"form must be 'closed_form' or 'branch', got {form!r}")
 
 
@@ -257,9 +250,7 @@ def s_gg_scatter_curve(x, d: float, xi, form: str = "closed_form") -> np.ndarray
     """CHSH S(x) for initial gg with scattering, standard angle pattern.  xi may
     be an array that broadcasts against x, such as a column of ratios for one
     curve per row, each equal to its scalar-xi call bit for bit."""
-    _check_d(d)
-    _check_xi(xi)
-    return _chsh_combination(lambda t1, t2: _e_gg_scatter(d, xi, t1, t2, form),
+    return _chsh_combination(lambda t1, t2: e_gg_scatter(d, xi, t1, t2, form),
                              pattern_angles("standard", np.asarray(x, dtype=float)))
 
 
@@ -269,8 +260,8 @@ def s_gg_scatter_max(d, xi: float, form: str = "closed_form"):
 
 
 def _scatter_split(s_gg):
-    """(A, B) of S_gg = A + B / (1 + 2 xi), from s_gg(xi) at xi = 0 and 1/2."""
-    full, half = s_gg(0.0), s_gg(0.5)  # A + B, A + B / 2
+    """(A, B) of S_gg = A + B / (1 + 2 xi), from one s_gg call over xi = (0, 1/2)."""
+    full, half = s_gg(np.array([0.0, 0.5]))  # A + B, A + B / 2
     return 2 * half - full, 2 * (full - half)
 
 
@@ -288,7 +279,8 @@ def scatter_threshold(d: float, fixed_x: float | None = None) -> float:
         with np.errstate(invalid="ignore"):  # an infinite angle has no sine
             a_c, b_c = _scatter_split(lambda xi: s_gg_scatter_curve(float(fixed_x), d, xi))
     else:
-        a, b = _scatter_split(lambda xi: _power_coef(lambda x: s_gg_scatter_curve(x, d, xi)))
+        a, b = _scatter_split(
+            lambda xi: _power_coef(lambda x: s_gg_scatter_curve(x[:, None], d, xi)))
         db = np.polyder(b)
         cross = np.polysub(np.polymul(a, db), np.polymul(np.polyder(a), b))
         c = [_C_ENDS]

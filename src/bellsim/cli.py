@@ -248,43 +248,50 @@ def _create_temp(directory: Path) -> tuple[int, str]:
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write a table of floats (an array or a list of rows), each cell to 12
-    significant digits, atomically: compose in a temp file, then rename into place.
+    significant digits, atomically: compose in a temp file, then rename into
+    place, and print `wrote <path>` with the path as given.
 
     A non-finite cell raises ConfigError before any file is made, and so
     does a path that cannot be written, after the temp file is removed.
     """
     table = np.asarray(rows, dtype=float)
-    finite = np.isfinite(table)
-    if np.count_nonzero(finite) < table.size:
-        raise ConfigError(f"non-finite result {table[~finite][0]}: an input is out of range")
+    # NaN propagates through min and max, so the mask is built only to name a bad cell
+    if table.size and not (np.isfinite(table.min()) and np.isfinite(table.max())):
+        bad = table[~np.isfinite(table)][0]
+        raise ConfigError(f"non-finite result {bad}: an input is out of range")
     line = ",".join(["%.12g"] * len(header)) + "\n"
     block_rows = max(1, CSV_BLOCK_CELLS // len(header))
-    path = Path(path)
+    target = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = _create_temp(path.parent)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = _create_temp(target.parent)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(",".join(header) + "\n")
                 for start in range(0, len(table), block_rows):
                     block = table[start:start + block_rows]
                     fh.write(line * len(block) % tuple(block.ravel().tolist()))
-            os.replace(tmp_name, path)
+            os.replace(tmp_name, target)
         except BaseException:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
             raise
     except OSError as exc:
         # mkdir reports a file in the way of the parent as "File exists"
-        blocking = [parent for parent in path.parents if parent.exists() and not parent.is_dir()]
+        blocking = [parent for parent in target.parents if parent.exists() and not parent.is_dir()]
         reason = f"{blocking[0]} is not a directory" if blocking else exc.strerror or exc
-        raise ConfigError(f"cannot write {path}: {reason}") from exc
+        raise ConfigError(f"cannot write {target}: {reason}") from exc
+    print(f"wrote {path}")
 
 
 def _interleave(first, *blocks) -> np.ndarray:
     """Table of the column `first`, then column j of every (rows, m) block in
-    turn for j = 0 .. m - 1."""
-    return np.column_stack((first, np.stack(blocks, axis=-1).reshape(len(first), -1)))
+    turn for j = 0 .. m - 1, filled in place."""
+    table = np.empty((len(first), 1 + len(blocks) * np.shape(blocks[0])[1]))
+    table[:, 0] = first
+    for i, block in enumerate(blocks):
+        table[:, 1 + i::len(blocks)] = block
+    return table
 
 
 def cmd_tcrit(cfg: SimpleNamespace) -> int:
@@ -299,7 +306,6 @@ def cmd_tcrit(cfg: SimpleNamespace) -> int:
     nu = motion._nu_eff(cfg.trap, a_perp, a_par)
     rows = np.column_stack((grid, a_perp, a_par, nu, motion._t_crit(cfg.trap, nu)))
     write_csv(cfg.out, ["theta0_rad", "A_perp", "A_par", "nu_eff_Hz", "T_cr_K"], rows)
-    print(f"wrote {cfg.out}")
     return 0
 
 
@@ -308,7 +314,6 @@ def cmd_bell_sweep(cfg: SimpleNamespace) -> int:
     curves = chsh.sweep_s(xs, motion.d_approx(cfg.t_over_tcr), cfg.pattern)
     write_csv(cfg.out, ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"],
               np.column_stack((xs, *curves.values())))
-    print(f"wrote {cfg.out}")
     return 0
 
 
@@ -316,7 +321,6 @@ def cmd_bell_max(cfg: SimpleNamespace) -> int:
     ratios = np.linspace(0.0, cfg.t_max, cfg.t_n)
     rows = np.column_stack((ratios, *chsh.s_max_families(motion.d_approx(ratios), cfg.pattern)))
     write_csv(cfg.out, ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"], rows)
-    print(f"wrote {cfg.out}")
     return 0
 
 
@@ -328,7 +332,6 @@ def cmd_scatter(cfg: SimpleNamespace) -> int:
                           for form in ("closed", "branch")]
     write_csv(cfg.out, header, _interleave(xs, chsh.s_gg_scatter_curve(xs, d, xis, "closed_form").T,
                                            chsh.s_gg_scatter_curve(xs, d, xis, "branch").T))
-    print(f"wrote {cfg.out}")
     return 0
 
 
@@ -354,8 +357,6 @@ def cmd_fidelity(cfg: SimpleNamespace) -> int:
 
     write_csv(path_t, header_t, rows_t)
     write_csv(path_xi, header_xi, rows_xi)
-    print(f"wrote {path_t}")
-    print(f"wrote {path_xi}")
     return 0
 
 

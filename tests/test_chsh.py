@@ -184,6 +184,13 @@ def test_sweep_equals_the_per_state_curves_bit_for_bit(kind):
             assert curves[state].tobytes() == chsh.chsh_s_curve(xs, state, d, kind).tobytes()
 
 
+def test_curve_checks_d_and_the_initial_state():
+    with pytest.raises(ValueError, match="decoherence level"):
+        chsh.chsh_s_curve(0.3, "ge", 1.5)
+    with pytest.raises(ValueError, match="initial state"):
+        chsh.chsh_s_curve(0.3, "gx", 0.5)
+
+
 @pytest.mark.parametrize("kind, states", [("standard", ("ge", "eg")), ("mirrored", ("eg", "ge"))])
 def test_family_maxima_equal_the_s_max_calls_bit_for_bit(kind, states):
     levels = 1.0 - np.exp(-np.linspace(0.0, 3.0, 61))
@@ -229,7 +236,7 @@ def test_e_gg_scatter_forms_agree_at_xi0():
     for _ in range(30):
         d = rng.uniform(0, 1)
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
-        expected = chsh.correlation_closed_form("gg", d, t1, t2)
+        expected = -np.cos(2 * (t1 - t2)) + d * np.sin(2 * t1) * np.sin(2 * t2)
         assert chsh.e_gg_scatter(d, 0.0, t1, t2, "closed_form") == pytest.approx(
             expected, abs=1e-13)
         assert chsh.e_gg_scatter(d, 0.0, t1, t2, "branch") == pytest.approx(
@@ -316,7 +323,7 @@ def _per_call_s_gg(x, d, xi, form="closed_form"):
 
 
 def test_fixed_angle_threshold_is_bitwise_unchanged(monkeypatch):
-    # the threshold from curves that check d and xi once equals the one from
+    # the threshold from one curve call over xi = 0 and 1/2 equals the one from
     # the per-call curves, on a sample of (d, x) points
     rng = np.random.default_rng(25)
     points = [(0.0, np.pi / 8), (D_HALF, np.pi / 8), (1.0, 0.3), (0.7, 0.0)]
@@ -325,6 +332,24 @@ def test_fixed_angle_threshold_is_bitwise_unchanged(monkeypatch):
     monkeypatch.setattr(chsh, "s_gg_scatter_curve", _per_call_s_gg)
     assert thresholds == [chsh.scatter_threshold(d, fixed_x=x) for d, x in points]
     assert all(type(thr) is float for thr in thresholds)
+
+
+@pytest.mark.parametrize("d", [0.0, D_HALF, 0.8, 1.0])
+def test_scatter_split_in_one_call_equals_the_two_scalar_xi_calls(d):
+    # A and B from one curve call over xi = (0, 1/2), at a fixed angle and as
+    # power coefficients, equal those from a call at each xi bit for bit
+    def two_calls(s_gg):
+        full, half = s_gg(0.0), s_gg(0.5)
+        return 2 * half - full, 2 * (full - half)
+
+    for x in (np.pi / 8, 0.3, -1.2):
+        one = chsh._scatter_split(lambda xi: chsh.s_gg_scatter_curve(x, d, xi))
+        two = two_calls(lambda xi: chsh.s_gg_scatter_curve(x, d, xi))
+        assert np.array(one).tobytes() == np.array(two).tobytes()
+    one = chsh._scatter_split(
+        lambda xi: chsh._power_coef(lambda x: chsh.s_gg_scatter_curve(x[:, None], d, xi)))
+    two = two_calls(lambda xi: chsh._power_coef(lambda x: chsh.s_gg_scatter_curve(x, d, xi)))
+    assert np.array(one).tobytes() == np.array(two).tobytes()
 
 
 @pytest.mark.parametrize("form", ["closed_form", "branch"])

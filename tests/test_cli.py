@@ -334,6 +334,48 @@ def test_write_csv_memory_is_bounded(tmp_path):
         assert sum(1 for _ in fh) == rows + 1
 
 
+def test_interleave_fills_one_table_in_place():
+    # the columns go straight into the output table: no stacked copy of the
+    # blocks, which would take as many bytes as the table again
+    rows, m = 10_000, 20
+    rng = np.random.default_rng(26)
+    first = rng.random(rows)
+    blocks = [rng.random((m, rows)).T, rng.random((rows, m))]
+    tracemalloc.start()
+    try:
+        table = cli._interleave(first, *blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 2**16
+    expected = np.column_stack((first, np.stack(blocks, axis=-1).reshape(rows, -1)))
+    assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("prefix", ["./", ""], ids=["dot-slash", "plain"])
+@pytest.mark.parametrize("command", ["tcrit", "bell-sweep", "bell-max", "scatter", "fidelity"])
+def test_each_table_is_reported_once_after_it_is_in_place(tmp_path, monkeypatch, prefix,
+                                                           command):
+    # one `wrote` line per file, right after its rename, with --out as given;
+    # fidelity names the two tables it derives from --out
+    events = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (
+        replace(src, dst), events.append(f"[renamed {Path(dst).name}]")))
+
+    class Log(io.StringIO):
+        def write(self, text):
+            events.append(text)
+            return len(text)
+
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(Log()):
+        assert run([command, "--out", prefix + "t.csv"]) == 0
+    names = ["t_vs_t.csv", "t_vs_xi.csv"] if command == "fidelity" else [prefix + "t.csv"]
+    assert "".join(events) == "".join(
+        f"[renamed {Path(name).name}]wrote {name}\n" for name in names)
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_csv_files_follow_the_umask(tmp_path, umask, mode):
     digests = json.loads(REFERENCE_JSON.read_text(encoding="utf-8"))["csv_sha256"]

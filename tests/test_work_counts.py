@@ -99,9 +99,9 @@ def validate_counts():
     ("chsh.s_max", 3),
     # at pi/8 and optimized
     ("chsh.scatter_threshold", 2),
-    # the xi = 0 and xi = 1/2 split of each threshold, and the two forms of
-    # scatter_form_gap
-    ("chsh.s_gg_scatter_curve", 6),
+    # one call over xi = 0 and 1/2 to split each threshold, and the two forms
+    # of scatter_form_gap
+    ("chsh.s_gg_scatter_curve", 4),
     # one draw for every T/T_cr = 0.5 check, then the reproducibility pair
     ("oracle.mc_thermal", 1),
     ("oracle.mc_decoherence", 2),
