@@ -222,9 +222,10 @@ def s_at_standard_angle(d):
     return SQRT2 * (2.0 - d)
 
 
-def e_gg_scatter(d: float, xi: float, theta1, theta2,
-                 form: str = "closed_form"):
-    """Correlation for initial gg including double-excitation scattering.
+def e_gg_scatter(d: float, xi, theta1, theta2, form: str = "closed_form"):
+    """Correlation for initial gg including double-excitation scattering.  xi
+    may be an array that broadcasts against the angles, such as a column of
+    ratios for one grid per ratio, each equal to its scalar-xi call bit for bit.
 
     closed_form : compact expression -(1-d) sin2t1 sin2t2 - cos2t1 cos2t2/(1+2xi).
     branch      : rebuilt from the outcome decomposition; the detected-only

@@ -22,7 +22,8 @@ to a cosine of the drawn phases:
                        (1/2 (1 + cos(dp - dq)) + 4 xi^2) / norm, the
                        anti-diagonal 1/2 (1 - cos(dp + dq)) / norm and the
                        other eight entries 2 xi / norm; a chunk sums these
-                       three values and their squares
+                       three values and their squares, for every xi from one
+                       pair of stage cosines
   mc_f_squared         |f|^2 = 2 + 2 cos((q - q_miss) . (dr1 - dr2))
 tests/test_oracle.py pins these to the dense per-sample matrix products.
 
@@ -35,10 +36,11 @@ the full sphere, displacements) and is separate.
 
 The draws do not depend on the temperature: under the equipartition law each
 axis's thermal spread is proportional to sqrt(T), so the stage phase at T is
-sqrt(T / T0) times the phase drawn at T0.  mc_thermal returns mc_decoherence
-at extra temperatures from the phases drawn at trap.temperature, scaled by
-that factor; these agree with the separate call at T to round-off, not bit
-for bit (the scale rounds differently from the per-axis spreads).
+sqrt(T / T0) times the phase drawn at T0.  mc_thermal returns the D of
+mc_decoherence (an McEstimate, without the sine diagnostic) at extra
+temperatures from the phases drawn at trap.temperature, scaled by that
+factor; these agree with the separate call at T to round-off, not bit for
+bit (the scale rounds differently from the per-axis spreads).
 
 Reproducibility contract: sampling is split into chunks of cfg.chunk_size;
 chunk i uses the substream SeedSequence(cfg.seed, spawn_key=(i,)) and the
@@ -163,9 +165,10 @@ def _moments(total, total_sq, n: int):
     return mean, np.sqrt(var / n)
 
 
-def _estimate(total: float, total_sq: float, n: int) -> McEstimate:
+def _estimates(total, total_sq, n: int) -> list[McEstimate]:
+    """One McEstimate per element of the sums (a scalar sum gives one)."""
     mean, se = _moments(total, total_sq, n)
-    return McEstimate(float(mean), float(se), n)
+    return [McEstimate(float(m), float(e), n) for m, e in zip(np.ravel(mean), np.ravel(se))]
 
 
 def sample_displacement(trap: TrapParams, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -261,19 +264,18 @@ class _Part:
     finish: Callable
 
 
-def _decoherence_part(cfg: McConfig, scale: float = 1.0) -> _Part:
-    """D and the sine diagnostic from the phases times scale (x * 1.0 == x)."""
+def _decoherence_part(cfg: McConfig, scales=()) -> _Part:
+    """D and the sine diagnostic of the drawn phases, then D alone of the
+    phases times each of scales: one McEstimate each.  Per sample D is
+    2 sin^2(delta / 2), equal to 1 - cos(delta) without its cancellation."""
+    scale = np.array(scales, dtype=float)[:, None]
+
     def sums(count, dp):
-        dp = scale * dp
-        d, s = 2.0 * np.sin(0.5 * dp) ** 2, np.sin(dp)
-        return (d.sum(), (d * d).sum(), s.sum(), (s * s).sum())
+        scaled = 2.0 * np.sin(0.5 * (scale * dp)) ** 2
+        rows = [2.0 * np.sin(0.5 * dp) ** 2, np.sin(dp), *scaled]
+        return np.array([v.sum() for v in rows]), np.array([(v * v).sum() for v in rows])
 
-    def finish(totals):
-        d1, d2, s1, s2 = totals
-        return DecoherenceEstimate(estimate=_estimate(d1, d2, cfg.n_samples),
-                                   imaginary_part=_estimate(s1, s2, cfg.n_samples))
-
-    return _Part(1, sums, (operator.add,) * 4, finish)
+    return _Part(1, sums, (operator.add,) * 2, lambda totals: _estimates(*totals, cfg.n_samples))
 
 
 def _probabilities_part(theta1: float, theta2: float, cfg: McConfig) -> _Part:
@@ -298,13 +300,17 @@ def _probabilities_part(theta1: float, theta2: float, cfg: McConfig) -> _Part:
     return _Part(1, sums, (operator.add, operator.add, max), finish)
 
 
-def _bell_measurement_part(xi: float, cfg: McConfig) -> _Part:
+def _bell_measurement_part(xis, cfg: McConfig) -> _Part:
+    """One MatrixEstimate per xi in xis, from one pair of stage cosines per chunk."""
+    xi = np.array(xis, dtype=float)
     _check_xi(xi)
-    norm = (1.0 + 2.0 * xi) ** 2
+    xi = xi[:, None]  # one row of samples per ratio
+    norm = np.float_power(1.0 + 2.0 * xi, 2)  # libm pow, as a scalar's ** 2
     # the 8 leak entries are 2 xi / norm in every sample; their sums are added
     # one sample at a time, the order whose round-off bench/reference.json pins
-    leak = 2.0 * xi / norm
-    leak_sums = {count: [np.cumsum(np.full(count, v))[-1] for v in (leak, leak * leak)]
+    leak = (2.0 * xi / norm)[:, 0]
+    leak_sums = {count: np.cumsum(np.broadcast_to([leak, leak * leak], (count, 2, leak.size)),
+                                  axis=0)[-1]
                  for count in {min(cfg.chunk_size, cfg.n_samples),
                                cfg.n_samples % cfg.chunk_size} - {0}}
 
@@ -312,12 +318,13 @@ def _bell_measurement_part(xi: float, cfg: McConfig) -> _Part:
         diag = (0.5 * (1.0 + np.cos(dp - dq)) + 4.0 * xi * xi) / norm
         anti = 0.5 * (1.0 - np.cos(dp + dq)) / norm
         s1, s2 = leak_sums[count]
-        table = np.array([[diag.sum(), anti.sum(), s1],
-                          [(diag * diag).sum(), (anti * anti).sum(), s2]])
-        return tuple(table[:, BELL_MEAS_KIND])
+        table = np.array([[diag.sum(axis=1), anti.sum(axis=1), s1],
+                          [(diag * diag).sum(axis=1), (anti * anti).sum(axis=1), s2]])
+        return tuple(table.swapaxes(1, 2)[..., BELL_MEAS_KIND])
 
     def finish(totals):
-        return MatrixEstimate(*_moments(*totals, cfg.n_samples), cfg.n_samples)
+        mean, se = _moments(*totals, cfg.n_samples)
+        return tuple(MatrixEstimate(m, e, cfg.n_samples) for m, e in zip(mean, se))
 
     return _Part(2, sums, (operator.add, operator.add), finish)
 
@@ -349,7 +356,8 @@ def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
     far below T_cr.  The sine average is returned as a diagnostic; it
     vanishes by symmetry, so the cosine alone carries the dephasing.
     """
-    return _sample_parts(trap, optics, cfg, [_decoherence_part(cfg)], workers)[0]
+    return DecoherenceEstimate(*_sample_parts(trap, optics, cfg, [_decoherence_part(cfg)],
+                                              workers)[0])
 
 
 def mc_probabilities(trap: TrapParams, optics: OpticsParams,
@@ -386,7 +394,7 @@ def mc_f_squared(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
         v = 2.0 + 2.0 * np.cos(np.einsum("ij,ij->i", dk, dr))
         return (v.sum(), (v * v).sum())
 
-    return _estimate(*_reduce_chunks(chunk, cfg, workers), cfg.n_samples)
+    return _estimates(*_reduce_chunks(chunk, cfg, workers), cfg.n_samples)[0]
 
 
 def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
@@ -406,7 +414,7 @@ def mc_bell_measurement(trap: TrapParams, optics: OpticsParams, xi: float,
     Row sums equal 1 on average (exactly 1 at T = 0); per sample they
     fluctuate with the overlap of the two stages' decorated bases.
     """
-    return _sample_parts(trap, optics, cfg, [_bell_measurement_part(xi, cfg)], workers)[0]
+    return _sample_parts(trap, optics, cfg, [_bell_measurement_part((xi,), cfg)], workers)[0][0]
 
 
 @dataclass(frozen=True)
@@ -414,13 +422,14 @@ class ThermalEstimate:
     """The estimates of mc_thermal.
 
     The first three equal their single-estimator calls bit for bit;
-    decoherence_at holds one mc_decoherence estimate per extra temperature.
+    decoherence_at holds D alone, the `estimate` of mc_decoherence (to
+    round-off), per extra temperature.
     """
 
     decoherence: DecoherenceEstimate
     probabilities: MatrixEstimate
     bell_measurement: tuple[MatrixEstimate, ...]
-    decoherence_at: tuple[DecoherenceEstimate, ...]
+    decoherence_at: tuple[McEstimate, ...]
 
 
 def _phase_scale(trap: TrapParams, temperature: float) -> float:
@@ -438,7 +447,7 @@ def mc_thermal(trap: TrapParams, optics: OpticsParams, theta1: float, theta2: fl
                temperatures: Iterable[float] = ()) -> ThermalEstimate:
     """mc_decoherence, mc_probabilities at (theta1, theta2) and one
     mc_bell_measurement per xi in xis, from one draw of each stage, plus
-    mc_decoherence at each of temperatures from the same draw.
+    the D of mc_decoherence at each of temperatures from the same draw.
 
     The first three are bit-identical to the separate calls with the same
     cfg, which would draw the same stages again for every estimate.  Under
@@ -448,9 +457,10 @@ def mc_thermal(trap: TrapParams, optics: OpticsParams, theta1: float, theta2: fl
     separate call at T to round-off, not bit for bit.  A positive extra
     temperature needs trap.temperature > 0.
     """
-    bell = [_bell_measurement_part(xi, cfg) for xi in xis]
-    extra = [_decoherence_part(cfg, _phase_scale(trap, t)) for t in temperatures]
-    parts = [_decoherence_part(cfg), _probabilities_part(theta1, theta2, cfg), *bell, *extra]
-    decoherence, probabilities, *rest = _sample_parts(trap, optics, cfg, parts, workers)
-    return ThermalEstimate(decoherence, probabilities, tuple(rest[:len(bell)]),
-                           tuple(rest[len(bell):]))
+    xis = tuple(xis)
+    bell = [_bell_measurement_part(xis, cfg)] if xis else []  # no second stage for no xi
+    scales = [_phase_scale(trap, t) for t in temperatures]
+    parts = [_decoherence_part(cfg, scales), _probabilities_part(theta1, theta2, cfg), *bell]
+    (d, sine, *extra), probabilities, *bells = _sample_parts(trap, optics, cfg, parts, workers)
+    return ThermalEstimate(DecoherenceEstimate(d, sine), probabilities, bells[0] if bells else (),
+                           tuple(extra))

@@ -369,6 +369,39 @@ def test_scatter_curve_over_a_xi_column_equals_the_per_call_curves(form):
         chsh.s_gg_scatter_curve(xs, 0.5, np.array([0.1, -1.0]))
 
 
+SCATTER_RATIOS = st.sampled_from([0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 1.0]) | st.floats(0.0, 10.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(LEVELS, st.lists(SCATTER_RATIOS, min_size=1, max_size=6))
+@example(D_HALF, [0.05, 0.01, 1e-3, 1e-4, 1e-6])
+@example(0.3, [0.0, 0.05, 0.0, 1.0, 0.05])
+def test_e_gg_scatter_over_a_xi_column_equals_the_scalar_calls(d, xis):
+    # one grid per ratio, also from a row and a column of angles that
+    # broadcast to the grid, as validate's scatter_form_gap takes them
+    x, y = np.linspace(-np.pi, np.pi, 17), np.linspace(-np.pi, np.pi, 13)
+    t1, t2 = np.meshgrid(x, y)
+    column = np.array(xis)[:, None, None]
+    for form in ("closed_form", "branch"):
+        for table in (chsh.e_gg_scatter(d, column, t1, t2, form),
+                      chsh.e_gg_scatter(d, column, x, y[:, None], form)):
+            assert table.shape == (len(xis), *t1.shape)
+            for grid, xi in zip(table, xis):
+                assert grid.tobytes() == chsh.e_gg_scatter(d, xi, t1, t2, form).tobytes()
+
+
+@pytest.mark.parametrize("kind", chsh.PATTERN_KINDS)
+@pytest.mark.parametrize("state, negated", [("ee", "eg"), ("gg", "ge")])
+def test_s_max_of_a_negated_correlation_is_the_same_bit_for_bit(state, negated, kind):
+    # E_ee = -E_eg and E_gg = -E_ge exactly, so validate takes the (eg, ee)
+    # family's maximum from one state
+    levels = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_array_equal(chsh.s_max(levels, state, kind),
+                                  chsh.s_max(levels, negated, kind))
+    for d in (0.0, D_HALF, 1.0):
+        assert chsh.s_max(d, state, kind) == chsh.s_max(d, negated, kind)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(LEVELS, st.floats(min_value=-np.pi, max_value=np.pi))
 @example(D_HALF, np.pi / 10)

@@ -938,3 +938,21 @@ def test_a_reused_parser_leaks_no_state(tmp_path, monkeypatch, capsys, first, co
     reused = _in_process(second, tmp_path / "reused", monkeypatch, capsys)
     assert reused == _fresh_process(second, tmp_path / "fresh")
     assert reused[0] == 0 and reused[3]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, command, unbuffered):
+    # the reader closes the pipe before the child writes: buffered, the write
+    # fails at main's flush; unbuffered, at the print itself
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    extra = ["--samples", "2000"] if command == "validate" else []
+    with subprocess.Popen([sys.executable, "-m", "bellsim.cli", command, *extra], cwd=tmp_path,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 2
+    assert err.splitlines() == ["error: standard output was closed"]

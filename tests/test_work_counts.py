@@ -71,6 +71,7 @@ def validate_counts():
                              (gates, "bell_matrix"), (linalg, "unitarity_defect"),
                              (chsh, "probabilities_closed_form"), (chsh, "s_max"),
                              (chsh, "scatter_threshold"), (chsh, "s_gg_scatter_curve"),
+                             (chsh, "e_gg_scatter"),
                              (oracle, "mc_thermal"), (oracle, "mc_decoherence")]:
             counter.wrap(module, name)
         for name in ("sample_photon_direction", "sample_displacement"):
@@ -95,13 +96,17 @@ def validate_counts():
     # the equal-phase check and the motionless operator of the two CNOT
     # identity checks
     ("gates.bell_matrix", 3),
-    # the other family at T/T_cr = 0.5 (two states) and the smax_curve_shape grid
-    ("chsh.s_max", 3),
+    # the other family at T/T_cr = 0.5 (one state: E_ee = -E_eg) and the
+    # smax_curve_shape grid
+    ("chsh.s_max", 2),
     # at pi/8 and optimized
     ("chsh.scatter_threshold", 2),
     # one call over xi = 0 and 1/2 to split each threshold, and the two forms
     # of scatter_form_gap
     ("chsh.s_gg_scatter_curve", 4),
+    # one call per form over the xi column of scatter_form_gap, and four per
+    # s_gg_scatter_curve call (one per angle pair)
+    ("chsh.e_gg_scatter", 2 + 4 * 4),
     # one draw for every T/T_cr = 0.5 check, then the reproducibility pair
     ("oracle.mc_thermal", 1),
     ("oracle.mc_decoherence", 2),
