@@ -22,8 +22,6 @@ import numpy as np
 from .gates import SQRT2, _check_d, _check_xi, _path_terms, _per_matrix, bell_paths, raman_matrix
 from .linalg import BASIS, STATE_INDEX, _float_or_array, stack_matrix
 
-PATTERN_KINDS = ("standard", "mirrored")
-
 #: Outcome parity per final state: +1 when both atoms give the same sign.
 _PARITY = np.array([1.0, -1.0, -1.0, 1.0])
 
@@ -38,17 +36,12 @@ class ChshAngles:
     theta2p: float
 
 
-def pattern_angles(kind: str, x: float) -> ChshAngles:
-    """Expand the one-parameter angle patterns used for the S(x) sweeps.
-
-    standard: (0, x, 2x, 3x) makes the (ge, gg) pair violate;
-    mirrored: (0, -x, 2x, -3x) hands the violation to the (eg, ee) pair.
-    """
-    if kind == "standard":
-        return ChshAngles(0.0, x, 2.0 * x, 3.0 * x)
-    if kind == "mirrored":
-        return ChshAngles(0.0, -x, 2.0 * x, -3.0 * x)
-    raise ValueError(f"pattern kind must be one of {PATTERN_KINDS}, got {kind!r}")
+def pattern_angles(x) -> ChshAngles:
+    """The one-parameter angle pattern (0, x, 2x, 3x) of the S(x) sweeps, under
+    which the (ge, gg) pair violates.  Negating the second atom's angles,
+    (0, -x, 2x, -3x), turns E_ge into E_eg and E_gg into E_ee exactly, so the
+    (eg, ee) violation under those angles is this pattern's ge and gg curves."""
+    return ChshAngles(0.0, x, 2.0 * x, 3.0 * x)
 
 
 def probabilities_closed_form(d, theta1, theta2) -> np.ndarray:
@@ -128,27 +121,27 @@ def chsh_s(initial: str, angles: ChshAngles, d: float) -> float:
         lambda t1, t2: correlation(probabilities_first_principles(d, t1, t2)[row]), angles)
 
 
-def _s_curves(x, d, states, kind: str) -> np.ndarray:
-    """Closed-form S(x) of each of `states` under pattern `kind`, on a leading
-    axis, for a checked d: each state's curve is the same bit for bit whatever
-    the others, and a single state computes only the cosine it reads."""
+def _s_curves(x, d, states) -> np.ndarray:
+    """Closed-form S(x) of each of `states` on a leading axis, for a checked d:
+    each state's curve is the same bit for bit whatever the others, and a
+    single state computes only the cosine it reads."""
     return _chsh_combination(lambda t1, t2: np.stack(_correlations(d, t1, t2, states)),
-                             pattern_angles(kind, np.asarray(x, dtype=float)))
+                             pattern_angles(np.asarray(x, dtype=float)))
 
 
-def chsh_s_curve(x, initial: str, d: float, kind: str = "standard") -> np.ndarray:
+def chsh_s_curve(x, initial: str, d: float) -> np.ndarray:
     """Vectorized S(x) over an array of pattern parameters (closed form)."""
     _check_d(d)
     if initial not in _CORRELATION_SIGNS:
         raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
-    return _s_curves(x, d, (initial,), kind)[0]
+    return _s_curves(x, d, (initial,))[0]
 
 
-def sweep_s(x_values, d: float, kind: str = "standard") -> dict[str, np.ndarray]:
+def sweep_s(x_values, d: float) -> dict[str, np.ndarray]:
     """Tabulate S(x) for all four initial states; CSV-ready columns, each equal
     to its chsh_s_curve bit for bit from one q and two cosines per angle pair."""
     _check_d(d)
-    return dict(zip(BASIS, _s_curves(x_values, d, BASIS, kind)))
+    return dict(zip(BASIS, _s_curves(x_values, d, BASIS)))
 
 
 #: Ends of the maximized range, pi/4002 in from each edge of (0, pi/2), and
@@ -186,7 +179,7 @@ def _grid_max(curve, d):
     return _float_or_array(np.max(np.abs(curve(x, flat)), axis=0).reshape(np.shape(d)))
 
 
-def s_max(d, initial: str = "ge", kind: str = "standard"):
+def s_max(d, initial: str = "ge"):
     """Maximum of |S(x)| over the open interval x in (0, pi/2), for a decoherence
     level d or elementwise for an array of them.
 
@@ -196,20 +189,19 @@ def s_max(d, initial: str = "ge", kind: str = "standard"):
     exactly (all four angle pairs coincide), so once the interior peak decays
     below 2 this maximum saturates just under 2 instead of dropping further.
     """
-    return _grid_max(lambda x, d: chsh_s_curve(x, initial, d, kind), d)
+    return _grid_max(lambda x, d: chsh_s_curve(x, initial, d), d)
 
 
-def s_max_families(d, kind: str = "standard"):
-    """(violating, other): the s_max of the family that violates under `kind`
-    (ge for standard, eg for mirrored) and of the other family, each equal to
-    its s_max call bit for bit, from one _grid_max pass over d stacked twice."""
+def s_max_families(d):
+    """(violating, other): the s_max of ge, the family that violates, and of eg,
+    the other, each equal to its s_max call bit for bit, from one _grid_max
+    pass over d stacked twice."""
     _check_d(d)
-    states = ("ge", "eg") if kind == "standard" else ("eg", "ge")
     half = np.size(d)
 
     def curves(x, levels):
-        # the first half of the columns reads the violating state, the second the other
-        first, second = _s_curves(x, levels, states, kind)
+        # the first half of the columns reads ge, the second eg
+        first, second = _s_curves(x, levels, ("ge", "eg"))
         return np.concatenate((first[..., :half], second[..., half:]), axis=-1)
 
     violating, other = _grid_max(curves, np.stack((d, d)))
@@ -248,11 +240,11 @@ def e_gg_scatter(d: float, xi, theta1, theta2, form: str = "closed_form"):
 
 
 def s_gg_scatter_curve(x, d: float, xi, form: str = "closed_form") -> np.ndarray:
-    """CHSH S(x) for initial gg with scattering, standard angle pattern.  xi may
+    """CHSH S(x) for initial gg with scattering, angle pattern (0, x, 2x, 3x).  xi may
     be an array that broadcasts against x, such as a column of ratios for one
     curve per row, each equal to its scalar-xi call bit for bit."""
     return _chsh_combination(lambda t1, t2: e_gg_scatter(d, xi, t1, t2, form),
-                             pattern_angles("standard", np.asarray(x, dtype=float)))
+                             pattern_angles(np.asarray(x, dtype=float)))
 
 
 def s_gg_scatter_max(d, xi: float, form: str = "closed_form"):

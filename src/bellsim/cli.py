@@ -60,14 +60,13 @@ class ConfigError(Exception):
 
 class _Setting(NamedTuple):
     """A setting's kind (float, int, str, or list: comma-separated floats >= 0),
-    flag help, default, (section, key) in the config file if any, lower and
-    upper bounds and allowed values."""
+    flag help, default, (section, key) in the config file if any, and lower and
+    upper bounds."""
     kind: type
     help: str
     default: object = None
     key: tuple[str, str] | None = None
     lo: float | None = None
-    choices: tuple[str, ...] | None = None
     hi: int | None = None
 
 
@@ -84,8 +83,6 @@ _SETTINGS = {
                          motion.DEFAULT_OPTICS.theta0, ("optics", "theta0_rad")),
     "--t-over-tcr": _Setting(float, "temperature as a fraction of T_cr", 0.5,
                              ("trap", "t_over_tcr"), lo=0.0),
-    "--pattern": _Setting(str, "angle pattern", "standard", ("pattern", "kind"),
-                          choices=chsh.PATTERN_KINDS),
     "--x-min": _Setting(float, "sweep start (rad)", 0.0, ("pattern", "x_min")),
     "--x-max": _Setting(float, "sweep end (rad)", np.pi / 2, ("pattern", "x_max")),
     "--grid-n": _Setting(int, "sweep grid size", 201, ("pattern", "n"), lo=2, hi=MAX_GRID_N),
@@ -114,10 +111,10 @@ _COMMANDS = {
     "tcrit": ("critical temperature vs aperture angle",
               ("--config", "--out", *_TRAP, "--grid-n"), {"--out": "tcrit.csv"}),
     "bell-sweep": ("CHSH S(x) for the four initial states",
-                   ("--config", "--out", "--t-over-tcr", "--pattern", *_X_GRID),
+                   ("--config", "--out", "--t-over-tcr", *_X_GRID),
                    {"--out": "bell_sweep.csv"}),
     "bell-max": ("maxima of |S| vs T/T_cr",
-                 ("--config", "--out", "--pattern", "--t-max", "--t-n"),
+                 ("--config", "--out", "--t-max", "--t-n"),
                  {"--out": "bell_max.csv", "--t-n": 41}),
     "scatter": ("S_gg(x) at several double-excitation ratios",
                 ("--config", "--out", "--t-over-tcr", *_X_GRID, "--xi-list"),
@@ -204,8 +201,6 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
             value = doc.get(section, {}).get(key)
         if value is None:
             value = defaults.get(flag, setting.default)
-        if setting.choices and value not in setting.choices:
-            raise ConfigError(f"{name} must be one of {setting.choices}, got {value!r}")
         if setting.kind is list:
             value = _parse_float_list(value, name)
         elif setting.kind is not str and value is not None:
@@ -311,7 +306,7 @@ def cmd_tcrit(cfg: SimpleNamespace) -> int:
 
 def cmd_bell_sweep(cfg: SimpleNamespace) -> int:
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.grid_n)
-    curves = chsh.sweep_s(xs, motion.d_approx(cfg.t_over_tcr), cfg.pattern)
+    curves = chsh.sweep_s(xs, motion.d_approx(cfg.t_over_tcr))
     write_csv(cfg.out, ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"],
               np.column_stack((xs, *curves.values())))
     return 0
@@ -319,7 +314,7 @@ def cmd_bell_sweep(cfg: SimpleNamespace) -> int:
 
 def cmd_bell_max(cfg: SimpleNamespace) -> int:
     ratios = np.linspace(0.0, cfg.t_max, cfg.t_n)
-    rows = np.column_stack((ratios, *chsh.s_max_families(motion.d_approx(ratios), cfg.pattern)))
+    rows = np.column_stack((ratios, *chsh.s_max_families(motion.d_approx(ratios))))
     write_csv(cfg.out, ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"], rows)
     return 0
 
@@ -413,7 +408,7 @@ def validation_checks(cfg: SimpleNamespace):
            f"A_perp={a_perp:.4f} A_par={a_par:.4f} nu_eff={nu:.0f} Hz T_cr={t_cr*1e6:.2f} uK")
 
     d_half = motion.d_approx(0.5)
-    angles = chsh.pattern_angles("standard", np.pi / 8)
+    angles = chsh.pattern_angles(np.pi / 8)
     s0 = chsh.chsh_s("ge", angles, 0.0)
     s5 = chsh.chsh_s("ge", angles, d_half)
     # the other (eg, ee) family stays classical at T/T_cr = 0.5; E_ee = -E_eg
@@ -538,8 +533,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
             setting = _SETTINGS[flag]
-            p.add_argument(flag, type=str if setting.kind is list else setting.kind,
-                           choices=setting.choices, help=setting.help)
+            p.add_argument(flag, type=str if setting.kind is list else setting.kind, help=setting.help)
     return parser
 
 

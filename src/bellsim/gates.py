@@ -44,13 +44,13 @@ BELL_MEAS_KIND = np.array([[0, 2, 2, 1], [2, 0, 1, 2], [2, 1, 0, 2], [1, 2, 2, 0
 
 def _check_d(d):
     """Reject a decoherence level, or any element of an array of them, outside [0, 1] or NaN."""
-    if not ((d.min() >= 0.0 and d.max() <= 1.0) if isinstance(d, np.ndarray) else 0.0 <= d <= 1.0):
+    if not np.all((d >= 0.0) & (d <= 1.0)):
         raise ValueError(f"decoherence level must lie in [0, 1], got {d}")
 
 
 def _check_xi(xi):
     """Reject a double-excitation ratio, or any element of an array of them, below 0 or NaN."""
-    if not (xi.min() >= 0.0 if isinstance(xi, np.ndarray) else xi >= 0.0):
+    if not np.all(xi >= 0.0):
         raise ValueError(f"scattering ratio must be >= 0, got {xi}")
 
 

@@ -172,7 +172,10 @@ def _estimates(total, total_sq, n: int) -> list[McEstimate]:
 
 
 def sample_displacement(trap: TrapParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, 3) thermal displacements in inverse-wavenumber units."""
+    """(size, 3) thermal displacements in inverse-wavenumber units, at the one
+    temperature every estimator draws at: an array temperature raises."""
+    if np.ndim(trap.temperature):
+        raise ValueError(f"the oracle draws at one temperature, got {trap.temperature}")
     dr = rng.standard_normal((size, 3))
     dr *= np.sqrt(axis_variance(trap))
     return dr

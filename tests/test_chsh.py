@@ -16,14 +16,9 @@ LEVELS = st.floats(min_value=0.0, max_value=1.0,
 
 
 def test_pattern_angles():
-    a = chsh.pattern_angles("standard", 0.2)
+    a = chsh.pattern_angles(0.2)
     np.testing.assert_allclose(
         (a.theta1, a.theta2, a.theta1p, a.theta2p), (0.0, 0.2, 0.4, 0.6))
-    m = chsh.pattern_angles("mirrored", 0.2)
-    np.testing.assert_allclose(
-        (m.theta1, m.theta2, m.theta1p, m.theta2p), (0.0, -0.2, 0.4, -0.6))
-    with pytest.raises(ValueError):
-        chsh.pattern_angles("spiral", 0.2)
 
 
 def test_probabilities_closed_form_singlet_case():
@@ -101,7 +96,7 @@ def test_correlation_rejects_unnormalized_rows():
 
 
 def test_chsh_standard_angle_values():
-    angles = chsh.pattern_angles("standard", np.pi / 8)
+    angles = chsh.pattern_angles(np.pi / 8)
     assert chsh.chsh_s("ge", angles, 0.0) == pytest.approx(2 * SQRT2, abs=1e-12)
     assert chsh.chsh_s("ge", angles, D_HALF) == pytest.approx(
         SQRT2 * (1 + np.exp(-0.5)), abs=1e-12)
@@ -111,7 +106,7 @@ def test_chsh_standard_angle_values():
 @given(d=LEVELS, x=st.floats(min_value=1e-3, max_value=np.pi / 2 - 1e-3))
 @settings(max_examples=60)
 def test_family_sign_identities(d, x):
-    angles = chsh.pattern_angles("standard", x)
+    angles = chsh.pattern_angles(x)
     assert chsh.chsh_s("gg", angles, d) == pytest.approx(
         -chsh.chsh_s("ge", angles, d), abs=1e-12)
     assert chsh.chsh_s("ee", angles, d) == pytest.approx(
@@ -142,7 +137,7 @@ def test_curve_matches_pointwise_pipeline():
     xs = np.linspace(0.05, 1.5, 9)
     for state in BASIS:
         curve = chsh.chsh_s_curve(xs, state, D_HALF)
-        pointwise = [chsh.chsh_s(state, chsh.pattern_angles("standard", x), D_HALF)
+        pointwise = [chsh.chsh_s(state, chsh.pattern_angles(x), D_HALF)
                      for x in xs]
         np.testing.assert_allclose(curve, pointwise, atol=1e-12)
 
@@ -159,13 +154,20 @@ def test_sweep_families_at_half_tcr():
     assert np.pi / 8 < xs[int(np.argmax(curves["ge"]))] < np.pi / 4
 
 
+#: The state whose correlation becomes each state's when the second atom's angles flip sign.
+SWAPPED = {"gg": "ee", "ge": "eg", "eg": "ge", "ee": "gg"}
+
+
 def test_sweep_mirrored_swaps_families():
-    xs = np.linspace(0.0, np.pi / 2, 201)
-    curves = chsh.sweep_s(xs, D_HALF, "mirrored")
-    assert np.abs(curves["eg"]).max() > 2.0
-    assert np.abs(curves["ee"]).max() > 2.0
-    assert np.abs(curves["ge"]).max() <= 2.0 + 1e-9
-    assert np.abs(curves["gg"]).max() <= 2.0 + 1e-9
+    # the mirrored angles (0, -x, 2x, -3x) on the operator route give the
+    # swapped state's standard curve, so the (eg, ee) violation is read there
+    xs = np.linspace(-1.0, 2.0, 31)
+    for d in (0.0, 0.2, D_HALF, 1.0):
+        for state in BASIS:
+            mirrored = [chsh.chsh_s(state, chsh.ChshAngles(0.0, -x, 2.0 * x, -3.0 * x), d)
+                        for x in xs]
+            np.testing.assert_allclose(mirrored, chsh.chsh_s_curve(xs, SWAPPED[state], d),
+                                       rtol=0, atol=1e-12)
 
 
 def test_sweep_classical_limit_never_violates():
@@ -175,13 +177,12 @@ def test_sweep_classical_limit_never_violates():
         assert np.abs(curves[state]).max() <= 2.0 + 1e-9
 
 
-@pytest.mark.parametrize("kind", chsh.PATTERN_KINDS)
-def test_sweep_equals_the_per_state_curves_bit_for_bit(kind):
+def test_sweep_equals_the_per_state_curves_bit_for_bit():
     xs = np.linspace(-1.0, 2.0, 301)
     for d in (0.0, D_HALF, 1.0):
-        curves = chsh.sweep_s(xs, d, kind)
+        curves = chsh.sweep_s(xs, d)
         for state in BASIS:
-            assert curves[state].tobytes() == chsh.chsh_s_curve(xs, state, d, kind).tobytes()
+            assert curves[state].tobytes() == chsh.chsh_s_curve(xs, state, d).tobytes()
 
 
 def test_curve_checks_d_and_the_initial_state():
@@ -191,13 +192,12 @@ def test_curve_checks_d_and_the_initial_state():
         chsh.chsh_s_curve(0.3, "gx", 0.5)
 
 
-@pytest.mark.parametrize("kind, states", [("standard", ("ge", "eg")), ("mirrored", ("eg", "ge"))])
-def test_family_maxima_equal_the_s_max_calls_bit_for_bit(kind, states):
+def test_family_maxima_equal_the_s_max_calls_bit_for_bit():
     levels = 1.0 - np.exp(-np.linspace(0.0, 3.0, 61))
     for d in (levels, levels[1:].reshape(3, 20), D_HALF, 0.0):
-        both = chsh.s_max_families(d, kind)
-        for got, state in zip(both, states):
-            expected = chsh.s_max(d, state, kind)
+        both = chsh.s_max_families(d)
+        for got, state in zip(both, ("ge", "eg")):
+            expected = chsh.s_max(d, state)
             assert type(got) is type(expected)
             assert np.array_equal(got, expected)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
@@ -314,7 +314,7 @@ def test_scatter_threshold_optimized_window():
 def _per_call_s_gg(x, d, xi, form="closed_form"):
     """S_gg(x) from four e_gg_scatter calls, each checking d and xi, as
     s_gg_scatter_curve once composed it."""
-    a = chsh.pattern_angles("standard", np.asarray(x, dtype=float))
+    a = chsh.pattern_angles(np.asarray(x, dtype=float))
 
     def e(t1, t2):
         return chsh.e_gg_scatter(d, xi, t1, t2, form)
@@ -390,16 +390,14 @@ def test_e_gg_scatter_over_a_xi_column_equals_the_scalar_calls(d, xis):
                 assert grid.tobytes() == chsh.e_gg_scatter(d, xi, t1, t2, form).tobytes()
 
 
-@pytest.mark.parametrize("kind", chsh.PATTERN_KINDS)
 @pytest.mark.parametrize("state, negated", [("ee", "eg"), ("gg", "ge")])
-def test_s_max_of_a_negated_correlation_is_the_same_bit_for_bit(state, negated, kind):
+def test_s_max_of_a_negated_correlation_is_the_same_bit_for_bit(state, negated):
     # E_ee = -E_eg and E_gg = -E_ge exactly, so validate takes the (eg, ee)
     # family's maximum from one state
     levels = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_array_equal(chsh.s_max(levels, state, kind),
-                                  chsh.s_max(levels, negated, kind))
+    np.testing.assert_array_equal(chsh.s_max(levels, state), chsh.s_max(levels, negated))
     for d in (0.0, D_HALF, 1.0):
-        assert chsh.s_max(d, state, kind) == chsh.s_max(d, negated, kind)
+        assert chsh.s_max(d, state) == chsh.s_max(d, negated)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -427,9 +425,8 @@ def test_scatter_curve_no_violation_at_unit_xi():
 
 #: (curve, its maximizer) for every curve family that chsh._grid_max maximizes.
 MAXIMIZED = (
-    [(lambda x, d=d, s=s, k=k: chsh.chsh_s_curve(x, s, d, k),
-      lambda d=d, s=s, k=k: chsh.s_max(d, s, k))
-     for d in np.linspace(0.0, 1.0, 11) for s in BASIS for k in chsh.PATTERN_KINDS]
+    [(lambda x, d=d, s=s: chsh.chsh_s_curve(x, s, d), lambda d=d, s=s: chsh.s_max(d, s))
+     for d in np.linspace(0.0, 1.0, 11) for s in BASIS]
     + [(lambda x, d=d, xi=xi, f=f: chsh.s_gg_scatter_curve(x, d, xi, f),
         lambda d=d, xi=xi, f=f: chsh.s_gg_scatter_max(d, xi, f))
        for d in (0.0, D_HALF, 0.8) for xi in (0.0, 0.05, 0.15, 1.0, 3.0)
@@ -458,9 +455,8 @@ def test_maxima_bound_a_dense_grid_from_above():
     lambda: chsh.s_max(2.0),
     lambda: chsh.s_max(-0.1),
     lambda: chsh.s_max(0.3, initial="gx"),
-    lambda: chsh.s_max(0.3, kind="spiral"),
     lambda: chsh.s_gg_scatter_max(0.3, -1.0),
-], ids=["d>1", "d<0", "state", "pattern", "xi<0"])
+], ids=["d>1", "d<0", "state", "xi<0"])
 def test_maxima_reject_bad_args(call):
     with pytest.raises(ValueError):
         call()
@@ -520,17 +516,16 @@ def _roots_max(curve) -> float:
     return float(np.max(np.abs(curve(np.concatenate((chsh._X_ENDS, np.arccos(c) / 2))))))
 
 
-@pytest.mark.parametrize("kind", chsh.PATTERN_KINDS)
 @pytest.mark.parametrize("state", BASIS)
-def test_s_max_over_an_array_matches_the_scalar_calls(state, kind):
-    batched = chsh.s_max(LEVEL_GRID, state, kind)
+def test_s_max_over_an_array_matches_the_scalar_calls(state):
+    batched = chsh.s_max(LEVEL_GRID, state)
     assert batched.shape == LEVEL_GRID.shape
     # each curve gets its own single-column solve and the companion matrix np.roots
     # would build, so the batch equals both references to the bit
-    np.testing.assert_array_equal(batched, [chsh.s_max(d, state, kind) for d in LEVEL_GRID])
+    np.testing.assert_array_equal(batched, [chsh.s_max(d, state) for d in LEVEL_GRID])
     np.testing.assert_array_equal(batched, [
-        _roots_max(lambda x, d=d: chsh.chsh_s_curve(x, state, d, kind)) for d in LEVEL_GRID])
-    assert type(chsh.s_max(0.3, state, kind)) is float
+        _roots_max(lambda x, d=d: chsh.chsh_s_curve(x, state, d)) for d in LEVEL_GRID])
+    assert type(chsh.s_max(0.3, state)) is float
 
 
 @pytest.mark.parametrize("form", ["closed_form", "branch"])

@@ -182,16 +182,15 @@ def _scalar_csv(header, rows) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-@pytest.mark.parametrize("argv, t_max, t_n, families", [
-    (["--pattern", "mirrored", "--t-max", "10", "--t-n", "301"], 10.0, 301, ("eg", "ge")),
-    (["--t-n", "1"], 2.0, 1, ("ge", "eg")),
-], ids=["mirrored-301", "one-point"])
-def test_bell_max_non_default_grid_matches_scalar_calls(tmp_path, argv, t_max, t_n, families):
-    kind = "mirrored" if "mirrored" in argv else "standard"
+@pytest.mark.parametrize("argv, t_max, t_n", [
+    (["--t-max", "10", "--t-n", "301"], 10.0, 301),
+    (["--t-n", "1"], 2.0, 1),
+], ids=["t-max-10-301", "one-point"])
+def test_bell_max_non_default_grid_matches_scalar_calls(tmp_path, argv, t_max, t_n):
     rows = []
     for ratio in np.linspace(0.0, t_max, t_n):
         d = 1.0 - np.exp(-ratio)
-        rows.append([ratio] + [chsh.s_max(d, state, kind) for state in families])
+        rows.append([ratio] + [chsh.s_max(d, state) for state in ("ge", "eg")])
     out = tmp_path / "bmax.csv"
     assert run(["bell-max", *argv, "--out", str(out)]) == 0
     assert out.read_bytes() == _scalar_csv(
@@ -243,14 +242,13 @@ def _per_column_tables(command, a) -> dict[str, bytes]:
         d = motion.d_approx(a["t_over_tcr"])
         return {"out.csv": _per_column_csv(
             ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"],
-            [xs] + [chsh.chsh_s_curve(xs, state, d, a["pattern"]) for state in chsh.BASIS])}
+            [xs] + [chsh.chsh_s_curve(xs, state, d) for state in chsh.BASIS])}
     if command == "bell-max":
         ratios = np.linspace(0.0, 2.0, a["t_n"])
         d = motion.d_approx(ratios)
-        families = ("ge", "eg") if a["pattern"] == "standard" else ("eg", "ge")
         return {"out.csv": _per_column_csv(
             ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"],
-            [ratios] + [chsh.s_max(d, state, a["pattern"]) for state in families])}
+            [ratios] + [chsh.s_max(d, state) for state in ("ge", "eg")])}
     if command == "scatter":
         xs = np.linspace(0.0, np.pi / 2, a["grid_n"])
         d = motion.d_approx(a["t_over_tcr"])
@@ -286,8 +284,6 @@ def curve_settings(draw):
     a = {}
     if command in ("bell-sweep", "scatter"):
         a["grid_n"], a["t_over_tcr"] = draw(SIZES), draw(st.floats(0.0, 3.0))
-    if command in ("bell-sweep", "bell-max"):
-        a["pattern"] = draw(st.sampled_from(chsh.PATTERN_KINDS))
     if command in ("bell-max", "fidelity"):
         a["t_n"] = draw(SIZES)
     if command == "fidelity":
@@ -415,7 +411,7 @@ def test_config_file_and_flag_precedence(tmp_path):
         "trap": {"nu_perp_hz": 100e3, "nu_par_hz": 25e3, "nu_recoil_hz": 3.6e3,
                  "t_over_tcr": 0.25},
         "optics": {"theta0_rad": 0.6},
-        "pattern": {"kind": "standard", "x_min": 0.0, "x_max": 1.0, "n": 11},
+        "pattern": {"x_min": 0.0, "x_max": 1.0, "n": 11},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -512,7 +508,8 @@ def test_fidelity_rerun_blocked_by_a_directory_keeps_the_earlier_tables(tmp_path
     (["validate"], {"mc": {"samples": 10}}, "'mc.samples'"),
     (["tcrit"], {"xi": 0.05}, "'xi'"),
     (["bell-sweep"], {"trap": {"temperature_k": 1e-5}}, "'trap.temperature_k'"),
-], ids=["trap", "optics", "pattern", "mc", "top-level", "trap-temperature-k"])
+    (["bell-sweep"], {"pattern": {"kind": "mirrored"}}, "unknown config key 'pattern.kind'"),
+], ids=["trap", "optics", "pattern", "mc", "top-level", "trap-temperature-k", "pattern-kind"])
 def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, argv, doc, key):
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     assert run(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
@@ -525,8 +522,8 @@ TRAP_FLAGS = {"--nu-perp", "--nu-par", "--nu-recoil"}
 SWEEP_FLAGS = {"--config", "--out", "--t-over-tcr", "--x-min", "--x-max", "--grid-n"}
 SUBCOMMAND_FLAGS = {
     "tcrit": {"--config", "--out", *TRAP_FLAGS, "--grid-n"},
-    "bell-sweep": SWEEP_FLAGS | {"--pattern"},
-    "bell-max": {"--config", "--out", "--pattern", "--t-max", "--t-n"},
+    "bell-sweep": SWEEP_FLAGS,
+    "bell-max": {"--config", "--out", "--t-max", "--t-n"},
     "scatter": SWEEP_FLAGS | {"--xi-list"},
     "fidelity": {"--out", "--xi-list", "--t-list", "--t-max", "--t-n", "--xi-max", "--xi-n"},
     "validate": {"--config", *TRAP_FLAGS, "--theta0", "--seed", "--samples", "--chunk-size",
@@ -544,7 +541,8 @@ def _registered_flags():
 def test_each_subcommand_registers_exactly_the_flags_it_reads():
     flags = _registered_flags()
     assert flags == SUBCOMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 41
+    assert sum(map(len, flags.values())) == 39
+    assert len({setting.key for setting in cli._SETTINGS.values() if setting.key}) == 11
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -574,9 +572,11 @@ def test_readme_config_example_is_accepted(tmp_path):
     ["bell-sweep", "--temperature-k", "1e-5"],
     ["scatter", "--nu-perp", "1e5"],
     ["bell-sweep", "--theta0", "0.5"],
+    ["bell-sweep", "--pattern", "mirrored"],
+    ["bell-max", "--pattern", "standard"],
 ], ids=["scatter-pattern", "validate-t-over-tcr", "tcrit-seed", "fidelity-xi",
         "scatter-xi-prefix", "validate-out", "bell-sweep-temperature-k", "scatter-nu-perp",
-        "bell-sweep-theta0"])
+        "bell-sweep-theta0", "bell-sweep-pattern", "bell-max-pattern"])
 def test_flag_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -714,8 +714,6 @@ def cli_calls(draw):
         argv.append(f"--t-list=0.5,{_value(draw, 't-over-tcr')!r}")
     if command in ("scatter", "fidelity"):
         argv.append(f"--xi-list=0,{_value(draw, 'xi')!r}")
-    if command in ("bell-sweep", "bell-max") and draw(st.booleans()):
-        argv.append(f"--pattern={draw(st.sampled_from(chsh.PATTERN_KINDS))}")
     doc = {}
     for section, keys in DOC_KEYS.items():
         if command != "fidelity" and draw(st.booleans()):  # fidelity reads no config
@@ -925,10 +923,10 @@ def _fresh_process(argv, cwd):
 
 
 @pytest.mark.parametrize("first, code, second", [
-    (["bell-sweep", "--pattern", "mirrored"], 0, ["bell-sweep"]),
+    (["bell-sweep", "--x-max", "1"], 0, ["bell-sweep"]),
     (["bell-max", "--t-max", "5", "--t-n", "many"], 2, ["bell-max"]),
     (["scatter", "--config", "{cfg}"], 0, ["scatter"]),
-], ids=["mirrored-then-default", "usage-error-then-valid", "config-then-none"])
+], ids=["non-default-then-default", "usage-error-then-valid", "config-then-none"])
 def test_a_reused_parser_leaks_no_state(tmp_path, monkeypatch, capsys, first, code, second):
     # main keeps one parser per process: a second call reads as a process's first
     cfg = tmp_path / "cfg.json"

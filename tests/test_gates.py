@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim import gates
+from bellsim import chsh, gates, protocol
 from bellsim.linalg import unitarity_defect
 
 SQRT2 = np.sqrt(2.0)
@@ -322,3 +322,12 @@ def test_matrix_builders_reject_bad_elements_of_an_array():
     # the row overlaps are defined for one matrix; a stack is not taken for one
     with pytest.raises(ValueError):
         gates.orthogonality_inner_products(gates.bell_matrix(np.zeros(4), 0.0))
+
+
+def test_empty_arrays_of_levels_and_ratios_give_empty_results():
+    # _check_d and _check_xi test every element with no reduction that needs one
+    empty = np.array([])
+    for result in (chsh.s_max(empty), protocol.bell_meas_fidelity(empty, 0.0),
+                   protocol.cnot_fidelity(empty, 0.0), protocol.bell_meas_fidelity(0.3, empty),
+                   chsh.e_gg_scatter(0.3, empty, 0.1, 0.2)):
+        assert isinstance(result, np.ndarray) and result.shape == (0,)

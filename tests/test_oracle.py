@@ -91,6 +91,21 @@ def test_sample_displacement_variances():
     assert dr[:, 0].var() == pytest.approx(dr[:, 1].var(), rel=0.05)
 
 
+@pytest.mark.parametrize("chunk", [3, 10_000])
+@pytest.mark.parametrize("temperature", [[1e-5], [1e-6, 1e-5, 2e-5]], ids=["one", "three"])
+@pytest.mark.parametrize("estimator", [
+    lambda trap, cfg: oracle.mc_decoherence(trap, DEFAULT_OPTICS, cfg),
+    lambda trap, cfg: oracle.mc_thermal(trap, DEFAULT_OPTICS, 0.1, 0.2, (0.05,), cfg),
+    lambda trap, cfg: oracle.mc_f_squared(trap, DEFAULT_OPTICS, cfg),
+], ids=["mc_decoherence", "mc_thermal", "mc_f_squared"])
+def test_estimators_refuse_an_array_temperature(estimator, temperature, chunk):
+    # the draws take one spread per axis: an array temperature would broadcast
+    # over the sample rows (or fail to) instead of giving one estimate per value
+    trap = DEFAULT_TRAP.with_temperature(temperature)
+    with pytest.raises(ValueError, match="one temperature"):
+        estimator(trap, oracle.McConfig(chunk, 0, chunk))
+
+
 def _angle_sampler(rng, size, cos_lo):
     # reference: the same draws returned as angles, with arccos and sin(theta)
     thetas = np.empty(size)
