@@ -129,17 +129,9 @@ def _s_curves(x, d, states) -> np.ndarray:
                              pattern_angles(np.asarray(x, dtype=float)))
 
 
-def chsh_s_curve(x, initial: str, d: float) -> np.ndarray:
-    """Vectorized S(x) over an array of pattern parameters (closed form)."""
-    _check_d(d)
-    if initial not in _CORRELATION_SIGNS:
-        raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
-    return _s_curves(x, d, (initial,))[0]
-
-
 def sweep_s(x_values, d: float) -> dict[str, np.ndarray]:
-    """Tabulate S(x) for all four initial states; CSV-ready columns, each equal
-    to its chsh_s_curve bit for bit from one q and two cosines per angle pair."""
+    """Tabulate the closed-form S(x) of all four initial states; CSV-ready
+    columns from one q and two cosines per angle pair."""
     _check_d(d)
     return dict(zip(BASIS, _s_curves(x_values, d, BASIS)))
 
@@ -189,23 +181,10 @@ def s_max(d, initial: str = "ge"):
     exactly (all four angle pairs coincide), so once the interior peak decays
     below 2 this maximum saturates just under 2 instead of dropping further.
     """
-    return _grid_max(lambda x, d: chsh_s_curve(x, initial, d), d)
-
-
-def s_max_families(d):
-    """(violating, other): the s_max of ge, the family that violates, and of eg,
-    the other, each equal to its s_max call bit for bit, from one _grid_max
-    pass over d stacked twice."""
-    _check_d(d)
-    half = np.size(d)
-
-    def curves(x, levels):
-        # the first half of the columns reads ge, the second eg
-        first, second = _s_curves(x, levels, ("ge", "eg"))
-        return np.concatenate((first[..., :half], second[..., half:]), axis=-1)
-
-    violating, other = _grid_max(curves, np.stack((d, d)))
-    return _float_or_array(violating), _float_or_array(other)
+    _check_d(np.asarray(d))
+    if initial not in _CORRELATION_SIGNS:
+        raise ValueError(f"initial state must be one of {BASIS}, got {initial!r}")
+    return _grid_max(lambda x, d: _s_curves(x, d, (initial,))[0], d)
 
 
 def s_at_standard_angle(d):

@@ -314,7 +314,8 @@ def cmd_bell_sweep(cfg: SimpleNamespace) -> int:
 
 def cmd_bell_max(cfg: SimpleNamespace) -> int:
     ratios = np.linspace(0.0, cfg.t_max, cfg.t_n)
-    rows = np.column_stack((ratios, *chsh.s_max_families(motion.d_approx(ratios))))
+    d = motion.d_approx(ratios)
+    rows = np.column_stack((ratios, chsh.s_max(d, "ge"), chsh.s_max(d, "eg")))
     write_csv(cfg.out, ["T_over_Tcr", "max_abs_S_violating_family", "max_abs_S_other_family"], rows)
     return 0
 
@@ -394,7 +395,7 @@ def validation_checks(cfg: SimpleNamespace):
     yield "probability_rows_stochastic", worst <= 1e-12, f"max row defect={worst:.3e}"
 
     config = gates.GeneralBellConfig(geometry_phase=np.pi)
-    d1, d2 = gates.orthogonality_defect(gates.bell_matrix_general(config))
+    d1, d2 = map(abs, gates.orthogonality_inner_products(gates.bell_matrix_general(config)))
     yield ("orthogonality_phase_condition", max(d1, d2) <= 1e-12,
            f"defects=({d1:.3e}, {d2:.3e})")
 

@@ -153,12 +153,6 @@ def orthogonality_inner_products(b) -> tuple[complex, complex]:
     )
 
 
-def orthogonality_defect(b) -> tuple[float, float]:
-    """Moduli of the two overlaps that must vanish for orthogonal Bell states."""
-    ip1, ip2 = orthogonality_inner_products(b)
-    return (abs(ip1), abs(ip2))
-
-
 def raman_single(theta) -> np.ndarray:
     """Single-atom Raman rotation in the (g, e) basis, row = initial state."""
     c, s = np.cos(theta), np.sin(theta)
@@ -231,12 +225,9 @@ def b2_matrix(xi) -> np.ndarray:
     return np.sqrt(2.0 * xi)[..., None, None] * flip_both
 
 
-def verify_cnot_identity(second_local=None, bell=None) -> float:
-    """Max-norm defect of h1 @ bell @ second_local against the CNOT target.
-
-    Defaults to the motionless Bell operator and the derived h2; either factor
-    can be overridden to demonstrate how the identity degrades.
-    """
-    b = bell_matrix(0.0, 0.0) if bell is None else matrix4(bell)
+def verify_cnot_identity(second_local=None) -> float:
+    """Max-norm defect of h1 @ Bell @ second_local against the CNOT target, for
+    the motionless Bell operator and by default the derived h2; a flawed
+    second_local shows how the identity degrades."""
     second = h2() if second_local is None else matrix4(second_local)
-    return float(np.max(np.abs(h1() @ b @ second - cnot_target())))
+    return float(np.max(np.abs(h1() @ bell_matrix(0.0, 0.0) @ second - cnot_target())))

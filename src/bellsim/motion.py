@@ -142,22 +142,24 @@ def angular_pdf(theta, phi, optics: OpticsParams):
     return _float_or_array(c0 * (1.0 - np.sin(theta) ** 2 * np.cos(phi) ** 2))
 
 
-def cap_quadrature(func, theta0: float, tol: float = 1e-9,
-                   start_order: int = 16, max_order: int = 512):
+#: Convergence tolerance of cap_quadrature and its first and last Gauss-Legendre orders.
+_QUADRATURE_TOL, _START_ORDER, _MAX_ORDER = 1e-10, 16, 512
+
+
+def cap_quadrature(func, theta0: float):
     """Integrate func(theta, phi) * sin(theta) over the spherical cap.
 
-    Tensor-product Gauss-Legendre with the order doubled until two successive
-    estimates differ by less than tol.  func may return a stack of values,
-    shape (..., n_theta, n_phi), for one integral per leading index: each keeps
-    the estimate of the first order at which it converges, so it reads as if
-    integrated alone, and every one must converge.  Returns (value, error
-    estimate): a float, or an array of integrals beside the largest error.
-    Raises QuadratureError, naming the worst element of a stack, when max_order
-    is reached without convergence.
+    Tensor-product Gauss-Legendre with the order doubled from _START_ORDER
+    until two successive estimates differ by less than _QUADRATURE_TOL.  func
+    may return a stack of values, shape (..., n_theta, n_phi), for one integral
+    per leading index: each keeps the estimate of the first order at which it
+    converges, so it reads as if integrated alone, and every one must converge.
+    Returns (value, error estimate): a float, or an array of integrals beside
+    the largest error.  Raises QuadratureError, naming the worst element of a
+    stack, when _MAX_ORDER is reached without convergence.
     """
-    previous, gap, pending = None, None, np.True_
-    order = start_order
-    while order <= max_order:
+    previous, order = None, _START_ORDER
+    while order <= _MAX_ORDER:
         nodes, weights = np.polynomial.legendre.leggauss(order)
         theta = 0.5 * theta0 * (nodes + 1.0)
         wt = 0.5 * theta0 * weights * np.sin(theta)
@@ -169,19 +171,18 @@ def cap_quadrature(func, theta0: float, tol: float = 1e-9,
             result, error, pending = value, np.full(value.shape, np.inf), np.ones(value.shape, bool)
         else:
             gap = np.abs(value - previous)
-            done = pending & (gap < tol)
+            done = pending & (gap < _QUADRATURE_TOL)
             result, error = np.where(done, value, result), np.where(done, gap, error)
             pending = pending & ~done
             if not pending.any():
                 return _float_or_array(result), float(error.max())
         previous = value
         order *= 2
-    gap = np.where(pending, np.inf if gap is None else gap, -1.0)
+    gap = np.where(pending, gap, -1.0)
     where = f" (worst element {int(np.argmax(gap))})" if gap.ndim else ""
     raise QuadratureError(
-        f"cone quadrature did not converge below {tol} by order {max_order}{where}",
-        estimate=previous if previous is None or previous.ndim else float(previous),
-        error=float(gap.max()))
+        f"cone quadrature did not converge below {_QUADRATURE_TOL} by order {_MAX_ORDER}{where}",
+        estimate=previous if previous.ndim else float(previous), error=float(gap.max()))
 
 
 def aperture_coefficients(optics: OpticsParams):
@@ -251,5 +252,5 @@ def d_exact(trap: TrapParams, optics: OpticsParams):
     def integrand(theta, phi):
         return angular_pdf(theta, phi, optics) * -np.expm1(-mean_square_phase(theta, phi, per_grid))
 
-    decoherence, _ = cap_quadrature(integrand, optics.theta0, tol=1e-10)
+    decoherence, _ = cap_quadrature(integrand, optics.theta0)
     return decoherence

@@ -171,11 +171,16 @@ def _estimates(total, total_sq, n: int) -> list[McEstimate]:
     return [McEstimate(float(m), float(e), n) for m, e in zip(np.ravel(mean), np.ravel(se))]
 
 
+def _check_one_temperature(trap: TrapParams) -> None:
+    """Reject an array trap.temperature: every estimator draws at one temperature."""
+    if np.ndim(trap.temperature):
+        raise ValueError(f"the oracle draws at one temperature, got {trap.temperature}")
+
+
 def sample_displacement(trap: TrapParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, 3) thermal displacements in inverse-wavenumber units, at the one
     temperature every estimator draws at: an array temperature raises."""
-    if np.ndim(trap.temperature):
-        raise ValueError(f"the oracle draws at one temperature, got {trap.temperature}")
+    _check_one_temperature(trap)
     dr = rng.standard_normal((size, 3))
     dr *= np.sqrt(axis_variance(trap))
     return dr
@@ -437,7 +442,8 @@ class ThermalEstimate:
 
 def _phase_scale(trap: TrapParams, temperature: float) -> float:
     """sqrt(T / trap.temperature): every thermal spread is proportional to sqrt(T)."""
-    trap.with_temperature(temperature)  # the checks TrapParams makes
+    _check_one_temperature(trap)
+    _check_one_temperature(trap.with_temperature(temperature))  # and TrapParams' own checks
     if temperature == 0.0:
         return 0.0
     if trap.temperature == 0.0:

@@ -136,7 +136,7 @@ def test_s_invariant_under_pi_shift_of_atom1_angles():
 def test_curve_matches_pointwise_pipeline():
     xs = np.linspace(0.05, 1.5, 9)
     for state in BASIS:
-        curve = chsh.chsh_s_curve(xs, state, D_HALF)
+        curve = chsh.sweep_s(xs, D_HALF)[state]
         pointwise = [chsh.chsh_s(state, chsh.pattern_angles(x), D_HALF)
                      for x in xs]
         np.testing.assert_allclose(curve, pointwise, atol=1e-12)
@@ -166,7 +166,7 @@ def test_sweep_mirrored_swaps_families():
         for state in BASIS:
             mirrored = [chsh.chsh_s(state, chsh.ChshAngles(0.0, -x, 2.0 * x, -3.0 * x), d)
                         for x in xs]
-            np.testing.assert_allclose(mirrored, chsh.chsh_s_curve(xs, SWAPPED[state], d),
+            np.testing.assert_allclose(mirrored, chsh.sweep_s(xs, d)[SWAPPED[state]],
                                        rtol=0, atol=1e-12)
 
 
@@ -178,31 +178,21 @@ def test_sweep_classical_limit_never_violates():
 
 
 def test_sweep_equals_the_per_state_curves_bit_for_bit():
+    # s_max reads one state's curve from the core that sweep_s reads for all four
     xs = np.linspace(-1.0, 2.0, 301)
     for d in (0.0, D_HALF, 1.0):
         curves = chsh.sweep_s(xs, d)
         for state in BASIS:
-            assert curves[state].tobytes() == chsh.chsh_s_curve(xs, state, d).tobytes()
+            assert curves[state].tobytes() == chsh._s_curves(xs, d, (state,))[0].tobytes()
 
 
 def test_curve_checks_d_and_the_initial_state():
     with pytest.raises(ValueError, match="decoherence level"):
-        chsh.chsh_s_curve(0.3, "ge", 1.5)
-    with pytest.raises(ValueError, match="initial state"):
-        chsh.chsh_s_curve(0.3, "gx", 0.5)
-
-
-def test_family_maxima_equal_the_s_max_calls_bit_for_bit():
-    levels = 1.0 - np.exp(-np.linspace(0.0, 3.0, 61))
-    for d in (levels, levels[1:].reshape(3, 20), D_HALF, 0.0):
-        both = chsh.s_max_families(d)
-        for got, state in zip(both, ("ge", "eg")):
-            expected = chsh.s_max(d, state)
-            assert type(got) is type(expected)
-            assert np.array_equal(got, expected)
-            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        chsh.sweep_s(0.3, 1.5)
     with pytest.raises(ValueError, match="decoherence level"):
-        chsh.s_max_families(np.array([0.2, 1.5]))
+        chsh.s_max(np.array([0.2, 1.5]), "eg")
+    with pytest.raises(ValueError, match="initial state"):
+        chsh.s_max(0.5, "gx")
 
 
 def test_s_max_no_motion():
@@ -425,7 +415,7 @@ def test_scatter_curve_no_violation_at_unit_xi():
 
 #: (curve, its maximizer) for every curve family that chsh._grid_max maximizes.
 MAXIMIZED = (
-    [(lambda x, d=d, s=s: chsh.chsh_s_curve(x, s, d), lambda d=d, s=s: chsh.s_max(d, s))
+    [(lambda x, d=d, s=s: chsh.sweep_s(x, d)[s], lambda d=d, s=s: chsh.s_max(d, s))
      for d in np.linspace(0.0, 1.0, 11) for s in BASIS]
     + [(lambda x, d=d, xi=xi, f=f: chsh.s_gg_scatter_curve(x, d, xi, f),
         lambda d=d, xi=xi, f=f: chsh.s_gg_scatter_max(d, xi, f))
@@ -524,7 +514,7 @@ def test_s_max_over_an_array_matches_the_scalar_calls(state):
     # would build, so the batch equals both references to the bit
     np.testing.assert_array_equal(batched, [chsh.s_max(d, state) for d in LEVEL_GRID])
     np.testing.assert_array_equal(batched, [
-        _roots_max(lambda x, d=d: chsh.chsh_s_curve(x, state, d)) for d in LEVEL_GRID])
+        _roots_max(lambda x, d=d: chsh.sweep_s(x, d)[state]) for d in LEVEL_GRID])
     assert type(chsh.s_max(0.3, state)) is float
 
 

@@ -242,7 +242,7 @@ def _per_column_tables(command, a) -> dict[str, bytes]:
         d = motion.d_approx(a["t_over_tcr"])
         return {"out.csv": _per_column_csv(
             ["x_rad", "S_gg", "S_ge", "S_eg", "S_ee"],
-            [xs] + [chsh.chsh_s_curve(xs, state, d) for state in chsh.BASIS])}
+            [xs] + [chsh.sweep_s(xs, d)[state] for state in chsh.BASIS])}
     if command == "bell-max":
         ratios = np.linspace(0.0, 2.0, a["t_n"])
         d = motion.d_approx(ratios)

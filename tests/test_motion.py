@@ -300,19 +300,10 @@ def test_d_exact_monotone_and_bounded():
 
 def test_cap_quadrature_reports_nonconvergence():
     rough = lambda th, ph: np.abs(np.sin(200.0 * th * np.cos(3 * ph)))
-    with pytest.raises(QuadratureError) as err:
-        motion.cap_quadrature(rough, np.pi / 2, tol=1e-14, start_order=8, max_order=32)
-    assert err.value.estimate is not None
-    assert err.value.error > 1e-14
-
-
-def test_cap_quadrature_single_order_has_no_error_estimate():
-    # one order gives no pair of estimates to compare, so it cannot converge
-    with pytest.raises(QuadratureError) as err:
-        motion.cap_quadrature(lambda th, ph: np.ones_like(th), np.pi / 4,
-                              start_order=16, max_order=16)
-    assert err.value.estimate == pytest.approx(2 * np.pi * (1 - np.cos(np.pi / 4)))
-    assert err.value.error == float("inf")
+    with pytest.raises(QuadratureError, match="below 1e-10 by order 512$") as err:
+        motion.cap_quadrature(rough, np.pi / 2)
+    assert type(err.value.estimate) is float
+    assert err.value.error > 1e-10
 
 
 def test_planck_and_boltzmann_constants_are_the_si_values():
@@ -365,8 +356,8 @@ def test_cap_quadrature_stack_keeps_each_integral_at_its_own_order():
     smooth = lambda th, ph: np.cos(th) ** 2
     sharp = lambda th, ph: np.exp(-30.0 * np.sin(th) ** 2 * np.cos(ph) ** 2)
     both = lambda th, ph: np.stack([smooth(th, ph), sharp(th, ph)])
-    values, err = motion.cap_quadrature(both, np.pi / 2, tol=1e-12)
-    alone = [motion.cap_quadrature(f, np.pi / 2, tol=1e-12) for f in (smooth, sharp)]
+    values, err = motion.cap_quadrature(both, np.pi / 2)
+    alone = [motion.cap_quadrature(f, np.pi / 2) for f in (smooth, sharp)]
     assert np.all(_ulps(values, [v for v, _ in alone]) <= 4)
     assert err == max(e for _, e in alone)
 
@@ -375,6 +366,6 @@ def test_cap_quadrature_stack_names_the_worst_element():
     rough = lambda th, ph: np.abs(np.sin(200.0 * th * np.cos(3 * ph)))
     both = lambda th, ph: np.stack([np.ones_like(th), rough(th, ph)])
     with pytest.raises(QuadratureError, match="worst element 1") as err:
-        motion.cap_quadrature(both, np.pi / 2, tol=1e-14, start_order=8, max_order=32)
+        motion.cap_quadrature(both, np.pi / 2)
     assert err.value.estimate.shape == (2,)
-    assert err.value.error > 1e-14
+    assert err.value.error > 1e-10

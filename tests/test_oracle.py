@@ -97,7 +97,13 @@ def test_sample_displacement_variances():
     lambda trap, cfg: oracle.mc_decoherence(trap, DEFAULT_OPTICS, cfg),
     lambda trap, cfg: oracle.mc_thermal(trap, DEFAULT_OPTICS, 0.1, 0.2, (0.05,), cfg),
     lambda trap, cfg: oracle.mc_f_squared(trap, DEFAULT_OPTICS, cfg),
-], ids=["mc_decoherence", "mc_thermal", "mc_f_squared"])
+    # an extra temperature scales the phases drawn at trap.temperature, and is one too
+    lambda trap, cfg: oracle.mc_thermal(trap, DEFAULT_OPTICS, 0.1, 0.2, (), cfg,
+                                        temperatures=(1e-5,)),
+    lambda trap, cfg: oracle.mc_thermal(trap.with_temperature(1e-5), DEFAULT_OPTICS, 0.1, 0.2, (),
+                                        cfg, temperatures=(trap.temperature,)),
+], ids=["mc_decoherence", "mc_thermal", "mc_f_squared", "mc_thermal_at_an_extra_temperature",
+        "mc_thermal_at_an_array_extra_temperature"])
 def test_estimators_refuse_an_array_temperature(estimator, temperature, chunk):
     # the draws take one spread per axis: an array temperature would broadcast
     # over the sample rows (or fail to) instead of giving one estimate per value

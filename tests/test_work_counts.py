@@ -163,17 +163,26 @@ def test_validate_quadrature_evaluates_one_grid_per_order(validate_counts):
     assert validate_counts[1] == {"calls": 2, "points": 16**2 + 32**2}
 
 
-def test_curve_subcommands_take_one_s_max_pass(tmp_path):
-    # bell-max takes one array call for both state families (it made one s_max
-    # call per family); the other curves need none
+def test_bell_max_takes_one_s_max_pass_per_family(tmp_path):
+    # bell-max makes one s_max call per family, and each pass evaluates its one
+    # state at every level twice (at the interpolation nodes, then at the
+    # candidate maxima): 4 state-by-level curve columns per level; bell-sweep
+    # evaluates the four states at its one level
+    columns = {}
+
+    def count_columns(x, d, states):
+        columns[command] = columns.get(command, 0) + len(states) * np.size(d)
+        return x, d, states
+
     with pytest.MonkeyPatch.context() as monkeypatch:
         counter = Counter(monkeypatch)
         counter.wrap(chsh, "s_max")
-        counter.wrap(chsh, "s_max_families")
+        counter.wrap(chsh, "_s_curves", before=count_columns)
         with contextlib.redirect_stdout(io.StringIO()):
             for command in ("tcrit", "bell-sweep", "bell-max", "scatter", "fidelity"):
                 assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
-    assert counter.calls == {"chsh.s_max": 0, "chsh.s_max_families": 1}
+    assert counter.calls["chsh.s_max"] == 2
+    assert columns == {"bell-sweep": 4, "bell-max": 4 * 41}
 
 
 CURVES = ("tcrit", "bell-sweep", "bell-max", "scatter", "fidelity")
