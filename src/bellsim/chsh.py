@@ -151,22 +151,29 @@ def _power_coef(curve) -> np.ndarray:
     return np.linalg.solve(np.vander(_C_NODES), y.T[..., None])[..., 0]
 
 
+def _roots_in_range(coef) -> np.ndarray:
+    """Real parts of the roots of each row of power-basis coefficients, shape
+    (m, n + 1), clipped into _C_ENDS: the eigenvalues of (m, n, n) companion
+    matrices from one call (a complex or clipped root only adds a point inside
+    the range, which cannot raise a maximum taken over it)."""
+    # an exactly zero leading coefficient becomes round-off of the others: its
+    # extra root is huge and clipped, the rest stay put
+    tiny = np.maximum(np.finfo(float).eps * np.abs(coef).max(axis=1), np.finfo(float).tiny)
+    top = -coef[:, 1:] / np.where(coef[:, 0] != 0, coef[:, 0], tiny)[:, None]
+    m, n = top.shape
+    companion = np.concatenate((top[:, None], np.broadcast_to(np.eye(n - 1, n), (m, n - 1, n))), 1)
+    return np.clip(np.linalg.eigvals(companion).real, *_C_ENDS)
+
+
 def _grid_max(curve, d):
     """Largest |curve(x, d)| for x between the _X_ENDS, for d or each element of
     an array d, where curve has degree <= 5 in c = cos 2x and broadcasts x of
     shape (k, m) against the m values of d.  The m curves are interpolated
-    through _C_NODES and evaluated at the ends and at their derivatives' roots,
-    the eigenvalues of (m, 4, 4) companion matrices, real parts clipped into the
-    range (a complex or clipped root only adds a point inside it, which cannot
-    raise the maximum)."""
+    through _C_NODES and evaluated at the ends and at their derivatives' roots
+    in range, all from one _roots_in_range call."""
     flat = np.ravel(d).astype(float)
     der = _power_coef(lambda x: curve(x[:, None], flat))[:, :-1] * np.arange(5, 0, -1)
-    # an exactly zero leading coefficient (np.roots strips it) becomes round-off
-    # of the others: its extra root is huge and clipped, the rest stay put
-    tiny = np.maximum(np.finfo(float).eps * np.abs(der).max(axis=1), np.finfo(float).tiny)
-    top = -der[:, 1:] / np.where(der[:, 0] != 0, der[:, 0], tiny)[:, None]
-    companion = np.concatenate((top[:, None], np.broadcast_to(np.eye(3, 4), (flat.size, 3, 4))), 1)
-    c = np.clip(np.linalg.eigvals(companion).real.T, *_C_ENDS)
+    c = _roots_in_range(der).T
     x = np.concatenate((np.broadcast_to(_X_ENDS[:, None], (2, flat.size)), np.arccos(c) / 2))
     return _float_or_array(np.max(np.abs(curve(x, flat)), axis=0).reshape(np.shape(d)))
 
@@ -238,14 +245,17 @@ def _scatter_split(s_gg):
 
 
 def scatter_threshold(d: float, fixed_x: float | None = None) -> float:
-    """Smallest xi at which the gg violation drops to the classical bound 2.
+    """Smallest xi at which the gg violation drops to the classical bound 2, for
+    one decoherence level d (an array of them raises).
 
     S = A(c) + a B(c) with a = 1/(1 + 2 xi) and |A| <= 2 (1 - d), so at each
     c = cos 2x the violation ends at 1/a = v(c) = |B| / (2 - sign(B) A).  With
     fixed_x given, any finite angle, 1 + 2 xi* is v there.  Otherwise it is the
     largest v, at an end or at a root of v', i.e. of A B' - A' B - 2 s B' for
-    s = +-1 (as in _grid_max, clipped real parts cannot raise the maximum).
+    s = +-1, both polynomials' roots from one _roots_in_range call.
     """
+    if np.ndim(d):
+        raise ValueError(f"the threshold is taken at one decoherence level, got {d}")
     _check_d(d)
     if fixed_x is not None:
         with np.errstate(invalid="ignore"):  # an infinite angle has no sine
@@ -255,14 +265,11 @@ def scatter_threshold(d: float, fixed_x: float | None = None) -> float:
             lambda xi: _power_coef(lambda x: s_gg_scatter_curve(x[:, None], d, xi)))
         db = np.polyder(b)
         cross = np.polysub(np.polymul(a, db), np.polymul(np.polyder(a), b))
-        c = [_C_ENDS]
-        for s in (1.0, -1.0):
-            p = np.polysub(cross, 2 * s * db)
-            # the c^9 and c^8 terms cancel (A, B are odd quintics); their round-off
-            # would make np.roots lose real roots
-            p = p[np.argmax(np.abs(p) > 1e-12 * np.abs(p).max()):]
-            c.append(np.clip(np.roots(p).real, *_C_ENDS))
-        c = np.concatenate(c)
+        p = np.stack([np.polysub(cross, 2 * s * db) for s in (1.0, -1.0)])
+        # the c^9 and c^8 terms cancel (A, B are odd quintics); their round-off
+        # would make the companion matrices lose real roots
+        kept = np.abs(p) > 1e-12 * np.abs(p).max(axis=1, keepdims=True)
+        c = np.concatenate((_C_ENDS, _roots_in_range(p[:, np.argmax(kept.any(axis=0)):]).ravel()))
         a_c, b_c = np.polyval(a, c), np.polyval(b, c)
     v = np.max(np.abs(b_c) / (2 - np.sign(b_c) * a_c))
     if not np.isfinite(v):

@@ -120,22 +120,16 @@ class GeneralBellConfig:
 
 
 def bell_matrix_general(cfg: GeneralBellConfig) -> np.ndarray:
-    """Bell operator with every phase explicit; no orthogonality assumed."""
-    phi_g1 = cfg.laser_phase_g1
-    phi_e1 = cfg.laser_phase_e1
-    phi_g2 = cfg.laser_phase_g2 + cfg.geometry_phase / 2.0
-    phi_e2 = cfg.laser_phase_e2 + cfg.geometry_phase / 2.0
-
-    g1 = np.exp(1j * (cfg.motion_g1 + phi_g1 + cfg.path_phase_1))
-    g2 = np.exp(1j * (cfg.motion_g2 + phi_g2 + cfg.path_phase_2))
-    e1 = np.exp(1j * (cfg.motion_e1 + phi_e1 + cfg.path_phase_1))
-    e2 = np.exp(1j * (cfg.motion_e2 + phi_e2 + cfg.path_phase_2))
-
-    return np.array(
-        [[0, g2, g1, 0],
-         [e2, 0, 0, g1],
-         [e1, 0, 0, g2],
-         [0, e1, e2, 0]], dtype=complex) / SQRT2
+    """Bell operator with every phase explicit; no orthogonality assumed.  Each
+    branch pattern takes its atom's g- or e-channel phase per row: BRANCH_ATOM1
+    the g phase in rows gg and ge, |BRANCH_ATOM2| the g phase in rows gg and eg."""
+    g1 = np.exp(1j * (cfg.motion_g1 + cfg.laser_phase_g1 + cfg.path_phase_1))
+    e1 = np.exp(1j * (cfg.motion_e1 + cfg.laser_phase_e1 + cfg.path_phase_1))
+    half = cfg.geometry_phase / 2.0
+    g2 = np.exp(1j * (cfg.motion_g2 + (cfg.laser_phase_g2 + half) + cfg.path_phase_2))
+    e2 = np.exp(1j * (cfg.motion_e2 + (cfg.laser_phase_e2 + half) + cfg.path_phase_2))
+    return (np.array([g1, g1, e1, e1])[:, None] * BRANCH_ATOM1
+            + np.array([g2, e2, g2, e2])[:, None] * np.abs(BRANCH_ATOM2)) / SQRT2
 
 
 def orthogonality_inner_products(b) -> tuple[complex, complex]:
@@ -213,15 +207,13 @@ def b2_matrix(xi) -> np.ndarray:
     """Double-excitation branch operator for scattering weight xi = (b/a)^2.
 
     Both atoms get excited, one photon is registered and the second is
-    missed, flipping both qubits; sqrt(2 xi) is the branch amplitude after
-    averaging the missed-photon interference factor.
+    missed, flipping both qubits (BRANCH_ATOM1 @ |BRANCH_ATOM2|: both atoms
+    scatter); sqrt(2 xi) is the branch amplitude after averaging the
+    missed-photon interference factor.
     """
     _check_xi(xi)
-    flip_both = np.array(
-        [[0, 0, 0, 1],
-         [0, 0, 1, 0],
-         [0, 1, 0, 0],
-         [1, 0, 0, 0]], dtype=complex)
+    # einsum, not @: a float @ goes through BLAS, whose first call adds about 0.2 MB to peak RSS
+    flip_both = np.einsum("ij,jk", BRANCH_ATOM1, np.abs(BRANCH_ATOM2)).astype(complex)
     return np.sqrt(2.0 * xi)[..., None, None] * flip_both
 
 

@@ -550,6 +550,39 @@ def test_maxima_reject_a_bad_scattering_ratio():
         chsh.s_gg_scatter_max(LEVEL_GRID, float("nan"))
 
 
+def _roots_threshold(d) -> float:
+    """The optimized threshold from np.roots of each sign's polynomial, each
+    trimmed on its own: the per-polynomial reference."""
+    a, b = chsh._scatter_split(
+        lambda xi: chsh._power_coef(lambda x: chsh.s_gg_scatter_curve(x[:, None], d, xi)))
+    db = np.polyder(b)
+    cross = np.polysub(np.polymul(a, db), np.polymul(np.polyder(a), b))
+    c = [chsh._C_ENDS]
+    for s in (1.0, -1.0):
+        p = np.polysub(cross, 2 * s * db)
+        p = p[np.argmax(np.abs(p) > 1e-12 * np.abs(p).max()):]
+        c.append(np.clip(np.roots(p).real, *chsh._C_ENDS))
+    c = np.concatenate(c)
+    a_c, b_c = np.polyval(a, c), np.polyval(b, c)
+    return float(max(0.0, 0.5 * (np.max(np.abs(b_c) / (2 - np.sign(b_c) * a_c)) - 1.0)))
+
+
+def test_optimized_threshold_matches_the_per_polynomial_roots_bit_for_bit():
+    # both signs' polynomials, trimmed together, in one companion-matrix call
+    levels = np.concatenate((LEVEL_GRID, [1e-300, 1e-12], np.geomspace(1e-16, 1e-2, 60)))
+    thresholds = [chsh.scatter_threshold(d) for d in levels]
+    assert thresholds == [_roots_threshold(d) for d in levels]
+    assert np.count_nonzero(thresholds) > 200
+
+
+@pytest.mark.parametrize("fixed_x", [None, np.pi / 8])
+@pytest.mark.parametrize("d", [np.array([0.1, 0.5]), np.array([0.5]), [0.5]])
+def test_scatter_threshold_refuses_an_array_level(d, fixed_x):
+    # an array d would pair its levels with the split's two ratios element by element
+    with pytest.raises(ValueError, match="one decoherence level"):
+        chsh.scatter_threshold(d, fixed_x=fixed_x)
+
+
 def test_grid_max_takes_a_derivative_with_an_exactly_zero_leading_coefficient(monkeypatch):
     # np.roots strips such a coefficient; the companion matrix must not divide by it
     interpolate = chsh._power_coef

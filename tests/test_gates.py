@@ -130,6 +130,37 @@ def test_general_bell_orthogonality_recovered_in_motion_average():
     assert abs(total2 / n) < 5.0 / np.sqrt(n)
 
 
+def _bell_matrix_general_literal(cfg):
+    """The fully phased Bell operator as first written, one 4x4 literal."""
+    phi_g2 = cfg.laser_phase_g2 + cfg.geometry_phase / 2.0
+    phi_e2 = cfg.laser_phase_e2 + cfg.geometry_phase / 2.0
+    g1 = np.exp(1j * (cfg.motion_g1 + cfg.laser_phase_g1 + cfg.path_phase_1))
+    g2 = np.exp(1j * (cfg.motion_g2 + phi_g2 + cfg.path_phase_2))
+    e1 = np.exp(1j * (cfg.motion_e1 + cfg.laser_phase_e1 + cfg.path_phase_1))
+    e2 = np.exp(1j * (cfg.motion_e2 + phi_e2 + cfg.path_phase_2))
+    return np.array(
+        [[0, g2, g1, 0],
+         [e2, 0, 0, g1],
+         [e1, 0, 0, g2],
+         [0, e1, e2, 0]], dtype=complex) / SQRT2
+
+
+def test_general_bell_from_the_branch_patterns_equals_the_literal_layout():
+    # per-row phases times BRANCH_ATOM1 and |BRANCH_ATOM2|: equal values (only
+    # the signs of some zeros differ), and so equal row overlaps
+    rng = np.random.default_rng(30)
+    names = list(gates.GeneralBellConfig.__dataclass_fields__)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(100):
+            phases = rng.uniform(-np.pi, np.pi, len(names)) * scale
+            cfg = gates.GeneralBellConfig(**dict(zip(names, phases)))
+            b, ref = gates.bell_matrix_general(cfg), _bell_matrix_general_literal(cfg)
+            assert b.shape == ref.shape and b.dtype == ref.dtype
+            assert np.array_equal(b, ref)
+            assert (gates.orthogonality_inner_products(b)
+                    == gates.orthogonality_inner_products(ref))
+
+
 def test_orthogonality_defect_path_phase_shift_invariant():
     rng = np.random.default_rng(29)
     for _ in range(20):
@@ -244,11 +275,13 @@ def test_bell_paths_split_the_bell_operator(p1, p2, theta1, theta2):
 
 
 def test_b2_matrix():
-    np.testing.assert_array_equal(gates.b2_matrix(0.0), np.zeros((4, 4)))
-    anti = np.fliplr(np.eye(4))
-    np.testing.assert_allclose(gates.b2_matrix(0.5), anti, atol=1e-15)
-    np.testing.assert_allclose(
-        gates.b2_matrix(0.05), np.sqrt(0.1) * anti, atol=1e-15)
+    # the flip BRANCH_ATOM1 @ |BRANCH_ATOM2| is the anti-identity literal to the bit
+    anti = np.fliplr(np.eye(4)).astype(complex)
+    assert _same_bits(gates.b2_matrix(0.0), 0.0 * anti)
+    assert _same_bits(gates.b2_matrix(0.5), anti)
+    assert _same_bits(gates.b2_matrix(0.05), np.sqrt(0.1) * anti)
+    xi = np.array([0.0, 1e-300, 0.05, 0.5, 2.0, 1e300])
+    assert _same_bits(gates.b2_matrix(xi), np.sqrt(2.0 * xi)[:, None, None] * anti)
     with pytest.raises(ValueError):
         gates.b2_matrix(-0.1)
 
