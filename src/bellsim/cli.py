@@ -58,6 +58,16 @@ class ConfigError(Exception):
     pass
 
 
+def _import_oracle():
+    """bellsim.oracle, imported only by validate, which samples.  An import
+    that fails, as it can when memory runs out, is an error line and exit 2."""
+    try:
+        from . import oracle
+    except ImportError as exc:
+        raise ConfigError(f"the Monte-Carlo oracle could not be imported ({exc})") from exc
+    return oracle
+
+
 class _Setting(NamedTuple):
     """A setting's kind (float, int, str, or list: comma-separated floats >= 0),
     flag help, default, (section, key) in the config file if any, and lower and
@@ -217,8 +227,7 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
         if "theta0" in values:
             values["optics"] = motion.OpticsParams(values.pop("theta0"))
         if "seed" in values:
-            from . import oracle  # only validate samples
-            values["mc"] = oracle.McConfig(
+            values["mc"] = _import_oracle().McConfig(
                 values.pop("samples"), values.pop("seed"), values.pop("chunk_size"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -358,7 +367,7 @@ def cmd_fidelity(cfg: SimpleNamespace) -> int:
 
 def validation_checks(cfg: SimpleNamespace):
     """Yield (name, ok, detail) for every invariant of `bellsim validate`, in order."""
-    from . import oracle
+    oracle = _import_oracle()
     # before the first check: a trap out of range ends the run before any line
     tcr = motion.t_crit(cfg.trap, cfg.optics)
     rng = np.random.default_rng(cfg.mc.seed)
@@ -478,7 +487,8 @@ def validation_checks(cfg: SimpleNamespace):
     # once; the 0.2 and 1 decoherence checks rescale those phases by sqrt(T)
     trap_half = cfg.trap.with_temperature(0.5 * tcr)
     half = oracle.mc_thermal(trap_half, cfg.optics, np.pi / 7, np.pi / 5, (0.0, 0.05),
-                             cfg.mc, workers=cfg.workers, temperatures=(0.2 * tcr, 1.0 * tcr))
+                             cfg.mc, workers=cfg.workers, temperatures=(0.2 * tcr, 1.0 * tcr),
+                             prefix=20_000)
     low, high = half.decoherence_at
     for ratio, est in ((0.2, low), (0.5, half.decoherence.estimate), (1.0, high)):
         closed = d_exact[ratio]
@@ -502,9 +512,13 @@ def validation_checks(cfg: SimpleNamespace):
         yield (f"mc_bell_measurement_diag_xi_{xi:g}", abs(diag - closed) <= 3 * se + 1e-9,
                f"estimate={diag:.5f} closed={closed:.5f} std_error={se:.2e}")
 
+    # the shared draw's first 20 000 samples, if whole chunks, are the serial draw bit
+    # for bit: one fresh draw checks them from the other side of the threaded split
     small = oracle.McConfig(20_000, cfg.mc.seed, cfg.mc.chunk_size)
-    one = oracle.mc_decoherence(trap_half, cfg.optics, small, workers=1)
-    many = oracle.mc_decoherence(trap_half, cfg.optics, small, workers=3)
+    prefix = half.decoherence_prefix
+    one = prefix or oracle.mc_decoherence(trap_half, cfg.optics, small, workers=1)
+    many = oracle.mc_decoherence(trap_half, cfg.optics, small,
+                                 workers=1 if prefix and cfg.workers > 1 else 3)
     yield ("mc_bit_reproducible_across_workers",
            one.estimate.mean == many.estimate.mean
            and one.estimate.std_error == many.estimate.std_error,
@@ -544,8 +558,7 @@ def main(argv=None) -> int:
             args = _make_parser().parse_args(argv)
             # looked up at call time, so a rebound cmd_* (a tracing wrapper) is the one run
             handler = globals()["cmd_" + args.command.replace("-", "_")]
-            # an overflow or an undefined value inside numpy is an out-of-range input
-            # too, and so is a size that does not fit in memory
+            # an overflow or an undefined value inside numpy is an out-of-range input too
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return handler(build_config(args))
         finally:
@@ -554,8 +567,9 @@ def main(argv=None) -> int:
         # the reader closed stdout: send what is left to devnull, so the flush at exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         reason = "standard output was closed"
-    except (ConfigError, OverflowError, ZeroDivisionError, FloatingPointError,
-            MemoryError) as exc:
+    except MemoryError as exc:
+        reason = f"memory ran out ({str(exc) or 'MemoryError'})"
+    except (ConfigError, OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         reason = (exc if isinstance(exc, ConfigError)
                   else f"an input is out of range ({str(exc) or type(exc).__name__})")
     print(f"error: {reason}", file=sys.stderr)

@@ -208,8 +208,9 @@ def b2_matrix(xi) -> np.ndarray:
 
     Both atoms get excited, one photon is registered and the second is
     missed, flipping both qubits (BRANCH_ATOM1 @ |BRANCH_ATOM2|: both atoms
-    scatter); sqrt(2 xi) is the branch amplitude after averaging the
-    missed-photon interference factor.
+    scatter); sqrt(2 xi) is the branch amplitude in the <|f|^2> = 2 limit of
+    the missed-photon interference factor, where motion has scrambled its
+    phase (oracle.mc_f_squared estimates <|f|^2> itself).
     """
     _check_xi(xi)
     # einsum, not @: a float @ goes through BLAS, whose first call adds about 0.2 MB to peak RSS

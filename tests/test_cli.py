@@ -895,8 +895,26 @@ def test_memory_error_exits_2_with_one_error_line(monkeypatch, capsys, error, re
     monkeypatch.setattr(oracle, "mc_thermal", out_of_memory)
     assert run(["validate", "--samples", "2000", "--chunk-size", "1000"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error: an input is out of range ({reason})"]
+    assert captured.err.splitlines() == [f"error: memory ran out ({reason})"]
     assert "[  ok] d_exact_vs_exponential" in captured.out
+
+
+def test_oracle_import_failure_exits_2_with_one_error_line(monkeypatch, capsys):
+    # validate imports the oracle on first use; an ImportError there, as when
+    # memory runs out, is an error line and exit 2, in build_config and in
+    # validation_checks alike
+    import bellsim
+
+    cfg = cli.build_config(cli._make_parser().parse_args(["validate"]))
+    monkeypatch.delattr(bellsim, "oracle")
+    monkeypatch.setitem(sys.modules, "bellsim.oracle", None)
+    assert run(["validate", "--samples", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: the Monte-Carlo oracle could not be imported (")
+    with pytest.raises(cli.ConfigError, match="could not be imported"):
+        next(cli.validation_checks(cfg))
 
 
 def _in_process(argv, cwd, monkeypatch, capsys):

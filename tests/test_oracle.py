@@ -553,11 +553,8 @@ def test_mc_thermal_extra_temperature_over_temperatures(log_base, log_extra):
                             oracle.mc_decoherence(extra, DEFAULT_OPTICS, cfg))
 
 
-def test_validate_draws_each_shared_stage_once(monkeypatch):
-    # every T/T_cr = 0.2, 0.5 and 1 check reads the two stages of one shared
-    # draw (0.2 and 1 rescale its phases), and the reproducibility runs
-    # (20 000 samples whatever --samples says) draw one each; one of those
-    # runs uses 3 threads
+def _validate_draws(monkeypatch, samples):
+    """(photon directions, displacements) drawn by `validate --samples samples`."""
     drawn, lock = {"photon": 0, "displacement": 0}, threading.Lock()
 
     def counting(name, fn):
@@ -572,9 +569,67 @@ def test_validate_draws_each_shared_stage_once(monkeypatch):
                         counting("photon", oracle.sample_photon_direction))
     monkeypatch.setattr(oracle, "sample_displacement",
                         counting("displacement", oracle.sample_displacement))
-    cli.main(["validate", "--samples", "2000"])
-    assert drawn["photon"] == 2 * 2_000 + 2 * 20_000
-    assert drawn["displacement"] == 2 * drawn["photon"]
+    cli.main(["validate", "--samples", str(samples)])
+    return drawn["photon"], drawn["displacement"]
+
+
+def test_validate_draws_each_shared_stage_once(monkeypatch):
+    # every T/T_cr = 0.2, 0.5 and 1 check reads the two stages of one shared
+    # draw (0.2 and 1 rescale its phases); that draw holds no 20 000-sample
+    # prefix, so the reproducibility runs (20 000 samples whatever --samples
+    # says) draw one each; one of those runs uses 3 threads
+    photon, displacement = _validate_draws(monkeypatch, 2_000)
+    assert photon == 2 * 2_000 + 2 * 20_000
+    assert displacement == 2 * photon
+
+
+def test_validate_at_20000_samples_draws_one_fresh_reproducibility_run(monkeypatch):
+    # the reproducibility check reads the first 20 000 samples of the shared
+    # draw's first stage and draws 20 000 more on the other side of the
+    # serial/threaded split
+    photon, displacement = _validate_draws(monkeypatch, 20_000)
+    assert photon == 3 * 20_000
+    assert displacement == 2 * photon
+
+
+@pytest.mark.parametrize("n, chunk_size, workers, fresh", [
+    (20_000, 10_000, 1, [3]),
+    (20_000, 10_000, 2, [1]),
+    (40_000, 5_000, 3, [1]),
+    (30_000, 3_000, 2, [1, 3]),  # 20 000 is not a whole number of chunks
+    (2_000, 1_000, 2, [1, 3]),  # fewer samples than the check reads
+    (40_000, 25_000, 2, [1, 3]),  # a chunk larger than the check
+], ids=["prefix-serial", "prefix-threaded", "prefix-8-chunks", "chunk-not-dividing",
+        "too-few-samples", "chunk-too-large"])
+def test_validate_reproducibility_sides_equal_the_serial_draw(monkeypatch, capsys, n, chunk_size,
+                                                               workers, fresh):
+    # each side of mc_bit_reproducible_across_workers, the shared draw's
+    # prefix or a fresh draw, is the serial 20 000-sample draw bit for bit
+    sides, workers_used = [], []
+    thermal, decoherence = oracle.mc_thermal, oracle.mc_decoherence
+
+    def recording_thermal(*args, **kwargs):
+        out = thermal(*args, **kwargs)
+        sides.extend([out.decoherence_prefix] if out.decoherence_prefix else [])
+        return out
+
+    def recording_decoherence(*args, workers=1):
+        out = decoherence(*args, workers=workers)
+        sides.append(out)
+        workers_used.append(workers)
+        return out
+
+    monkeypatch.setattr(oracle, "mc_thermal", recording_thermal)
+    monkeypatch.setattr(oracle, "mc_decoherence", recording_decoherence)
+    cli.main(["validate", "--seed", "7", "--samples", str(n), "--chunk-size", str(chunk_size),
+              "--workers", str(workers)])
+    assert "[  ok] mc_bit_reproducible_across_workers" in capsys.readouterr().out
+    serial = decoherence(TRAP_HALF, DEFAULT_OPTICS, oracle.McConfig(20_000, 7, chunk_size),
+                         workers=1)
+    assert workers_used == fresh
+    assert len(sides) == 2
+    for side in sides:
+        assert _flat(side) == _flat(serial)
 
 
 def test_mc_statistical_acceptance_over_seeds():
