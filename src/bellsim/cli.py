@@ -486,9 +486,10 @@ def validation_checks(cfg: SimpleNamespace):
     # the T/T_cr = 0.5 checks read the same stages of every chunk: draw them
     # once; the 0.2 and 1 decoherence checks rescale those phases by sqrt(T)
     trap_half = cfg.trap.with_temperature(0.5 * tcr)
+    small = oracle.McConfig(20_000, cfg.mc.seed, min(cfg.mc.chunk_size, 10_000))  # 2+ chunks
     half = oracle.mc_thermal(trap_half, cfg.optics, np.pi / 7, np.pi / 5, (0.0, 0.05),
                              cfg.mc, workers=cfg.workers, temperatures=(0.2 * tcr, 1.0 * tcr),
-                             prefix=20_000)
+                             prefix=20_000 if small.chunk_size == cfg.mc.chunk_size else 0)
     low, high = half.decoherence_at
     for ratio, est in ((0.2, low), (0.5, half.decoherence.estimate), (1.0, high)):
         closed = d_exact[ratio]
@@ -513,8 +514,8 @@ def validation_checks(cfg: SimpleNamespace):
                f"estimate={diag:.5f} closed={closed:.5f} std_error={se:.2e}")
 
     # the shared draw's first 20 000 samples, if whole chunks, are the serial draw bit
-    # for bit: one fresh draw checks them from the other side of the threaded split
-    small = oracle.McConfig(20_000, cfg.mc.seed, cfg.mc.chunk_size)
+    # for bit: one fresh draw checks them from the other side of the threaded split,
+    # which a run of 2 chunks or more crosses (a pool starts no more threads than chunks)
     prefix = half.decoherence_prefix
     one = prefix or oracle.mc_decoherence(trap_half, cfg.optics, small, workers=1)
     many = oracle.mc_decoherence(trap_half, cfg.optics, small,

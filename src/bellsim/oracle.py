@@ -196,43 +196,42 @@ def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float) -
     """Rejection sampling of the x-dipole pattern 1 - sin^2(theta) cos^2(phi).
 
     Proposals u = cos(theta) are uniform on [cos_lo, 1), the cap
-    cos(theta) >= cos_lo.  Returns (size, 3) unit vectors
-    (sin(theta) cos(phi), sin(theta) sin(phi), u); sin(phi) and sin(theta)
-    are evaluated for accepted proposals only.
+    cos(theta) >= cos_lo.  Returns (size, 3) unit vectors (sin(theta) cos(phi),
+    sin(theta) sin(phi), u); sin(phi) and sin(theta) are evaluated for
+    accepted proposals only.
 
-    The pattern is >= u^2, so w < u^2 is a sure accept; on a cap
-    (cos_lo >= 0) cos(phi) and the exact test run only up to the sure
-    accept that completes the batch (on the whole batch if it holds too few).
-    With cos_lo < 0 about E[u^2] = 1/3 of the proposals are sure accepts,
-    too few to complete a batch of 2 (size - have) except in the small last
-    rounds, so the test is skipped.  Every batch is still drawn in full, so
-    the draws and accepts are unchanged.
+    Each batch is drawn in full and its first accepts, as many as are
+    missing, are kept.  cos(phi) and the test run on consecutive blocks of
+    it, each (missing accepts) / (mean acceptance (4 + cos_lo + cos_lo^2) / 6)
+    long, until none is missing: the draws and accepts are those of a test
+    of the whole batch, with few proposals tested past the last accept.
     """
+    rate = (4.0 + cos_lo + cos_lo * cos_lo) / 6.0
     k = np.empty((size, 3))
     have = 0
     while have < size:
-        need = size - have
-        batch = max(2 * need, 64)
-        u = rng.uniform(cos_lo, 1.0, batch)
-        phi = rng.uniform(0.0, 2.0 * np.pi, batch)
-        w = rng.uniform(0.0, 1.0, batch)
-        if cos_lo >= 0.0:
-            # sure accepts; the margin of 16 units of 2^-53 exceeds the
-            # round-off of this bound and of the exact test below
-            sure = w < u * u - 2.0**-49
-            if np.count_nonzero(sure) >= need:
-                end = np.flatnonzero(sure)[need - 1] + 1
-                u, phi, w = u[:end], phi[:end], w[:end]
-        cos_phi = np.cos(phi)
-        sin2 = (1.0 - u) * (1.0 + u)
-        keep = w < 1.0 - sin2 * cos_phi * cos_phi
-        idx = np.flatnonzero(keep)[:need]
-        rows = k[have:have + idx.size]
-        sin_theta = np.sqrt(sin2[idx])
-        rows[:, 0] = sin_theta * cos_phi[idx]
-        rows[:, 1] = sin_theta * np.sin(phi[idx])
-        rows[:, 2] = u[idx]
-        have += idx.size
+        batch = max(2 * (size - have), 64)
+        # rng.uniform(lo, hi, n) is lo + (hi - lo) * rng.random(n), bit for bit
+        u = rng.random(batch)
+        u *= 1.0 - cos_lo
+        u += cos_lo
+        phi = rng.random(batch)
+        phi *= 2.0 * np.pi
+        w = rng.random(batch)
+        start = 0
+        while have < size and start < batch:
+            need = size - have
+            block = slice(start, min(start + int(need / rate) + 1, batch))
+            cos_phi = np.cos(phi[block])
+            sin2 = (1.0 - u[block]) * (1.0 + u[block])
+            idx = np.flatnonzero(w[block] < 1.0 - sin2 * cos_phi * cos_phi)[:need]
+            rows = k[have:have + idx.size]
+            sin_theta = np.sqrt(sin2[idx])
+            rows[:, 0] = sin_theta * cos_phi[idx]
+            rows[:, 1] = sin_theta * np.sin(phi[block][idx])
+            rows[:, 2] = u[block][idx]
+            have += idx.size
+            start = block.stop
     return k
 
 

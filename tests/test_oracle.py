@@ -138,8 +138,7 @@ def _angle_sampler(rng, size, cos_lo):
     pytest.param("cone", np.pi / 2, id="cone-at-half-pi"),
 ])
 def test_unit_vector_sampler_matches_angle_sampler(case, theta0, size, seed):
-    # covers batches cut at a sure accept (narrow cones), batches tested whole
-    # (too few sure accepts, as over a hemisphere) and the 64-proposal floor
+    # covers narrow cones, the hemisphere, the sphere and the 64-proposal floor
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if case == "cone":
         k = oracle.sample_photon_direction(motion.OpticsParams(theta0=theta0), rng, size)
@@ -151,6 +150,106 @@ def test_unit_vector_sampler_matches_angle_sampler(case, theta0, size, seed):
     expected = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                          np.cos(theta)], axis=-1)
     np.testing.assert_allclose(k, expected, rtol=0, atol=1e-12)
+
+
+def _sure_accept_sampler_literal(rng, size, cos_lo):
+    # reference: the sampler that tested each batch up to the sure accept
+    # (w < u^2) completing it, kept literally
+    k = np.empty((size, 3))
+    have = 0
+    while have < size:
+        need = size - have
+        batch = max(2 * need, 64)
+        u = rng.uniform(cos_lo, 1.0, batch)
+        phi = rng.uniform(0.0, 2.0 * np.pi, batch)
+        w = rng.uniform(0.0, 1.0, batch)
+        if cos_lo >= 0.0:
+            # sure accepts; the margin of 16 units of 2^-53 exceeds the
+            # round-off of this bound and of the exact test below
+            sure = w < u * u - 2.0**-49
+            if np.count_nonzero(sure) >= need:
+                end = np.flatnonzero(sure)[need - 1] + 1
+                u, phi, w = u[:end], phi[:end], w[:end]
+        cos_phi = np.cos(phi)
+        sin2 = (1.0 - u) * (1.0 + u)
+        keep = w < 1.0 - sin2 * cos_phi * cos_phi
+        idx = np.flatnonzero(keep)[:need]
+        rows = k[have:have + idx.size]
+        sin_theta = np.sqrt(sin2[idx])
+        rows[:, 0] = sin_theta * cos_phi[idx]
+        rows[:, 1] = sin_theta * np.sin(phi[idx])
+        rows[:, 2] = u[idx]
+        have += idx.size
+    return k
+
+
+# None draws from the sphere
+CONE_OR_SPHERE = st.one_of(st.none(), st.floats(motion.THETA0_MIN, np.pi / 2))
+
+
+@given(CONE_OR_SPHERE, st.integers(1, 20_000), st.integers(0, 2**32 - 1))
+@example(None, 1, 0)
+@example(motion.THETA0_MIN, 20_000, 0)
+@example(np.pi / 2, 64, 1)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_block_sampler_equals_the_sure_accept_sampler(theta0, size, seed):
+    # same directions bit for bit and the same draws consumed, so every
+    # estimate is unchanged; cos of a block equals cos of the same entries
+    # of a longer slice under every numpy dispatch group
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if theta0 is None:
+        k, expected = (oracle.sample_dipole_direction(rng, size),
+                       _sure_accept_sampler_literal(ref_rng, size, -1.0))
+    else:
+        optics = motion.OpticsParams(theta0=theta0)
+        k, expected = (oracle.sample_photon_direction(optics, rng, size),
+                       _sure_accept_sampler_literal(ref_rng, size, np.cos(theta0)))
+    assert np.array_equal(k, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _proposals_to_last_accept(seed, size, cos_lo):
+    """Proposals a sampler must test: whole batches that hold too few
+    accepts, then the last batch up to the accept that completes the draw."""
+    rng, tested, need = np.random.default_rng(seed), 0, size
+    while True:
+        batch = max(2 * need, 64)
+        sin2 = (1.0 - (u := rng.uniform(cos_lo, 1.0, batch))) * (1.0 + u)
+        cos_phi = np.cos(rng.uniform(0.0, 2.0 * np.pi, batch))
+        accepts = np.flatnonzero(rng.uniform(0.0, 1.0, batch) < 1.0 - sin2 * cos_phi * cos_phi)
+        if accepts.size >= need:
+            return tested + accepts[need - 1] + 1
+        tested, need = tested + batch, need - accepts.size
+
+
+class _CountingNumpy:
+    """numpy, with the number of values passed to cos counted."""
+
+    def __init__(self):
+        self.cos_values = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x):
+        self.cos_values += np.size(x)
+        return np.cos(x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("size", [1, 5, 100, 3_000, 10_000, 20_000])
+@pytest.mark.parametrize("cos_lo", [np.cos(motion.THETA0_MIN), np.cos(THETA0), 0.0, -1.0],
+                         ids=["cone-at-theta0-min", "cone", "hemisphere", "sphere"])
+def test_sampler_tests_few_proposals_past_the_last_accept(monkeypatch, seed, size, cos_lo):
+    # cos(phi) and the acceptance test run on the proposals up to the accept
+    # that completes the draw, plus at most one block's margin of a few
+    # standard deviations of the accept count
+    numpy = _CountingNumpy()
+    monkeypatch.setattr(oracle, "np", numpy)
+    oracle._sample_dipole_pattern(np.random.default_rng(seed), size, cos_lo)
+    rate = (4.0 + cos_lo + cos_lo * cos_lo) / 6.0  # mean acceptance
+    needed = _proposals_to_last_accept(seed, size, cos_lo)
+    assert needed <= numpy.cos_values <= needed + 1 + 4.0 * np.sqrt(size) / rate
 
 
 # Bell-measurement entries a single-sided double excitation fills: the same
@@ -599,8 +698,9 @@ def test_validate_at_20000_samples_draws_one_fresh_reproducibility_run(monkeypat
     (30_000, 3_000, 2, [1, 3]),  # 20 000 is not a whole number of chunks
     (2_000, 1_000, 2, [1, 3]),  # fewer samples than the check reads
     (40_000, 25_000, 2, [1, 3]),  # a chunk larger than the check
+    (40_000, 20_000, 1, [1, 3]),  # the check in one chunk: drawn in 10 000-sample chunks
 ], ids=["prefix-serial", "prefix-threaded", "prefix-8-chunks", "chunk-not-dividing",
-        "too-few-samples", "chunk-too-large"])
+        "too-few-samples", "chunk-too-large", "chunk-equal-to-the-check"])
 def test_validate_reproducibility_sides_equal_the_serial_draw(monkeypatch, capsys, n, chunk_size,
                                                                workers, fresh):
     # each side of mc_bit_reproducible_across_workers, the shared draw's
@@ -624,12 +724,33 @@ def test_validate_reproducibility_sides_equal_the_serial_draw(monkeypatch, capsy
     cli.main(["validate", "--seed", "7", "--samples", str(n), "--chunk-size", str(chunk_size),
               "--workers", str(workers)])
     assert "[  ok] mc_bit_reproducible_across_workers" in capsys.readouterr().out
-    serial = decoherence(TRAP_HALF, DEFAULT_OPTICS, oracle.McConfig(20_000, 7, chunk_size),
-                         workers=1)
+    small = oracle.McConfig(20_000, 7, min(chunk_size, 10_000))
+    serial = decoherence(TRAP_HALF, DEFAULT_OPTICS, small, workers=1)
     assert workers_used == fresh
     assert len(sides) == 2
     for side in sides:
         assert _flat(side) == _flat(serial)
+
+
+@pytest.mark.parametrize("chunk_size", [5_000, 10_000, 20_000, 25_000])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_validate_reproducibility_check_crosses_the_threaded_split(monkeypatch, capsys,
+                                                                   chunk_size, workers):
+    # one side of mc_bit_reproducible_across_workers runs on threads: its
+    # 20 000 samples are drawn in 2 chunks or more, as a pool never starts
+    # more threads than there are chunks
+    pools = []
+
+    class RecordingPool(oracle.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
+    cli.main(["validate", "--samples", "20000", "--chunk-size", str(chunk_size),
+              "--workers", str(workers)])
+    assert "[  ok] mc_bit_reproducible_across_workers" in capsys.readouterr().out
+    assert pools and min(pools) >= 2
 
 
 def test_mc_statistical_acceptance_over_seeds():
