@@ -31,18 +31,14 @@ from . import chsh, gates, linalg, motion, protocol
 
 DEFAULT_SEED = 20240
 #: Fixed ceilings, so the exit code of a call does not depend on the machine:
-#: one thread per worker, a chunk's arrays grow with its size, and a table has
-#: a row per grid point and two columns per listed value.
+#: one thread per worker, and a table has a row per grid point and two
+#: columns per listed value.
 MAX_WORKERS = 256
-MAX_CHUNK_SIZE = 1_000_000
 MAX_GRID_N = 100_000
 MAX_LIST_VALUES = 100
 #: Cells write_csv formats per `%`: one block's Python floats and text stay
 #: a few MB whatever the table's size.
 CSV_BLOCK_CELLS = 2**14
-#: Chunk samples the default worker count holds at once: 4 workers at the
-#: largest chunk, the CPU count at the default one.
-DEFAULT_WORKER_SAMPLES = 2**22
 
 
 def _available_cpus() -> int:
@@ -99,11 +95,9 @@ _SETTINGS = {
     "--seed": _Setting(int, "Monte-Carlo seed", DEFAULT_SEED, ("mc", "seed"), lo=0),
     # one sample has no standard error
     "--samples": _Setting(int, "Monte-Carlo sample count", 100_000, ("mc", "n_samples"), lo=2),
-    "--chunk-size": _Setting(int, "Monte-Carlo chunk size", 10_000, ("mc", "chunk_size"), lo=1,
-                             hi=MAX_CHUNK_SIZE),
-    # no default here: build_config bounds the CPU count by the chunk size
-    "--workers": _Setting(int, "parallel chunk workers (default: the CPUs this process may use,"
-                          " at most 2**22 // chunk size)", lo=1, hi=MAX_WORKERS),
+    # no default here: build_config reads the CPUs this process may use
+    "--workers": _Setting(int, "parallel chunk workers (default: the CPUs this process may use)",
+                          lo=1, hi=MAX_WORKERS),
     "--xi-list": _Setting(list, "comma-separated xi values", "0,0.05,0.15,1"),
     "--t-list": _Setting(list, "T/T_cr values for the xi table", "0,0.2,0.5,1"),
     "--t-max": _Setting(float, "largest T/T_cr", 2.0, lo=0.0),
@@ -124,8 +118,7 @@ _COMMANDS = {
                    ("--config", "--out", "--t-over-tcr", *_X_GRID),
                    {"--out": "bell_sweep.csv"}),
     "bell-max": ("maxima of |S| vs T/T_cr",
-                 ("--config", "--out", "--t-max", "--t-n"),
-                 {"--out": "bell_max.csv", "--t-n": 41}),
+                 ("--out", "--t-max", "--t-n"), {"--out": "bell_max.csv", "--t-n": 41}),
     "scatter": ("S_gg(x) at several double-excitation ratios",
                 ("--config", "--out", "--t-over-tcr", *_X_GRID, "--xi-list"),
                 {"--out": "scatter.csv"}),
@@ -133,8 +126,7 @@ _COMMANDS = {
                  ("--out", "--xi-list", "--t-list", "--t-max", "--t-n", "--xi-max", "--xi-n"),
                  {"--out": "fidelity.csv"}),
     "validate": ("run the invariant suite",
-                 ("--config", *_TRAP, "--theta0", "--seed", "--samples", "--chunk-size",
-                  "--workers"), {}),
+                 ("--config", *_TRAP, "--theta0", "--seed", "--samples", "--workers"), {}),
 }
 
 
@@ -217,8 +209,7 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
             value = _number(value, name, setting.lo, setting.kind is int, setting.hi)
         values[dest] = value
     if "workers" in values and values["workers"] is None:
-        values["workers"] = min(_available_cpus(),
-                                max(1, DEFAULT_WORKER_SAMPLES // values["chunk_size"]))
+        values["workers"] = _available_cpus()
 
     try:
         if "nu_perp" in values:
@@ -227,8 +218,8 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
         if "theta0" in values:
             values["optics"] = motion.OpticsParams(values.pop("theta0"))
         if "seed" in values:
-            values["mc"] = _import_oracle().McConfig(
-                values.pop("samples"), values.pop("seed"), values.pop("chunk_size"))
+            # the oracle's default chunk size: a run is fixed by (seed, samples)
+            values["mc"] = _import_oracle().McConfig(values.pop("samples"), values.pop("seed"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if "x_min" in values and not values["x_min"] < values["x_max"]:
@@ -486,10 +477,10 @@ def validation_checks(cfg: SimpleNamespace):
     # the T/T_cr = 0.5 checks read the same stages of every chunk: draw them
     # once; the 0.2 and 1 decoherence checks rescale those phases by sqrt(T)
     trap_half = cfg.trap.with_temperature(0.5 * tcr)
-    small = oracle.McConfig(20_000, cfg.mc.seed, min(cfg.mc.chunk_size, 10_000))  # 2+ chunks
+    small = oracle.McConfig(20_000, cfg.mc.seed)  # 2 chunks
     half = oracle.mc_thermal(trap_half, cfg.optics, np.pi / 7, np.pi / 5, (0.0, 0.05),
                              cfg.mc, workers=cfg.workers, temperatures=(0.2 * tcr, 1.0 * tcr),
-                             prefix=20_000 if small.chunk_size == cfg.mc.chunk_size else 0)
+                             prefix=20_000)
     low, high = half.decoherence_at
     for ratio, est in ((0.2, low), (0.5, half.decoherence.estimate), (1.0, high)):
         closed = d_exact[ratio]
@@ -513,7 +504,7 @@ def validation_checks(cfg: SimpleNamespace):
         yield (f"mc_bell_measurement_diag_xi_{xi:g}", abs(diag - closed) <= 3 * se + 1e-9,
                f"estimate={diag:.5f} closed={closed:.5f} std_error={se:.2e}")
 
-    # the shared draw's first 20 000 samples, if whole chunks, are the serial draw bit
+    # the shared draw's first 20 000 samples, if it has them, are the serial draw bit
     # for bit: one fresh draw checks them from the other side of the threaded split,
     # which a run of 2 chunks or more crosses (a pool starts no more threads than chunks)
     prefix = half.decoherence_prefix
@@ -571,8 +562,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         reason = f"memory ran out ({str(exc) or 'MemoryError'})"
     except (ConfigError, OverflowError, ZeroDivisionError, FloatingPointError) as exc:
-        reason = (exc if isinstance(exc, ConfigError)
-                  else f"an input is out of range ({str(exc) or type(exc).__name__})")
+        # a float overflow's args are (errno, message): give the message alone
+        detail = exc.args[-1] if exc.args else type(exc).__name__
+        reason = exc if isinstance(exc, ConfigError) else f"an input is out of range ({detail})"
     print(f"error: {reason}", file=sys.stderr)
     return 2
 

@@ -41,8 +41,9 @@ VALIDATE_CHECKS = [
 @pytest.fixture(scope="module")
 def results():
     args = cli._make_parser().parse_args(
-        ["validate", "--samples", "100000", "--seed", "424242", "--chunk-size", "10000"])
+        ["validate", "--samples", "100000", "--seed", "424242"])
     cfg = cli.build_config(args)
+    # the CLI always draws in 10 000-sample chunks
     assert cfg.mc == oracle.McConfig(100_000, 424242, 10_000)
     return {name: (ok, detail) for name, ok, detail in cli.validation_checks(cfg)}
 

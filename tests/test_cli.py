@@ -504,12 +504,14 @@ def test_fidelity_rerun_blocked_by_a_directory_keeps_the_earlier_tables(tmp_path
 @pytest.mark.parametrize("argv, doc, key", [
     (["tcrit"], {"trap": {"nu_perp": 1e5}}, "'trap.nu_perp'"),
     (["bell-sweep"], {"optics": {"theta0": 0.5}}, "'optics.theta0'"),
-    (["bell-max"], {"pattern": {"points": 11}}, "'pattern.points'"),
+    (["scatter"], {"pattern": {"points": 11}}, "'pattern.points'"),
     (["validate"], {"mc": {"samples": 10}}, "'mc.samples'"),
     (["tcrit"], {"xi": 0.05}, "'xi'"),
     (["bell-sweep"], {"trap": {"temperature_k": 1e-5}}, "'trap.temperature_k'"),
     (["bell-sweep"], {"pattern": {"kind": "mirrored"}}, "unknown config key 'pattern.kind'"),
-], ids=["trap", "optics", "pattern", "mc", "top-level", "trap-temperature-k", "pattern-kind"])
+    (["validate"], {"mc": {"chunk_size": 10_000}}, "unknown config key 'mc.chunk_size'"),
+], ids=["trap", "optics", "pattern", "mc", "top-level", "trap-temperature-k", "pattern-kind",
+        "mc-chunk-size"])
 def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, argv, doc, key):
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     assert run(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
@@ -523,11 +525,10 @@ SWEEP_FLAGS = {"--config", "--out", "--t-over-tcr", "--x-min", "--x-max", "--gri
 SUBCOMMAND_FLAGS = {
     "tcrit": {"--config", "--out", *TRAP_FLAGS, "--grid-n"},
     "bell-sweep": SWEEP_FLAGS,
-    "bell-max": {"--config", "--out", "--t-max", "--t-n"},
+    "bell-max": {"--out", "--t-max", "--t-n"},
     "scatter": SWEEP_FLAGS | {"--xi-list"},
     "fidelity": {"--out", "--xi-list", "--t-list", "--t-max", "--t-n", "--xi-max", "--xi-n"},
-    "validate": {"--config", *TRAP_FLAGS, "--theta0", "--seed", "--samples", "--chunk-size",
-                 "--workers"},
+    "validate": {"--config", *TRAP_FLAGS, "--theta0", "--seed", "--samples", "--workers"},
 }
 
 
@@ -541,8 +542,8 @@ def _registered_flags():
 def test_each_subcommand_registers_exactly_the_flags_it_reads():
     flags = _registered_flags()
     assert flags == SUBCOMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 39
-    assert len({setting.key for setting in cli._SETTINGS.values() if setting.key}) == 11
+    assert sum(map(len, flags.values())) == 37
+    assert len({setting.key for setting in cli._SETTINGS.values() if setting.key}) == 10
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -574,9 +575,12 @@ def test_readme_config_example_is_accepted(tmp_path):
     ["bell-sweep", "--theta0", "0.5"],
     ["bell-sweep", "--pattern", "mirrored"],
     ["bell-max", "--pattern", "standard"],
+    ["validate", "--chunk-size", "10000"],
+    ["bell-max", "--config", "cfg.json"],
 ], ids=["scatter-pattern", "validate-t-over-tcr", "tcrit-seed", "fidelity-xi",
         "scatter-xi-prefix", "validate-out", "bell-sweep-temperature-k", "scatter-nu-perp",
-        "bell-sweep-theta0", "bell-sweep-pattern", "bell-max-pattern"])
+        "bell-sweep-theta0", "bell-sweep-pattern", "bell-max-pattern", "validate-chunk-size",
+        "bell-max-config"])
 def test_flag_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -584,21 +588,28 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["fidelity", "--xi-list", "1e300"],
-    ["tcrit", "--nu-perp", "1e200"],
-    ["tcrit", "--nu-perp", "1e-300"],
-    ["scatter", "--xi-list", "1e308"],
-    ["validate", "--nu-perp", "1e200"],
+# a Python float overflow (the trap's nu_perp**2) is OverflowError(34, message):
+# the line gives the message alone
+FLOAT_OVERFLOW = "error: an input is out of range (Numerical result out of range)"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["fidelity", "--xi-list", "1e300"], None),
+    (["tcrit", "--nu-perp", "1e200"], FLOAT_OVERFLOW),
+    (["tcrit", "--nu-perp", "1e-300"], None),
+    (["scatter", "--xi-list", "1e308"], None),
+    (["validate", "--nu-perp", "1e200"], None),
+    (["validate", "--nu-perp", "1e300"], FLOAT_OVERFLOW),
 ], ids=["fidelity-xi-overflow", "tcrit-nu-overflow", "tcrit-nu-underflow",
-        "scatter-xi-overflow", "validate-nu-overflow"])
-def test_out_of_range_inputs_exit_2_with_one_error_line(tmp_path, capsys, argv):
+        "scatter-xi-overflow", "validate-nu-overflow", "validate-nu-float-overflow"])
+def test_out_of_range_inputs_exit_2_with_one_error_line(tmp_path, capsys, argv, line):
     if argv[0] != "validate":
         argv = argv + ["--out", str(tmp_path / "out.csv")]
     assert run(argv) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert line is None or err == [line]
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
 
@@ -716,7 +727,8 @@ def cli_calls(draw):
         argv.append(f"--xi-list=0,{_value(draw, 'xi')!r}")
     doc = {}
     for section, keys in DOC_KEYS.items():
-        if command != "fidelity" and draw(st.booleans()):  # fidelity reads no config
+        # bell-max and fidelity read no config
+        if command not in ("bell-max", "fidelity") and draw(st.booleans()):
             key = draw(st.sampled_from(sorted(keys)))
             doc[section] = {key: _value(draw, keys[key])}
     return argv, doc
@@ -775,22 +787,15 @@ def test_out_that_names_no_file_exits_2_with_one_error_line(tmp_path, monkeypatc
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag, key, ceiling", [
-    ("--workers", None, cli.MAX_WORKERS),
-    ("--chunk-size", "chunk_size", cli.MAX_CHUNK_SIZE),
-])
-def test_workers_and_chunk_size_have_fixed_ceilings(tmp_path, capsys, flag, key, ceiling):
+def test_workers_have_a_fixed_ceiling(capsys):
     # resolved only, never run: the ceiling itself is accepted, one more is not
     parser = cli._make_parser()
-    cfg = cli.build_config(parser.parse_args(["validate", flag, str(ceiling)]))
-    assert (cfg.workers if key is None else cfg.mc.chunk_size) == ceiling
+    ceiling = cli.MAX_WORKERS
+    cfg = cli.build_config(parser.parse_args(["validate", "--workers", str(ceiling)]))
+    assert cfg.workers == ceiling
     with pytest.raises(cli.ConfigError, match=f"<= {ceiling}"):
-        cli.build_config(parser.parse_args(["validate", flag, str(ceiling + 1)]))
-    if key is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps({"mc": {key: 10 * ceiling}}))
-        with pytest.raises(cli.ConfigError, match=f"mc.{key}"):
-            cli.build_config(parser.parse_args(["validate", "--config", str(tmp_path / "cfg.json")]))
-    assert run(["validate", flag, str(ceiling + 1)]) == 2
+        cli.build_config(parser.parse_args(["validate", "--workers", str(ceiling + 1)]))
+    assert run(["validate", "--workers", str(ceiling + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
 
@@ -851,27 +856,6 @@ def test_workers_default_to_the_cpus_this_process_may_use():
     assert cfg.workers == min(cpus or 1, cli.MAX_WORKERS)
 
 
-@pytest.mark.parametrize("argv, workers", [
-    ([], 64),
-    (["--chunk-size", "100000"], 41),
-    (["--chunk-size", str(cli.MAX_CHUNK_SIZE)], 4),
-    (["--chunk-size", str(cli.MAX_CHUNK_SIZE), "--workers", "8"], 8),
-], ids=["default-chunk", "chunk-1e5", "chunk-ceiling", "explicit-workers"])
-def test_workers_default_is_bounded_by_the_chunk_size(monkeypatch, argv, workers):
-    # on a 64-CPU host a large chunk caps the default at 2**22 chunk samples
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 64)
-    cfg = cli.build_config(cli._make_parser().parse_args(["validate", *argv]))
-    assert cfg.workers == workers
-
-
-def test_workers_default_reads_the_chunk_size_of_the_config_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 64)
-    (tmp_path / "cfg.json").write_text(json.dumps({"mc": {"chunk_size": 2**19}}))
-    cfg = cli.build_config(cli._make_parser().parse_args(
-        ["validate", "--config", str(tmp_path / "cfg.json")]))
-    assert cfg.workers == 8
-
-
 def test_available_cpus_are_capped_at_max_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
     assert cli._available_cpus() == cli.MAX_WORKERS
@@ -893,7 +877,7 @@ def test_memory_error_exits_2_with_one_error_line(monkeypatch, capsys, error, re
         raise error
 
     monkeypatch.setattr(oracle, "mc_thermal", out_of_memory)
-    assert run(["validate", "--samples", "2000", "--chunk-size", "1000"]) == 2
+    assert run(["validate", "--samples", "2000"]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: memory ran out ({reason})"]
     assert "[  ok] d_exact_vs_exponential" in captured.out

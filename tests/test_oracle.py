@@ -1,9 +1,6 @@
 import operator
-import os
-import subprocess
-import sys
 import threading
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,55 +525,32 @@ def test_mc_thermal_equals_the_separate_estimators(n, chunk_size, workers):
             assert x is y if x is None else np.array_equal(x, y)
 
 
-_RSS_PROBE = """
-import resource, sys
-from bellsim import oracle
-from bellsim.motion import DEFAULT_OPTICS, DEFAULT_TRAP
-trap = DEFAULT_TRAP.with_temperature(1e-6)
-workers = int(sys.argv[2])
-oracle.mc_probabilities(trap, DEFAULT_OPTICS, 0.3, 1.1, oracle.McConfig(200, 1, 1), workers)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-oracle.mc_probabilities(trap, DEFAULT_OPTICS, 0.3, 1.1, oracle.McConfig(int(sys.argv[1]), 1, 1),
-                        workers)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
-"""
+def _fold_peak_kb(workers, chunks):
+    """Peak traced memory (KB) of mc_probabilities over `chunks` one-sample
+    chunks, after a first call has loaded and cached what any run needs."""
+    trap = DEFAULT_TRAP.with_temperature(1e-6)
+    oracle.mc_probabilities(trap, DEFAULT_OPTICS, 0.3, 1.1, oracle.McConfig(200, 1, 1), workers)
+    tracemalloc.start()
+    try:
+        oracle.mc_probabilities(trap, DEFAULT_OPTICS, 0.3, 1.1, oracle.McConfig(chunks, 1, 1),
+                                workers)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
-def _peak_rss_growth_kb(workers):
-    """Peak RSS growth (KB) of a run of 2 000 and of 20 000 one-sample chunks.
-
-    Linux carries the peak RSS of the process that calls exec into the new
-    program's ru_maxrss, so each probe starts from a small launcher, not
-    from pytest.
-    """
-    src = Path(__file__).resolve().parents[1] / "src"
-    launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
-    children = [subprocess.Popen([sys.executable, "-c", launch, "-c", _RSS_PROBE, str(n),
-                                  str(workers)],
-                                 stdout=subprocess.PIPE, text=True,
-                                 env=dict(os.environ, PYTHONPATH=str(src)))
-                for n in (2_000, 20_000)]
-    outputs = [child.communicate(timeout=300)[0] for child in children]
-    assert [child.returncode for child in children] == [0, 0]
-    return map(int, outputs)
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB is Linux's")
 def test_single_worker_fold_keeps_peak_memory_flat_in_the_chunk_count():
-    # a kept list of partial sums costs about 0.85 KB per 4x4 chunk, some
-    # 15 MB more at 20 000 chunks than at 2 000; folding as the chunks arrive
-    # keeps the peak RSS growth of the two runs alike
-    small, large = _peak_rss_growth_kb(1)
-    assert large - small < 4 * 1024
+    # a kept list of partial sums costs about 0.6 KB per 4x4 chunk, some
+    # 550 KB more at 1 000 chunks than at 100; folding as the chunks arrive
+    # keeps the two peaks alike
+    assert _fold_peak_kb(1, 1_000) - _fold_peak_kb(1, 100) < 128
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB is Linux's")
 def test_two_worker_fold_keeps_peak_memory_flat_in_the_chunk_count():
     # submitting every chunk up front holds a future and its partial sums per
-    # chunk until the fold reaches it, some 38 MB at 20 000 chunks; the window
-    # of a few chunks per worker keeps the two runs alike
-    small, large = _peak_rss_growth_kb(2)
-    assert large - small < 4 * 1024
+    # chunk until the fold reaches it, some 1.8 MB more at 1 000 chunks than
+    # at 100; the window of a few chunks per worker keeps the two peaks alike
+    assert _fold_peak_kb(2, 1_000) - _fold_peak_kb(2, 100) < 128
 
 
 def test_mc_thermal_rejects_negative_xi():
@@ -691,20 +665,18 @@ def test_validate_at_20000_samples_draws_one_fresh_reproducibility_run(monkeypat
     assert displacement == 2 * photon
 
 
-@pytest.mark.parametrize("n, chunk_size, workers, fresh", [
-    (20_000, 10_000, 1, [3]),
-    (20_000, 10_000, 2, [1]),
-    (40_000, 5_000, 3, [1]),
-    (30_000, 3_000, 2, [1, 3]),  # 20 000 is not a whole number of chunks
-    (2_000, 1_000, 2, [1, 3]),  # fewer samples than the check reads
-    (40_000, 25_000, 2, [1, 3]),  # a chunk larger than the check
-    (40_000, 20_000, 1, [1, 3]),  # the check in one chunk: drawn in 10 000-sample chunks
-], ids=["prefix-serial", "prefix-threaded", "prefix-8-chunks", "chunk-not-dividing",
-        "too-few-samples", "chunk-too-large", "chunk-equal-to-the-check"])
-def test_validate_reproducibility_sides_equal_the_serial_draw(monkeypatch, capsys, n, chunk_size,
-                                                               workers, fresh):
+# validate's --samples: fewer than the reproducibility check reads, exactly
+# its 2 chunks, a partial third chunk, and the default 10 chunks
+VALIDATE_SAMPLES = [2_000, 20_000, 20_001, 100_000]
+
+
+@pytest.mark.parametrize("samples", VALIDATE_SAMPLES)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_validate_reproducibility_sides_equal_the_serial_draw(monkeypatch, capsys, samples,
+                                                               workers):
     # each side of mc_bit_reproducible_across_workers, the shared draw's
-    # prefix or a fresh draw, is the serial 20 000-sample draw bit for bit
+    # prefix or a fresh draw, is the serial 20 000-sample draw bit for bit;
+    # a shared draw of 20 000 samples or more supplies one side
     sides, workers_used = [], []
     thermal, decoherence = oracle.mc_thermal, oracle.mc_decoherence
 
@@ -721,24 +693,23 @@ def test_validate_reproducibility_sides_equal_the_serial_draw(monkeypatch, capsy
 
     monkeypatch.setattr(oracle, "mc_thermal", recording_thermal)
     monkeypatch.setattr(oracle, "mc_decoherence", recording_decoherence)
-    cli.main(["validate", "--seed", "7", "--samples", str(n), "--chunk-size", str(chunk_size),
-              "--workers", str(workers)])
+    cli.main(["validate", "--seed", "7", "--samples", str(samples), "--workers", str(workers)])
     assert "[  ok] mc_bit_reproducible_across_workers" in capsys.readouterr().out
-    small = oracle.McConfig(20_000, 7, min(chunk_size, 10_000))
-    serial = decoherence(TRAP_HALF, DEFAULT_OPTICS, small, workers=1)
+    serial = decoherence(TRAP_HALF, DEFAULT_OPTICS, oracle.McConfig(20_000, 7), workers=1)
+    fresh = [1, 3] if samples < 20_000 else [3] if workers == 1 else [1]
     assert workers_used == fresh
     assert len(sides) == 2
     for side in sides:
         assert _flat(side) == _flat(serial)
 
 
-@pytest.mark.parametrize("chunk_size", [5_000, 10_000, 20_000, 25_000])
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("samples", VALIDATE_SAMPLES)
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_validate_reproducibility_check_crosses_the_threaded_split(monkeypatch, capsys,
-                                                                   chunk_size, workers):
+                                                                   samples, workers):
     # one side of mc_bit_reproducible_across_workers runs on threads: its
-    # 20 000 samples are drawn in 2 chunks or more, as a pool never starts
-    # more threads than there are chunks
+    # 20 000 samples are drawn in 2 chunks, as a pool never starts more
+    # threads than there are chunks
     pools = []
 
     class RecordingPool(oracle.ThreadPoolExecutor):
@@ -747,8 +718,7 @@ def test_validate_reproducibility_check_crosses_the_threaded_split(monkeypatch, 
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
-    cli.main(["validate", "--samples", "20000", "--chunk-size", str(chunk_size),
-              "--workers", str(workers)])
+    cli.main(["validate", "--samples", str(samples), "--workers", str(workers)])
     assert "[  ok] mc_bit_reproducible_across_workers" in capsys.readouterr().out
     assert pools and min(pools) >= 2
 
