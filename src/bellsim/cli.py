@@ -477,10 +477,8 @@ def validation_checks(cfg: SimpleNamespace):
     # the T/T_cr = 0.5 checks read the same stages of every chunk: draw them
     # once; the 0.2 and 1 decoherence checks rescale those phases by sqrt(T)
     trap_half = cfg.trap.with_temperature(0.5 * tcr)
-    small = oracle.McConfig(20_000, cfg.mc.seed)  # 2 chunks
     half = oracle.mc_thermal(trap_half, cfg.optics, np.pi / 7, np.pi / 5, (0.0, 0.05),
-                             cfg.mc, workers=cfg.workers, temperatures=(0.2 * tcr, 1.0 * tcr),
-                             prefix=20_000)
+                             cfg.mc, workers=cfg.workers, temperatures=(0.2 * tcr, 1.0 * tcr))
     low, high = half.decoherence_at
     for ratio, est in ((0.2, low), (0.5, half.decoherence.estimate), (1.0, high)):
         closed = d_exact[ratio]
@@ -504,13 +502,12 @@ def validation_checks(cfg: SimpleNamespace):
         yield (f"mc_bell_measurement_diag_xi_{xi:g}", abs(diag - closed) <= 3 * se + 1e-9,
                f"estimate={diag:.5f} closed={closed:.5f} std_error={se:.2e}")
 
-    # the shared draw's first 20 000 samples, if it has them, are the serial draw bit
-    # for bit: one fresh draw checks them from the other side of the threaded split,
-    # which a run of 2 chunks or more crosses (a pool starts no more threads than chunks)
-    prefix = half.decoherence_prefix
-    one = prefix or oracle.mc_decoherence(trap_half, cfg.optics, small, workers=1)
-    many = oracle.mc_decoherence(trap_half, cfg.optics, small,
-                                 workers=1 if prefix and cfg.workers > 1 else 3)
+    # a small run of its own, serial and threaded, whatever --samples and --workers say:
+    # five chunks, as a pool starts no more threads than chunks and submits two per
+    # thread ahead, so at two threads the fold's refill submits the fifth
+    small = oracle.McConfig(2_000, cfg.mc.seed, 400)
+    one = oracle.mc_decoherence(trap_half, cfg.optics, small, workers=1)
+    many = oracle.mc_decoherence(trap_half, cfg.optics, small, workers=max(2, cfg.workers))
     yield ("mc_bit_reproducible_across_workers",
            one.estimate.mean == many.estimate.mean
            and one.estimate.std_error == many.estimate.std_error,

@@ -113,7 +113,7 @@ class MatrixEstimate:
     row_sum_max_dev: float | None = None
 
 
-def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None, keep: int = 0) -> list:
+def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None) -> list:
     """Fold the fields fn(rng, count) returns per chunk, in chunk order, each from 0.
 
     Chunk i holds cfg.chunk_size samples (the last one the remainder) and
@@ -126,8 +126,7 @@ def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None, keep: int = 0) -> 
     thread busy, few enough that memory does not grow with the chunk count.
     Every chunk runs under the caller's numpy error state, which worker
     threads do not inherit, so an overflow that raises in the caller raises
-    at any worker count.  With keep > 0 the list ends with the totals of
-    the first keep chunks, which a run of keep chunks would return.
+    at any worker count.
     """
     full, rem = divmod(cfg.n_samples, cfg.chunk_size)
     counts = chain(repeat(cfg.chunk_size, full), [rem] if rem else [])
@@ -151,15 +150,10 @@ def _reduce_chunks(fn, cfg: McConfig, workers: int, ops=None, keep: int = 0) -> 
             window.extend(islice(jobs, 1))
             yield part
 
-    def fold_all(parts):
-        kept = reduce(fold, islice(parts, keep), repeat(0.0))
-        totals = reduce(fold, parts, kept)
-        return [*totals, kept] if keep else totals
-
     if workers <= 1:
-        return fold_all(map(chunk, count(), counts))
+        return reduce(fold, map(chunk, count(), counts), repeat(0.0))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return fold_all(in_order(pool))
+        return reduce(fold, in_order(pool), repeat(0.0))
 
 
 def _moments(total, total_sq, n: int):
@@ -201,35 +195,35 @@ def _sample_dipole_pattern(rng: np.random.Generator, size: int, cos_lo: float) -
     accepted proposals only.
 
     Each batch is drawn in full and its first accepts, as many as are
-    missing, are kept.  cos(phi) and the test run on consecutive blocks of
-    it, each (missing accepts) / (mean acceptance (4 + cos_lo + cos_lo^2) / 6)
-    long, until none is missing: the draws and accepts are those of a test
-    of the whole batch, with few proposals tested past the last accept.
+    missing, are kept.  The scaling, cos(phi) and the test run on
+    consecutive blocks of it, each (missing accepts) / (mean acceptance
+    (4 + cos_lo + cos_lo^2) / 6) long, until none is missing: the draws and
+    accepts are those of a test of the whole batch, with few proposals tested
+    past the last accept.
     """
     rate = (4.0 + cos_lo + cos_lo * cos_lo) / 6.0
     k = np.empty((size, 3))
     have = 0
     while have < size:
         batch = max(2 * (size - have), 64)
-        # rng.uniform(lo, hi, n) is lo + (hi - lo) * rng.random(n), bit for bit
-        u = rng.random(batch)
-        u *= 1.0 - cos_lo
-        u += cos_lo
-        phi = rng.random(batch)
-        phi *= 2.0 * np.pi
-        w = rng.random(batch)
+        raw_u, raw_phi, w = rng.random(batch), rng.random(batch), rng.random(batch)
         start = 0
         while have < size and start < batch:
             need = size - have
             block = slice(start, min(start + int(need / rate) + 1, batch))
-            cos_phi = np.cos(phi[block])
-            sin2 = (1.0 - u[block]) * (1.0 + u[block])
+            # views scaled in place: rng.uniform(lo, hi, n) is lo + (hi - lo) * rng.random(n)
+            u, phi = raw_u[block], raw_phi[block]
+            u *= 1.0 - cos_lo
+            u += cos_lo
+            phi *= 2.0 * np.pi
+            cos_phi = np.cos(phi)
+            sin2 = (1.0 - u) * (1.0 + u)
             idx = np.flatnonzero(w[block] < 1.0 - sin2 * cos_phi * cos_phi)[:need]
             rows = k[have:have + idx.size]
             sin_theta = np.sqrt(sin2[idx])
             rows[:, 0] = sin_theta * cos_phi[idx]
-            rows[:, 1] = sin_theta * np.sin(phi[block][idx])
-            rows[:, 2] = u[block][idx]
+            rows[:, 1] = sin_theta * np.sin(phi[idx])
+            rows[:, 2] = u[idx]
             have += idx.size
             start = block.stop
     return k
@@ -343,9 +337,8 @@ def _bell_measurement_part(xis, cfg: McConfig) -> _Part:
 
 
 def _sample_parts(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
-                  parts: list[_Part], workers: int, keep: int = 0) -> list:
-    """Estimates of every part from one pass over the chunks, then the
-    totals of the first keep chunks (None when keep is 0).
+                  parts: list[_Part], workers: int) -> list:
+    """Estimates of every part from one pass over the chunks.
 
     Each chunk draws as many stages as the deepest part reads, in stage
     order, and hands the same phase arrays to every part, so a part's
@@ -358,8 +351,8 @@ def _sample_parts(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
         return [s for part in parts for s in part.sums(count, *phases[:part.stages])]
 
     ops = [op for part in parts for op in part.ops]
-    totals = iter(_reduce_chunks(chunk, cfg, workers, ops, keep))
-    return [*(part.finish([next(totals) for _ in part.ops]) for part in parts), next(totals, None)]
+    totals = iter(_reduce_chunks(chunk, cfg, workers, ops))
+    return [part.finish([next(totals) for _ in part.ops]) for part in parts]
 
 
 def mc_decoherence(trap: TrapParams, optics: OpticsParams, cfg: McConfig,
@@ -440,15 +433,13 @@ class ThermalEstimate:
 
     The first three equal their single-estimator calls bit for bit;
     decoherence_at holds D alone, the `estimate` of mc_decoherence (to
-    round-off), per extra temperature; decoherence_prefix, if not None, is
-    mc_decoherence of the first samples bit for bit.
+    round-off), per extra temperature.
     """
 
     decoherence: DecoherenceEstimate
     probabilities: MatrixEstimate
     bell_measurement: tuple[MatrixEstimate, ...]
     decoherence_at: tuple[McEstimate, ...]
-    decoherence_prefix: DecoherenceEstimate | None
 
 
 def _phase_scale(trap: TrapParams, temperature: float) -> float:
@@ -464,7 +455,7 @@ def _phase_scale(trap: TrapParams, temperature: float) -> float:
 
 def mc_thermal(trap: TrapParams, optics: OpticsParams, theta1: float, theta2: float,
                xis: Iterable[float], cfg: McConfig, workers: int = 1,
-               temperatures: Iterable[float] = (), prefix: int = 0) -> ThermalEstimate:
+               temperatures: Iterable[float] = ()) -> ThermalEstimate:
     """mc_decoherence, mc_probabilities at (theta1, theta2) and one
     mc_bell_measurement per xi in xis, from one draw of each stage, plus
     the D of mc_decoherence at each of temperatures from the same draw.
@@ -475,16 +466,12 @@ def mc_thermal(trap: TrapParams, optics: OpticsParams, theta1: float, theta2: fl
     sqrt(T / trap.temperature) times the phase drawn at trap.temperature,
     so an extra temperature scales the drawn phases and agrees with the
     separate call at T to round-off, not bit for bit.  A positive extra
-    temperature needs trap.temperature > 0.  If prefix is a whole number of
-    chunks, decoherence_prefix is mc_decoherence at n_samples = prefix.
+    temperature needs trap.temperature > 0.
     """
     xis = tuple(xis)
     bell = [_bell_measurement_part(xis, cfg)] if xis else []  # no second stage for no xi
     scales = [_phase_scale(trap, t) for t in temperatures]
     parts = [_decoherence_part(cfg, scales), _probabilities_part(theta1, theta2, cfg), *bell]
-    whole = 0 < prefix <= cfg.n_samples and prefix % cfg.chunk_size == 0
-    (d, sine, *extra), probabilities, *bells, kept = _sample_parts(
-        trap, optics, cfg, parts, workers, prefix // cfg.chunk_size if whole else 0)
-    head = DecoherenceEstimate(*_estimates(kept[0][:2], kept[1][:2], prefix)) if kept else None
+    (d, sine, *extra), probabilities, *bells = _sample_parts(trap, optics, cfg, parts, workers)
     return ThermalEstimate(DecoherenceEstimate(d, sine), probabilities, bells[0] if bells else (),
-                           tuple(extra), head)
+                           tuple(extra))

@@ -98,3 +98,15 @@ def test_validate_flags_singular_variant(capsys, monkeypatch, singular_h2):
     out = capsys.readouterr().out
     assert code == 1
     assert any("FAIL" in ln and "cnot_identity" in ln for ln in out.splitlines())
+
+
+@pytest.mark.parametrize("chunk", [5_000, 20_000])
+def test_validation_checks_pass_at_a_library_chunk_size(chunk):
+    # a library McConfig may draw in other chunks than the CLI's 10 000; the
+    # reproducibility check draws its own run, so it holds at any chunk size
+    cfg = cli.build_config(cli._make_parser().parse_args(
+        ["validate", "--seed", "7", "--workers", "2"]))
+    cfg.mc = oracle.McConfig(100_000, 7, chunk)
+    results = list(cli.validation_checks(cfg))
+    assert [name for name, _, _ in results] == VALIDATE_CHECKS
+    assert [(name, detail) for name, ok, detail in results if not ok] == []

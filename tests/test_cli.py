@@ -563,6 +563,38 @@ def test_readme_config_example_is_accepted(tmp_path):
     assert run(["validate", "--config", str(path), "--samples", "2000"]) == 0
 
 
+def _quoted(pattern):
+    """Each number the README quotes where pattern's group matches."""
+    quoted = re.findall(pattern, README)
+    assert quoted, pattern
+    return quoted
+
+
+PAPER_POINT = (motion.DEFAULT_TRAP, motion.DEFAULT_OPTICS)  # the README's working point
+
+
+@pytest.mark.parametrize("pattern, value", [
+    (r"`S = (\d+\.\d+) > 2`", lambda: chsh.s_at_standard_angle(motion.d_approx(0.5))),
+    (r"`xi ~ (\d+\.\d+)`",
+     lambda: chsh.scatter_threshold(motion.d_approx(0.5), fixed_x=np.pi / 8)),
+    (r"`A_perp ~ (\d+\.\d+)`", lambda: motion.aperture_coefficients(motion.DEFAULT_OPTICS)[0]),
+    (r"`A_par ~ (\d+\.\d+)`", lambda: motion.aperture_coefficients(motion.DEFAULT_OPTICS)[1]),
+    (r"`nu_eff ~ (\d+) kHz`", lambda: motion.nu_eff(*PAPER_POINT) / 1e3),
+    (r"`T_cr ~ (\d+) uK`", lambda: motion.t_crit(*PAPER_POINT) / 1e-6),
+], ids=["S", "xi", "A_perp", "A_par", "nu_eff", "T_cr"])
+def test_readme_paper_numbers_are_the_library_values(pattern, value):
+    # at the default trap and aperture, rounded to the digits the README quotes
+    for text in _quoted(pattern):
+        digits = len(text.partition(".")[2])
+        assert round(float(value()), digits) == float(text), (pattern, value())
+
+
+def test_readme_t_cr_range_holds_the_library_value():
+    t_cr = motion.t_crit(*PAPER_POINT) / 1e-6
+    for lo, hi in _quoted(r"`T_cr` of (\d+)–(\d+) uK"):
+        assert float(lo) <= t_cr <= float(hi)
+
+
 @pytest.mark.parametrize("argv", [
     ["scatter", "--pattern", "mirrored"],
     ["validate", "--t-over-tcr", "1"],

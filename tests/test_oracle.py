@@ -646,27 +646,19 @@ def _validate_draws(monkeypatch, samples):
     return drawn["photon"], drawn["displacement"]
 
 
-def test_validate_draws_each_shared_stage_once(monkeypatch):
+@pytest.mark.parametrize("samples", [2_000, 20_000])
+def test_validate_draws_each_shared_stage_once(monkeypatch, samples):
     # every T/T_cr = 0.2, 0.5 and 1 check reads the two stages of one shared
-    # draw (0.2 and 1 rescale its phases); that draw holds no 20 000-sample
-    # prefix, so the reproducibility runs (20 000 samples whatever --samples
-    # says) draw one each; one of those runs uses 3 threads
-    photon, displacement = _validate_draws(monkeypatch, 2_000)
-    assert photon == 2 * 2_000 + 2 * 20_000
+    # draw (0.2 and 1 rescale its phases); the reproducibility check draws
+    # 2 000 samples of one stage on each side of the serial/threaded split,
+    # whatever --samples says
+    photon, displacement = _validate_draws(monkeypatch, samples)
+    assert photon == 2 * samples + 2 * 2_000
     assert displacement == 2 * photon
 
 
-def test_validate_at_20000_samples_draws_one_fresh_reproducibility_run(monkeypatch):
-    # the reproducibility check reads the first 20 000 samples of the shared
-    # draw's first stage and draws 20 000 more on the other side of the
-    # serial/threaded split
-    photon, displacement = _validate_draws(monkeypatch, 20_000)
-    assert photon == 3 * 20_000
-    assert displacement == 2 * photon
-
-
-# validate's --samples: fewer than the reproducibility check reads, exactly
-# its 2 chunks, a partial third chunk, and the default 10 chunks
+# validate's --samples: less than one chunk, exactly 2 chunks, a partial third
+# chunk, and the default 10 chunks
 VALIDATE_SAMPLES = [2_000, 20_000, 20_001, 100_000]
 
 
@@ -674,16 +666,11 @@ VALIDATE_SAMPLES = [2_000, 20_000, 20_001, 100_000]
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_validate_reproducibility_sides_equal_the_serial_draw(monkeypatch, capsys, samples,
                                                                workers):
-    # each side of mc_bit_reproducible_across_workers, the shared draw's
-    # prefix or a fresh draw, is the serial 20 000-sample draw bit for bit;
-    # a shared draw of 20 000 samples or more supplies one side
+    # mc_bit_reproducible_across_workers draws both of its sides, serially and
+    # on at least two threads, and each is the serial 2 000-sample draw in
+    # 400-sample chunks bit for bit, whatever --samples and --workers say
     sides, workers_used = [], []
-    thermal, decoherence = oracle.mc_thermal, oracle.mc_decoherence
-
-    def recording_thermal(*args, **kwargs):
-        out = thermal(*args, **kwargs)
-        sides.extend([out.decoherence_prefix] if out.decoherence_prefix else [])
-        return out
+    decoherence = oracle.mc_decoherence
 
     def recording_decoherence(*args, workers=1):
         out = decoherence(*args, workers=workers)
@@ -691,14 +678,11 @@ def test_validate_reproducibility_sides_equal_the_serial_draw(monkeypatch, capsy
         workers_used.append(workers)
         return out
 
-    monkeypatch.setattr(oracle, "mc_thermal", recording_thermal)
     monkeypatch.setattr(oracle, "mc_decoherence", recording_decoherence)
     cli.main(["validate", "--seed", "7", "--samples", str(samples), "--workers", str(workers)])
     assert "[  ok] mc_bit_reproducible_across_workers" in capsys.readouterr().out
-    serial = decoherence(TRAP_HALF, DEFAULT_OPTICS, oracle.McConfig(20_000, 7), workers=1)
-    fresh = [1, 3] if samples < 20_000 else [3] if workers == 1 else [1]
-    assert workers_used == fresh
-    assert len(sides) == 2
+    serial = decoherence(TRAP_HALF, DEFAULT_OPTICS, oracle.McConfig(2_000, 7, 400), workers=1)
+    assert workers_used == [1, max(2, workers)]
     for side in sides:
         assert _flat(side) == _flat(serial)
 
@@ -708,7 +692,7 @@ def test_validate_reproducibility_sides_equal_the_serial_draw(monkeypatch, capsy
 def test_validate_reproducibility_check_crosses_the_threaded_split(monkeypatch, capsys,
                                                                    samples, workers):
     # one side of mc_bit_reproducible_across_workers runs on threads: its
-    # 20 000 samples are drawn in 2 chunks, as a pool never starts more
+    # 2 000 samples are drawn in 5 chunks, as a pool never starts more
     # threads than there are chunks
     pools = []
 

@@ -107,23 +107,23 @@ def validate_counts():
     # one call per form over the xi column of scatter_form_gap, and four per
     # s_gg_scatter_curve call (one per angle pair)
     ("chsh.e_gg_scatter", 2 + 4 * 4),
-    # one draw for every T/T_cr = 0.5 check, whose first 20 000 samples are
-    # one side of the reproducibility check; one fresh draw is the other
+    # one draw for every T/T_cr = 0.5 check; the reproducibility check draws
+    # its two sides itself, serially and on threads
     ("oracle.mc_thermal", 1),
-    ("oracle.mc_decoherence", 1),
-    # 10 chunks of two stages in mc_thermal and 2 chunks of one stage in the
-    # fresh draw: one direction and two displacement draws per stage
-    ("oracle.sample_photon_direction", 22),
-    ("oracle.sample_displacement", 44),
+    ("oracle.mc_decoherence", 2),
+    # 10 chunks of two stages in mc_thermal and 5 chunks of one stage in each
+    # reproducibility side: one direction and two displacement draws per stage
+    ("oracle.sample_photon_direction", 30),
+    ("oracle.sample_displacement", 60),
 ])
 def test_validate_calls(validate_counts, name, count):
     assert validate_counts[0][name] == count
 
 
 @pytest.mark.parametrize("name, rows", [
-    # 2 x 100 000 stage samples in mc_thermal and 20 000 in the fresh draw
-    ("oracle.sample_photon_direction", 220_000),
-    ("oracle.sample_displacement", 440_000),
+    # 2 x 100 000 stage samples in mc_thermal and 2 000 in each reproducibility side
+    ("oracle.sample_photon_direction", 204_000),
+    ("oracle.sample_displacement", 408_000),
 ])
 def test_validate_samples(validate_counts, name, rows):
     assert validate_counts[2][name] == rows
